@@ -25,7 +25,7 @@ print("modal exponents:", np.array2string(mu, precision=3))
 # recomputed on the witness itself
 T = 0.5
 est = fh.estimate_observability_constant(mu, T, K=8)
-witness = fh.ExponentialSum(est.witness_coeffs, mu)
+witness = fh.ExponentialSum(est.witness_coeffs, mu, T)
 ratio = float(np.abs(est.witness_coeffs) @ np.exp(-mu * T))
 ratio /= fh.l1_norm_exp_sum(witness, n_quad=256)
 print(f"\nT = {T}: lower bound C >= {est.lower_bound_C:.6f}")

@@ -319,6 +319,18 @@ class DiscreteOperator:
         B = d[:, None] * self.stiffness * d[None, :]
         return float(eigh(B, eigvals_only=True, subset_by_index=[self.n_dof - 1] * 2)[0])
 
+    @cached_property
+    def lumped_basis(self):
+        """All generalized eigenpairs of (stiffness, lumped mass).
+
+        A :class:`~fracheat.spectral.SpectralBasis`, mass-orthonormal and
+        residual-checked.  Every lumped implicit Euler step is diagonal in
+        it, whatever the time step, so it is computed once per operator.
+        """
+        from .spectral import eigendecompose
+
+        return eigendecompose(self, mass_kind="lumped")
+
 
 def build_operator(grid: Grid, s: float, normalization: str = "symbol") -> DiscreteOperator:
     """Assemble stiffness and mass matrices into a :class:`DiscreteOperator`."""

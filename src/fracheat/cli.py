@@ -8,6 +8,8 @@ run
     configured output directory.  ``FRACHEAT_OUTPUT_DIR`` overrides the
     config's ``output_dir``; ``--seed`` overrides its seed; ``--threads``
     bounds the numerical libraries' internal parallelism (default 1).
+    The console launcher :mod:`fracheat_cli` applies that bound, before
+    numpy is first imported; :func:`main` itself only accepts the flag.
 spectrum
     Print the leading eigenvalues of the discrete operator as CSV.
 obs-curve
@@ -35,21 +37,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 1
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
-def _apply_thread_limit(n: int) -> None:
-    # effective for libraries that read these at pool start-up; the
-    # console launcher sets them before numpy is even imported
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +85,6 @@ def _check_s(s: float) -> float:
 
 
 def _cmd_run(args) -> int:
-    _apply_thread_limit(max(1, args.threads))
     try:
         with open(args.config, "rb") as f:
             text = f.read()

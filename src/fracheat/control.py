@@ -12,7 +12,12 @@ observability estimates.
 All solvers march with the lumped-mass implicit Euler scheme: its step
 matrix is an M-matrix, so simulated states stay nonnegative for
 nonnegative data and controls, and gradients are exact discrete adjoints
-of the scheme.
+of the scheme.  The constrained solver runs that scheme in the
+eigenbasis of (stiffness, lumped mass), which each operator computes once
+and every horizon shares: there one step scales mode k by
+1 / (1 + dt lambda_k), and the forward and adjoint recursions over all
+steps are evaluated by a vectorized doubling scan.  The smoothed dual
+keeps a dense step matrix and marches it step by step.
 """
 
 from __future__ import annotations
@@ -201,8 +206,88 @@ def make_problem(
     )
 
 
+def _doubling_powers(d: np.ndarray, n: int) -> list[np.ndarray]:
+    """d^1, d^2, d^4, ... for every shift below n, as :func:`_decay_scan` uses.
+
+    Powers below 1e-150 are flushed to zero so that the scan never works
+    on subnormal numbers; the terms this drops are below 1e-150 relative.
+    """
+    powers = []
+    pw = d
+    while (1 << len(powers)) < n:
+        powers.append(pw)
+        pw = pw * pw
+        pw[pw < 1e-150] = 0.0
+    return powers
+
+
+def _decay_scan(powers: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+    """Overwrite row j of y with the sum over k <= j of d^(j-k) y[k].
+
+    This solves x_j = d x_{j-1} + y_j (x_0 = y_0) for every column at
+    once with a doubling scan, ceil(log2(len(y))) vectorized passes in
+    place of a loop over the rows; powers comes from
+    :func:`_doubling_powers`.
+    """
+    for k, pw in enumerate(powers):
+        shift = 1 << k
+        if shift >= len(y):
+            break
+        y[shift:] += pw * y[:-shift]
+    return y
+
+
+class _ModalStepper:
+    """Lumped-mass implicit Euler propagator in the lumped eigenbasis.
+
+    One step is z_{j+1} = P (z_j + dt u_j) with P = (M + dt K)^{-1} M.
+    With K V = M V diag(lambda) and V^T M V = I (the operator's cached
+    ``lumped_basis``), P = V diag(d) V^T M with d = 1 / (1 + dt lambda),
+    so the forward states and the exact discrete adjoint are per-mode
+    linear recursions, run for all modes and steps at once by
+    :func:`_decay_scan`.  Controls enter only on the support, a
+    contiguous run of nodes given as a slice, so its rows of V are a
+    view rather than a copy.
+    """
+
+    def __init__(self, op: DiscreteOperator, T: float, n_t: int, support: slice):
+        basis = op.lumped_basis
+        self.dt = T / n_t
+        self.n_t = n_t
+        self.m = np.diag(op.mass_lumped)
+        self.V = basis.eigenvectors
+        self.d = 1.0 / (1.0 + self.dt * basis.eigenvalues)
+        self.powers = _doubling_powers(self.d, n_t + 1)
+        self.V_sup = self.V[support]
+        self.m_sup = self.m[support]
+
+    def forward(self, z0: np.ndarray, u_sup: np.ndarray) -> np.ndarray:
+        """All states, shape (n_t + 1, n); u_sup is (support nodes, n_t)."""
+        y = np.empty((self.n_t + 1, z0.size))
+        y[0] = (self.m * z0) @ self.V
+        y[1:] = (u_sup.T * (self.dt * self.m_sup)) @ self.V_sup
+        y[1:] *= self.d
+        return _decay_scan(self.powers, y) @ self.V.T
+
+    def gradient(self, r_weighted: np.ndarray, chi: np.ndarray | None) -> np.ndarray:
+        """Exact gradient of the objective w.r.t. the support cell controls.
+
+        r_weighted is d(objective)/d(z_T) and chi, when given, holds
+        d(objective)/d(z_j) for each state row.  Returns shape
+        (support nodes, n_t).
+        """
+        # row k holds the modal adjoint of cell n_t - 1 - k
+        if chi is None:
+            y = np.zeros((self.n_t, self.d.size))
+        else:
+            y = (chi[self.n_t : 0 : -1] @ self.V) * self.d
+        y[0] += (r_weighted @ self.V) * self.d
+        q = _decay_scan(self.powers, y)[::-1]
+        return (self.dt * self.m_sup)[:, None] * (self.V_sup @ q.T)
+
+
 class _Stepper:
-    """Lumped-mass implicit Euler propagator with its exact adjoint.
+    """Dense lumped-mass implicit Euler propagator of the smoothed dual.
 
     One step is z_{j+1} = P (z_j + dt u_j) with P = (M + dt K)^{-1} M; the
     adjoint recursion uses P^T.  The inverse is formed densely once, which
@@ -236,23 +321,6 @@ class _Stepper:
             out[:, j] = p
         return out
 
-    def gradient_from_states(
-        self, states: np.ndarray, r_weighted: np.ndarray, chi: np.ndarray | None
-    ) -> np.ndarray:
-        """Exact gradient of the objective w.r.t. the cell controls.
-
-        r_weighted is d(objective)/d(z_T) and chi, when given, holds
-        d(objective)/d(z_j) for each stored row.  Returns shape (n, n_t).
-        """
-        n = states.shape[1]
-        grad = np.empty((n, self.n_t))
-        g = r_weighted if chi is None else r_weighted + chi[self.n_t]
-        for j in range(self.n_t - 1, -1, -1):
-            e = self.P.T @ g
-            grad[:, j] = self.dt * e
-            g = e if chi is None else e + chi[j]
-        return grad
-
 
 def _m_norm(v: np.ndarray, m: np.ndarray) -> float:
     return float(np.sqrt(v @ (m * v)))
@@ -265,20 +333,18 @@ def _primal_machinery(problem: ControlProblem, T: float, n_t: int):
     (support-cell controls, penalty weight) to (value, states, terminal
     residual vector, state-penalty weights); gradient maps evaluate's
     last three outputs to the exact objective gradient over the support
-    cells.
+    cells (the states enter it through the penalty weights only).  The
+    stepper is a :class:`_ModalStepper` on the operator's cached lumped
+    eigenbasis, so no step of either recursion is a Python loop.
     """
-    stepper = _Stepper(problem.op, T, n_t)
-    dt, m = stepper.dt, stepper.m
     mask = nodes_in_interval(problem.op.grid, problem.omega)
+    rows = np.flatnonzero(mask)
+    stepper = _ModalStepper(problem.op, T, n_t, slice(rows[0], rows[-1] + 1))
+    dt, m = stepper.dt, stepper.m
     zhat_T = problem.target_at(T, n_t).final
 
-    def expand(u_s):
-        full = np.zeros((mask.size, stepper.n_t))
-        full[mask] = u_s
-        return full
-
     def evaluate(u_s, rho):
-        states = stepper.forward(problem.z0, expand(u_s))
+        states = stepper.forward(problem.z0, u_s)
         r = states[-1] - zhat_T
         f = 0.5 * float(r @ (m * r))
         chi = None
@@ -289,8 +355,8 @@ def _primal_machinery(problem: ControlProblem, T: float, n_t: int):
             chi[0] = 0.0
         return f, states, r, chi
 
-    def gradient(states, r, chi):
-        return stepper.gradient_from_states(states, m * r, chi)[mask]
+    def gradient(_states, r, chi):
+        return stepper.gradient(m * r, chi)
 
     return stepper, mask, zhat_T, evaluate, gradient
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fracheat as fh
-from fracheat.control import _dual_machinery, _primal_machinery
+from fracheat.control import _dual_machinery, _ModalStepper, _primal_machinery
 
 from conftest import m_norm
 
@@ -78,6 +78,84 @@ def test_dual_gradient_matches_finite_differences(prob_case1):
         Jm = objective(p - h * d)[0]
         fd = (Jp - Jm) / (2.0 * h)
         assert fd == pytest.approx(float(grad @ d), rel=1e-5)
+
+
+def _modal_case(n_x, n_t):
+    """Modal stepper on the case-1 operator at T = 0.9 with a random
+    nonnegative control."""
+    grid = fh.build_grid(n_x)
+    op = fh.build_operator(grid, s=0.8, normalization="unit")
+    mask = fh.nodes_in_interval(grid, (-0.3, 0.8))
+    rows = np.flatnonzero(mask)
+    stepper = _ModalStepper(op, 0.9, n_t, slice(rows[0], rows[-1] + 1))
+    z0 = 2.0 * np.cos(np.pi * grid.interior_nodes / 2.0)
+    u = np.random.default_rng(0).uniform(0.0, 0.3, (int(mask.sum()), n_t))
+    return op, mask, stepper, z0, u
+
+
+@pytest.mark.parametrize("n_x", [20, 200])
+def test_modal_forward_matches_simulate(n_x):
+    n_t = 300
+    op, mask, stepper, z0, u = _modal_case(n_x, n_t)
+    if n_x == 200:
+        # the stiff regime, where most modes are damped within one step
+        assert stepper.dt * op.lambda_max_lumped > 10.0
+    control = fh.make_control(op.grid, (-0.3, 0.8), n_t, values=u)
+    ref = fh.simulate(op, z0, control, 0.9, n_t).states
+    states = stepper.forward(z0, u)
+    assert np.abs(states - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("with_chi", [False, True])
+def test_modal_gradient_matches_dense_recursion(with_chi):
+    n_t = 60
+    op, mask, stepper, _, _ = _modal_case(20, n_t)
+    rng = np.random.default_rng(4)
+    n = op.n_dof
+    r_weighted = rng.standard_normal(n)
+    chi = None
+    if with_chi:
+        chi = rng.standard_normal((n_t + 1, n))
+        chi[0] = 0.0
+    # reference: the per-step adjoint of z_{j+1} = P (z_j + dt u_j)
+    dt = stepper.dt
+    P = np.linalg.solve(op.mass_lumped + dt * op.stiffness, op.mass_lumped)
+    ref = np.empty((n, n_t))
+    g = r_weighted if chi is None else r_weighted + chi[n_t]
+    for j in range(n_t - 1, -1, -1):
+        e = P.T @ g
+        ref[:, j] = dt * e
+        g = e if chi is None else e + chi[j]
+    grad = stepper.gradient(r_weighted, chi)
+    assert grad.shape == (int(mask.sum()), n_t)
+    assert np.abs(grad - ref[mask]).max() <= 1e-12 * np.abs(ref[mask]).max()
+
+
+@pytest.mark.parametrize("n_x", [20, 200])
+def test_modal_adjoint_identity(n_x):
+    # <z_T(u) - z_T(0), p>_M = dt sum_j <u_j, p_j>_M with p_j = P^(n_t - j) p;
+    # the stepper's gradient of <z_T, p>_M is dt M p_j on the support
+    n_t = 120
+    op, mask, stepper, z0, u = _modal_case(n_x, n_t)
+    m = np.diag(op.mass_lumped)
+    p = np.random.default_rng(5).standard_normal(op.n_dof)
+    dz_T = stepper.forward(z0, u)[-1] - stepper.forward(z0, 0.0 * u)[-1]
+    lhs = float(dz_T @ (m * p))
+    rhs = float((u * stepper.gradient(m * p, None)).sum())
+    assert lhs == pytest.approx(rhs, rel=1e-11)
+
+
+def test_modal_stepper_fine_mesh_finite_and_nonnegative():
+    n_t = 300
+    op, mask, stepper, z0, u = _modal_case(800, n_t)
+    states = stepper.forward(z0, u)
+    assert np.isfinite(states).all()
+    assert states.min() >= -1e-12
+    chi = np.random.default_rng(6).standard_normal(states.shape)
+    chi[0] = 0.0
+    for c in (None, chi):
+        grad = stepper.gradient(np.diag(op.mass_lumped) * states[-1], c)
+        assert np.isfinite(grad).all()
 
 
 def test_unconstrained_dual_steers_and_is_bang_bang(prob_case1, lumped_diag):
