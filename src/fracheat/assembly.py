@@ -320,6 +320,20 @@ class DiscreteOperator:
         return float(eigh(B, eigvals_only=True, subset_by_index=[self.n_dof - 1] * 2)[0])
 
     @cached_property
+    def positivity_preserving(self) -> bool:
+        """True iff the stiffness has no positive off-diagonal entry.
+
+        Then M_lumped + dt K is a symmetric positive definite Z-matrix,
+        hence an M-matrix, for every dt > 0, so each lumped implicit Euler
+        step (M_lumped + dt K)^{-1} M_lumped is entrywise nonnegative and
+        nonnegative data and controls keep every state nonnegative.  The
+        assembled stiffness has this sign pattern for s above about 0.23;
+        for smaller s its adjacent off-diagonals are positive and the step
+        can turn nonnegative data negative.
+        """
+        return bool((np.triu(self.stiffness, 1) <= 0.0).all())
+
+    @cached_property
     def lumped_basis(self):
         """All generalized eigenpairs of (stiffness, lumped mass).
 

@@ -9,15 +9,22 @@ feasible.  Impulse diagnostics quantify how concentrated near-minimal-time
 controls are, and a heuristic sufficient horizon is derived from decay and
 observability estimates.
 
-All solvers march with the lumped-mass implicit Euler scheme: its step
-matrix is an M-matrix, so simulated states stay nonnegative for
-nonnegative data and controls, and gradients are exact discrete adjoints
-of the scheme.  The constrained solver runs that scheme in the
-eigenbasis of (stiffness, lumped mass), which each operator computes once
-and every horizon shares: there one step scales mode k by
-1 / (1 + dt lambda_k), and the forward and adjoint recursions over all
-steps are evaluated by a vectorized doubling scan.  The smoothed dual
-keeps a dense step matrix and marches it step by step.
+All solvers march with the lumped-mass implicit Euler scheme, and
+gradients are exact discrete adjoints of it.  The constrained solver runs
+the scheme in the eigenbasis of (stiffness, lumped mass), which each
+operator computes once and every horizon shares, where one step scales
+mode k by 1 / (1 + dt lambda_k).  The terminal state and its adjoint are
+closed forms over the powers of those factors; the full trajectory, and
+the adjoint of a penalty on it, come from a vectorized doubling scan over
+the steps.  The smoothed dual keeps a dense step matrix, marched step by
+step: where its L-BFGS iteration stops depends on the last bits of that
+arithmetic, which a modal form would change.
+
+The step matrix is entrywise nonnegative only when the stiffness has no
+positive off-diagonal entry (``DiscreteOperator.positivity_preserving``,
+s above about 0.23).  Then nonnegative data and controls keep every state
+nonnegative, and the constrained solver needs only the terminal map; in
+every other case it tracks all states and penalizes negative ones.
 """
 
 from __future__ import annotations
@@ -30,7 +37,13 @@ from scipy.linalg import inv
 from scipy.optimize import minimize
 
 from .assembly import DiscreteOperator
-from .dynamics import ControlField, Trajectory, generate_target_trajectory, make_control
+from .dynamics import (
+    ControlField,
+    Trajectory,
+    _write_long_csv,
+    generate_target_trajectory,
+    make_control,
+)
 from .errors import SolverError
 from .grid import nodes_in_interval
 from .spectral import eigendecompose
@@ -242,9 +255,12 @@ class _ModalStepper:
 
     One step is z_{j+1} = P (z_j + dt u_j) with P = (M + dt K)^{-1} M.
     With K V = M V diag(lambda) and V^T M V = I (the operator's cached
-    ``lumped_basis``), P = V diag(d) V^T M with d = 1 / (1 + dt lambda),
-    so the forward states and the exact discrete adjoint are per-mode
-    linear recursions, run for all modes and steps at once by
+    ``lumped_basis``), P = V diag(d) V^T M with d = 1 / (1 + dt lambda).
+    So the terminal state is z(T) = V (d^n_t c0 + dt sum_j E[:, j] V^T M
+    u_j) with c0 = V^T M z0 and E[k, j] = d_k^(n_t - j), and it and its
+    adjoint are two matrix products each, with no loop over the steps.
+    All states, and the adjoint of a penalty on them, are per-mode linear
+    recursions, run for all modes and steps at once by
     :func:`_decay_scan`.  Controls enter only on the support, a
     contiguous run of nodes given as a slice, so its rows of V are a
     view rather than a copy.
@@ -258,8 +274,19 @@ class _ModalStepper:
         self.V = basis.eigenvectors
         self.d = 1.0 / (1.0 + self.dt * basis.eigenvalues)
         self.powers = _doubling_powers(self.d, n_t + 1)
+        # E[k, j] = d_k^(n_t - j), flushed below 1e-150 as the scan's powers
+        self.E = self.d[:, None] ** np.arange(n_t, 0, -1)
+        self.E[self.E < 1e-150] = 0.0
         self.V_sup = self.V[support]
         self.m_sup = self.m[support]
+
+    def terminal(self, z0: np.ndarray, u_sup: np.ndarray | None) -> np.ndarray:
+        """Final state z(T); u_sup is (support nodes, n_t), or None."""
+        c = self.E[:, 0] * ((self.m * z0) @ self.V)
+        if u_sup is not None:
+            w = self.V_sup.T @ (self.m_sup[:, None] * u_sup)
+            c += self.dt * np.einsum("kj,kj->k", self.E, w)
+        return self.V @ c
 
     def forward(self, z0: np.ndarray, u_sup: np.ndarray) -> np.ndarray:
         """All states, shape (n_t + 1, n); u_sup is (support nodes, n_t)."""
@@ -273,17 +300,18 @@ class _ModalStepper:
         """Exact gradient of the objective w.r.t. the support cell controls.
 
         r_weighted is d(objective)/d(z_T) and chi, when given, holds
-        d(objective)/d(z_j) for each state row.  Returns shape
+        d(objective)/d(z_j) for each state row.  Without chi this is the
+        adjoint of the terminal map, in closed form.  Returns shape
         (support nodes, n_t).
         """
-        # row k holds the modal adjoint of cell n_t - 1 - k
+        scale = (self.dt * self.m_sup)[:, None]
         if chi is None:
-            y = np.zeros((self.n_t, self.d.size))
-        else:
-            y = (chi[self.n_t : 0 : -1] @ self.V) * self.d
+            return scale * (self.V_sup @ (self.E * (r_weighted @ self.V)[:, None]))
+        # row k holds the modal adjoint of cell n_t - 1 - k
+        y = (chi[self.n_t : 0 : -1] @ self.V) * self.d
         y[0] += (r_weighted @ self.V) * self.d
         q = _decay_scan(self.powers, y)[::-1]
-        return (self.dt * self.m_sup)[:, None] * (self.V_sup @ q.T)
+        return scale * (self.V_sup @ q.T)
 
 
 class _Stepper:
@@ -301,16 +329,16 @@ class _Stepper:
         A = op.mass_lumped + self.dt * op.stiffness
         self.P = inv(A) * self.m[None, :]
 
-    def forward(self, z0: np.ndarray, u: np.ndarray | None) -> np.ndarray:
-        """All states, shape (n_t + 1, n); u is (n, n_t) or None."""
-        states = np.empty((self.n_t + 1, z0.size))
-        states[0] = z0
+    def terminal(self, z0: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+        """Final state z(T); u is (n, n_t) or None."""
         z = z0
-        for j in range(self.n_t):
-            rhs = z if u is None else z + self.dt * u[:, j]
-            z = self.P @ rhs
-            states[j + 1] = z
-        return states
+        if u is None:
+            for _ in range(self.n_t):
+                z = self.P @ z
+        else:
+            for dtu_j in (self.dt * u).T:
+                z = self.P @ (z + dtu_j)
+        return z
 
     def adjoint_cell_weights(self, p_T: np.ndarray) -> np.ndarray:
         """p_j = P^(n_t - j) p_T for cells j = 0..n_t-1, shape (n, n_t)."""
@@ -333,26 +361,40 @@ def _primal_machinery(problem: ControlProblem, T: float, n_t: int):
     (support-cell controls, penalty weight) to (value, states, terminal
     residual vector, state-penalty weights); gradient maps evaluate's
     last three outputs to the exact objective gradient over the support
-    cells (the states enter it through the penalty weights only).  The
-    stepper is a :class:`_ModalStepper` on the operator's cached lumped
-    eigenbasis, so no step of either recursion is a Python loop.
+    cells (the states enter it through the penalty weights only).
+
+    The states are tracked only while a state constraint could bind.
+    With nonnegative controls, z0 >= 0 and a positivity-preserving
+    operator every state is nonnegative, so the penalty never acts:
+    evaluate then applies the closed-form terminal map and returns None
+    for the states, as it does when states are unconstrained.  The
+    penalty weights are None whenever no state after z0 is negative.
     """
     mask = nodes_in_interval(problem.op.grid, problem.omega)
     rows = np.flatnonzero(mask)
     stepper = _ModalStepper(problem.op, T, n_t, slice(rows[0], rows[-1] + 1))
     dt, m = stepper.dt, stepper.m
     zhat_T = problem.target_at(T, n_t).final
+    track_states = problem.nonneg_state and not (
+        problem.nonneg_control
+        and problem.z0.min() >= 0.0
+        and problem.op.positivity_preserving
+    )
 
     def evaluate(u_s, rho):
+        if not track_states:
+            r = stepper.terminal(problem.z0, u_s) - zhat_T
+            return 0.5 * float(r @ (m * r)), None, r, None
         states = stepper.forward(problem.z0, u_s)
         r = states[-1] - zhat_T
         f = 0.5 * float(r @ (m * r))
         chi = None
-        if problem.nonneg_state and rho > 0.0:
+        if rho > 0.0:
             neg = np.minimum(states, 0.0)
             f += rho * dt * float(((neg * neg) @ m).sum())
-            chi = 2.0 * rho * dt * (m[None, :] * neg)
-            chi[0] = 0.0
+            neg[0] = 0.0
+            if neg.any():
+                chi = 2.0 * rho * dt * (m[None, :] * neg)
         return f, states, r, chi
 
     def gradient(_states, r, chi):
@@ -375,7 +417,7 @@ def _dual_machinery(problem: ControlProblem, T: float, n_t: int, eps: float):
     w_omega = m * mask
 
     zhat_T = problem.target_at(T, n_t).final
-    z_free_T = stepper.forward(problem.z0, None)[-1]
+    z_free_T = stepper.terminal(problem.z0, None)
     defect = m * (z_free_T - zhat_T)
 
     def control_from(p_T: np.ndarray):
@@ -387,7 +429,7 @@ def _dual_machinery(problem: ControlProblem, T: float, n_t: int, eps: float):
 
     def objective(p_T: np.ndarray):
         p_cells, D, u = control_from(p_T)
-        z_u_T = stepper.forward(problem.z0, u)[-1]
+        z_u_T = stepper.terminal(problem.z0, u)
         J = 0.5 * D * D + float(p_T @ defect)
         grad = m * (z_u_T - zhat_T)
         return J, grad
@@ -505,7 +547,10 @@ def solve_constrained_fixed_time(
     safeguarded by a nonmonotone backtracking line search.  When
     nonneg_state is set, negative states are penalized quadratically and
     the penalty weight is increased tenfold (up to 5 rounds) while the
-    trajectory dips below -eps_cons.
+    trajectory dips below -eps_cons.  With u >= 0, z0 >= 0 and a
+    positivity-preserving operator no state can turn negative, so the
+    iteration then works on the terminal state alone; the reported
+    residual and constraint check always come from the full trajectory.
 
     Never raises on exhausted iterations: the outcome reports
     feasible=False with the residual reached.
@@ -565,7 +610,7 @@ def solve_constrained_fixed_time(
         converged = False
 
         for _it in range(max_iter):
-            state_ok = (not problem.nonneg_state) or states.min() >= -eps_cons
+            state_ok = states is None or states.min() >= -eps_cons
             if residual <= eps_target and state_ok:
                 converged = True
                 break
@@ -603,11 +648,13 @@ def solve_constrained_fixed_time(
             residual = _m_norm(r, m)
             history.append(f)
 
-        state_ok = (not problem.nonneg_state) or states.min() >= -eps_cons
-        if converged or not problem.nonneg_state or state_ok:
+        if converged or states is None or states.min() >= -eps_cons:
             break
         rho *= 10.0
 
+    # the verdict always rests on the full trajectory
+    states = stepper.forward(problem.z0, u_sup)
+    residual = _m_norm(states[-1] - zhat_T, m)
     state_ok = (not problem.nonneg_state) or states.min() >= -eps_cons
     control_ok = (not problem.nonneg_control) or u_sup.min() >= -eps_cons
     feasible = bool(residual <= eps_target and state_ok and control_ok)
@@ -876,11 +923,6 @@ def control_to_csv(control: ControlField, grid, T: float, path) -> None:
     Rows cover the support nodes of omega at each time-cell midpoint.
     """
     x = grid.interior_nodes[control.support_mask]
-    n_sup, n_t = control.values.shape
-    dt = T / n_t
-    t_mid = (np.arange(n_t) + 0.5) * dt
-    t_col = np.repeat(t_mid, n_sup)
-    x_col = np.tile(x, n_t)
-    u_col = control.values.T.ravel()
-    data = np.column_stack([t_col, x_col, u_col])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header="t,x,u", comments="")
+    n_t = control.values.shape[1]
+    t_mid = (np.arange(n_t) + 0.5) * (T / n_t)
+    _write_long_csv(path, "t,x,u", t_mid, x, control.values.T)

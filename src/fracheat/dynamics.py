@@ -167,10 +167,12 @@ def simulate(
         + dt u_j); "explicit_euler" uses the lumped-mass forward update
         and enforces the stability bound dt * lambda_max <= 2.
     mass_kind : str
-        Mass matrix for the implicit scheme, "lumped" (default, makes the
-        step matrix an M-matrix, hence positivity-preserving and
-        L-infinity contractive) or "consistent".  The explicit scheme
-        always uses the lumped mass.
+        Mass matrix for the implicit scheme, "lumped" (default) or
+        "consistent".  The lumped step matrix is entrywise nonnegative,
+        hence positivity-preserving, for every dt when
+        ``op.positivity_preserving`` holds (s above about 0.23); otherwise
+        small steps can turn nonnegative data negative.  The explicit
+        scheme always uses the lumped mass.
 
     Returns
     -------
@@ -221,10 +223,13 @@ def simulate(
     elif scheme == "implicit_euler":
         M = op.mass_matrix(mass_kind)
         factor = cho_factor(M + dt * K)
+        # the lumped mass is diagonal: scale by it, not by a dense product
+        m = np.diag(M) if mass_kind == "lumped" else None
         for j in range(n_t):
-            rhs = M @ z
+            rhs = M @ z if m is None else m * z
             if u_full is not None:
-                rhs = rhs + dt * (M @ u_full[:, j])
+                u_j = u_full[:, j]
+                rhs = rhs + dt * (M @ u_j if m is None else m * u_j)
             z = cho_solve(factor, rhs)
             states[j + 1] = z
     else:
@@ -343,11 +348,28 @@ def trajectory_to_csv(traj: Trajectory, grid: Grid, path) -> None:
     covers the full grid.
     """
     x = grid.nodes
-    n_t1, _ = traj.states.shape
-    full = np.zeros((n_t1, x.size))
+    full = np.zeros((traj.states.shape[0], x.size))
     full[:, grid.interior] = traj.states
-    t_col = np.repeat(traj.times, x.size)
-    x_col = np.tile(x, n_t1)
-    z_col = full.ravel()
-    data = np.column_stack([t_col, x_col, z_col])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header="t,x,z", comments="")
+    _write_long_csv(path, "t,x,z", traj.times, x, full)
+
+
+def _write_long_csv(
+    path, header: str, t: np.ndarray, x: np.ndarray, values: np.ndarray
+) -> None:
+    """Write the rows (t[i], x[k], values[i, k]), k varying fastest.
+
+    Every number is formatted with %.17g, so the file is byte for byte
+    what ``np.savetxt(..., fmt="%.17g", delimiter=",")`` writes; the rows
+    are formatted a few thousand at a time with one format string.
+    """
+    per = max(1, 4096 // x.size)
+    line = "%.17g,%.17g,%.17g\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for a in range(0, t.size, per):
+            block = values[a : a + per]
+            rows = np.empty(block.shape + (3,))
+            rows[..., 0] = t[a : a + per, None]
+            rows[..., 1] = x
+            rows[..., 2] = block
+            fh.write((line * block.size) % tuple(rows.ravel().tolist()))

@@ -163,8 +163,11 @@ def eigendecompose(
     flip = V[np.abs(V).argmax(axis=0), np.arange(k_max)] < 0.0
     V[:, flip] *= -1.0
 
-    resid = K @ V - (M @ V) * lam[None, :]
-    scale = lam * np.linalg.norm(M @ V, axis=0)
+    # the residual M V diag(lam) - K V, built in the storage of M V
+    resid = np.diag(M)[:, None] * V if mass_kind == "lumped" else M @ V
+    scale = lam * np.linalg.norm(resid, axis=0)
+    resid *= lam[None, :]
+    resid -= K @ V
     rel = np.linalg.norm(resid, axis=0) / scale
     if rel.max() > 1e-8:
         worst = int(rel.argmax())

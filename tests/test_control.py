@@ -145,6 +145,83 @@ def test_modal_adjoint_identity(n_x):
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
+@pytest.mark.parametrize("n_x", [20, 200])
+def test_terminal_map_matches_scan_and_simulate(n_x):
+    n_t = 300
+    op, mask, stepper, z0, u = _modal_case(n_x, n_t)
+    control = fh.make_control(op.grid, (-0.3, 0.8), n_t, values=u)
+    ref = fh.simulate(op, z0, control, 0.9, n_t).final
+    scan = stepper.forward(z0, u)[-1]
+    z_T = stepper.terminal(z0, u)
+    assert np.abs(z_T - scan).max() <= 1e-12 * np.abs(scan).max()
+    assert np.abs(z_T - ref).max() <= 1e-12 * np.abs(ref).max()
+    free = fh.simulate(op, z0, None, 0.9, n_t).final
+    free_T = stepper.terminal(z0, None)
+    assert np.abs(free_T - free).max() <= 1e-12 * np.abs(free).max()
+
+
+@pytest.mark.parametrize("n_x", [20, 200])
+def test_terminal_map_adjoint_identity(n_x):
+    # G u = z_T(u) - z_T(0) and G* r = gradient(M r): <G u, r>_M = <u, G* r>
+    n_t = 120
+    op, mask, stepper, z0, u = _modal_case(n_x, n_t)
+    m = np.diag(op.mass_lumped)
+    r = np.random.default_rng(12).standard_normal(op.n_dof)
+    Gu = stepper.terminal(z0, u) - stepper.terminal(z0, None)
+    lhs = float(Gu @ (m * r))
+    rhs = float((u * stepper.gradient(m * r, None)).sum())
+    assert lhs == pytest.approx(rhs, rel=1e-11)
+
+
+def test_primal_penalty_path_gradient_and_weights(op20_unit, cos_profile):
+    # a z0 with negative entries can push states below zero, so the states
+    # are tracked and penalized; the gradient must include the penalty
+    z0 = 2.0 * cos_profile - 1.0
+    prob = fh.make_problem(
+        op20_unit, z0, 0.05 * cos_profile, 0.2, (-0.3, 0.8), 0.9, 60
+    )
+    _, mask, _, evaluate, gradient = _primal_machinery(prob, 0.9, 60)
+    rng = np.random.default_rng(13)
+    u = rng.uniform(0.0, 0.3, (int(mask.sum()), 60))
+    f, states, r, chi = evaluate(u, 10.0)
+    assert states is not None and chi is not None
+    assert states[1:].min() < 0.0
+    g = gradient(states, r, chi)
+    h = 1e-6
+    for _ in range(3):
+        d = rng.standard_normal(u.shape)
+        d /= np.abs(d).max()
+        fd = (evaluate(u + h * d, 10.0)[0] - evaluate(u - h * d, 10.0)[0]) / (2 * h)
+        assert fd == pytest.approx(float((g * d).sum()), rel=1e-5)
+    # negative entries that one step already smooths out leave no
+    # penalty weight to apply
+    z0 = 2.0 * cos_profile
+    z0[[2, 15]] = -0.5
+    prob = fh.make_problem(
+        op20_unit, z0, 0.05 * cos_profile, 0.2, (-0.3, 0.8), 0.9, 60
+    )
+    _, _, _, evaluate, _ = _primal_machinery(prob, 0.9, 60)
+    _, states, _, chi = evaluate(u, 10.0)
+    assert states[0].min() < 0.0 <= states[1:].min()
+    assert chi is None
+
+
+def test_primal_tracks_states_only_where_they_can_turn_negative(
+    prob_case1, op20_unit, cos_profile
+):
+    u = np.full((12, 30), 0.1)
+    # z0 >= 0, u >= 0 and s = 0.8: the terminal map alone
+    _, _, _, evaluate, _ = _primal_machinery(prob_case1, 0.9, 30)
+    assert evaluate(u, 1.0)[1] is None
+    # s = 0.2 has positive off-diagonals, so states are tracked
+    op = fh.build_operator(op20_unit.grid, s=0.2, normalization="unit")
+    prob = fh.make_problem(
+        op, 2.0 * cos_profile, 0.05 * cos_profile, 0.2, (-0.3, 0.8), 0.9, 30
+    )
+    _, _, _, evaluate, _ = _primal_machinery(prob, 0.9, 30)
+    assert evaluate(u, 1.0)[1].shape == (31, op.n_dof)
+
+
 def test_modal_stepper_fine_mesh_finite_and_nonnegative():
     n_t = 300
     op, mask, stepper, z0, u = _modal_case(800, n_t)

@@ -201,3 +201,64 @@ def test_trajectory_to_csv(tmp_path, op20_unit, cos_profile):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     boundary = data[np.abs(np.abs(data[:, 1]) - 1.0) < 1e-15]
     assert not boundary[:, 2].any()
+
+
+def test_positivity_preserving_holds_only_for_larger_s(op20_unit):
+    # s = 0.8: no positive off-diagonal, and nonnegative data stays >= 0
+    assert op20_unit.positivity_preserving
+    rng = np.random.default_rng(8)
+    z0 = rng.uniform(0.0, 1.0, op20_unit.n_dof)
+    z0[::3] = 0.0
+    traj = fh.simulate(op20_unit, z0, None, 0.01, 10)
+    assert traj.min_value >= 0.0
+    # s = 0.1: adjacent off-diagonals are positive, and a unit impulse
+    # turns negative within a few small steps
+    op = fh.build_operator(op20_unit.grid, s=0.1, normalization="unit")
+    assert not op.positivity_preserving
+    assert np.diag(op.stiffness, 1).max() > 0.0
+    impulse = np.zeros(op.n_dof)
+    impulse[5] = 1.0
+    traj = fh.simulate(op, impulse, None, 0.01, 10)
+    assert traj.min_value < -1e-2
+
+
+def test_csv_writers_match_savetxt(tmp_path):
+    # the chunked writers must reproduce np.savetxt byte for byte, across
+    # chunk boundaries and for awkward values
+    grid = fh.build_grid(150)
+    rng = np.random.default_rng(9)
+    n_t = 40
+    states = rng.standard_normal((n_t + 1, grid.n_interior)) * 10.0 ** rng.integers(
+        -300, 300, (n_t + 1, grid.n_interior)
+    )
+    states[0, :5] = [0.0, -0.0, 1.0 / 3.0, 5e-324, -1e300]
+    times = np.arange(n_t + 1) * (0.7 / n_t)
+    traj = fh.Trajectory(times=times, states=states, min_value=float(states.min()))
+    fh.trajectory_to_csv(traj, grid, tmp_path / "traj.csv")
+    full = np.zeros((n_t + 1, grid.nodes.size))
+    full[:, grid.interior] = states
+    ref = np.column_stack(
+        [np.repeat(times, grid.nodes.size), np.tile(grid.nodes, n_t + 1), full.ravel()]
+    )
+    np.savetxt(tmp_path / "traj_ref.csv", ref, fmt="%.17g", delimiter=",",
+               header="t,x,z", comments="")
+    written = (tmp_path / "traj.csv").read_bytes()
+    assert written.count(b"\n") == 1 + ref.shape[0] > 4096
+    assert written == (tmp_path / "traj_ref.csv").read_bytes()
+
+    omega = (-0.3, 0.8)
+    mask = fh.nodes_in_interval(grid, omega)
+    values = rng.uniform(0.0, 3.0, (int(mask.sum()), 70))
+    values[3, 7] = 0.0
+    ctrl = fh.make_control(grid, omega, 70, values=values)
+    fh.control_to_csv(ctrl, grid, 0.9, tmp_path / "ctrl.csv")
+    t_mid = (np.arange(70) + 0.5) * (0.9 / 70)
+    ref = np.column_stack(
+        [np.repeat(t_mid, mask.sum()), np.tile(grid.interior_nodes[mask], 70),
+         values.T.ravel()]
+    )
+    np.savetxt(tmp_path / "ctrl_ref.csv", ref, fmt="%.17g", delimiter=",",
+               header="t,x,u", comments="")
+    written = (tmp_path / "ctrl.csv").read_bytes()
+    assert written.count(b"\n") == 1 + ref.shape[0] > 4096
+    assert written == (tmp_path / "ctrl_ref.csv").read_bytes()
