@@ -1,24 +1,22 @@
 """Control synthesis for the fractional heat equation.
 
-Three solver layers: an unconstrained minimal-sup-norm control obtained by
-minimizing the smoothed dual functional over adjoint terminal data, a
-nonnegativity-constrained fixed-horizon solver (projected gradient with
-Barzilai-Borwein steps and a state-penalty continuation), and a bisection
-search for the minimal horizon at which the constrained problem stays
-feasible.  Impulse diagnostics quantify how concentrated near-minimal-time
-controls are, and a heuristic sufficient horizon is derived from decay and
-observability estimates.
+The minimal-sup-norm control that steers the state exactly onto the
+target is one linear program over the terminal map; its duals give the
+adjoint state and the bang-bang relation.  Nonnegative controls come from
+a fixed-horizon solver (projected gradient with Barzilai-Borwein steps
+and a state-penalty continuation) and a bisection search for the minimal
+horizon at which that problem stays feasible.  Impulse diagnostics
+quantify how concentrated near-minimal-time controls are, and a heuristic
+sufficient horizon is derived from decay and observability estimates.
 
 All solvers march with the lumped-mass implicit Euler scheme, and
-gradients are exact discrete adjoints of it.  The constrained solver runs
-the scheme in the eigenbasis of (stiffness, lumped mass), which each
-operator computes once and every horizon shares, where one step scales
-mode k by 1 / (1 + dt lambda_k).  The terminal state and its adjoint are
-closed forms over the powers of those factors; the full trajectory, and
-the adjoint of a penalty on it, come from a vectorized doubling scan over
-the steps.  The smoothed dual keeps a dense step matrix, marched step by
-step: where its L-BFGS iteration stops depends on the last bits of that
-arithmetic, which a modal form would change.
+gradients are exact discrete adjoints of it.  They run the scheme in the
+eigenbasis of (stiffness, lumped mass), which each operator computes once
+and every horizon shares, where one step scales mode k by
+1 / (1 + dt lambda_k).  The terminal state and its adjoint are closed
+forms over the powers of those factors; the full trajectory, and the
+adjoint of a penalty on it, come from a vectorized doubling scan over the
+steps.
 
 The step matrix is entrywise nonnegative only when the stiffness has no
 positive off-diagonal entry (``DiscreteOperator.positivity_preserving``,
@@ -33,8 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import inv
-from scipy.optimize import minimize
+from scipy.optimize import linprog
 
 from .assembly import DiscreteOperator
 from .dynamics import (
@@ -288,6 +285,16 @@ class _ModalStepper:
             c += self.dt * np.einsum("kj,kj->k", self.E, w)
         return self.V @ c
 
+    def control_matrix(self) -> np.ndarray:
+        """Modal matrix A of the control term of :meth:`terminal`.
+
+        A[k, (i, j)] = dt m_i V[i, k] E[k, j] over support node i and cell
+        j, so A u = V^T M terminal(0, u) and A^T V^T r = gradient(r, None)
+        with u and the gradient flattened node-major.
+        """
+        A = self.V_sup.T * (self.dt * self.m_sup)
+        return (A[:, :, None] * self.E[:, None, :]).reshape(self.d.size, -1)
+
     def forward(self, z0: np.ndarray, u_sup: np.ndarray) -> np.ndarray:
         """All states, shape (n_t + 1, n); u_sup is (support nodes, n_t)."""
         y = np.empty((self.n_t + 1, z0.size))
@@ -314,44 +321,15 @@ class _ModalStepper:
         return scale * (self.V_sup @ q.T)
 
 
-class _Stepper:
-    """Dense lumped-mass implicit Euler propagator of the smoothed dual.
-
-    One step is z_{j+1} = P (z_j + dt u_j) with P = (M + dt K)^{-1} M; the
-    adjoint recursion uses P^T.  The inverse is formed densely once, which
-    is cheap at the interior sizes used here.
-    """
-
-    def __init__(self, op: DiscreteOperator, T: float, n_t: int):
-        self.dt = T / n_t
-        self.n_t = n_t
-        self.m = np.diag(op.mass_lumped)
-        A = op.mass_lumped + self.dt * op.stiffness
-        self.P = inv(A) * self.m[None, :]
-
-    def terminal(self, z0: np.ndarray, u: np.ndarray | None) -> np.ndarray:
-        """Final state z(T); u is (n, n_t) or None."""
-        z = z0
-        if u is None:
-            for _ in range(self.n_t):
-                z = self.P @ z
-        else:
-            for dtu_j in (self.dt * u).T:
-                z = self.P @ (z + dtu_j)
-        return z
-
-    def adjoint_cell_weights(self, p_T: np.ndarray) -> np.ndarray:
-        """p_j = P^(n_t - j) p_T for cells j = 0..n_t-1, shape (n, n_t)."""
-        out = np.empty((p_T.size, self.n_t))
-        p = p_T
-        for j in range(self.n_t - 1, -1, -1):
-            p = self.P @ p
-            out[:, j] = p
-        return out
-
-
 def _m_norm(v: np.ndarray, m: np.ndarray) -> float:
     return float(np.sqrt(v @ (m * v)))
+
+
+def _support_stepper(problem: ControlProblem, T: float, n_t: int):
+    """Modal stepper with controls on omega's nodes, and omega's node mask."""
+    mask = nodes_in_interval(problem.op.grid, problem.omega)
+    rows = np.flatnonzero(mask)
+    return _ModalStepper(problem.op, T, n_t, slice(rows[0], rows[-1] + 1)), mask
 
 
 def _primal_machinery(problem: ControlProblem, T: float, n_t: int):
@@ -370,9 +348,7 @@ def _primal_machinery(problem: ControlProblem, T: float, n_t: int):
     for the states, as it does when states are unconstrained.  The
     penalty weights are None whenever no state after z0 is negative.
     """
-    mask = nodes_in_interval(problem.op.grid, problem.omega)
-    rows = np.flatnonzero(mask)
-    stepper = _ModalStepper(problem.op, T, n_t, slice(rows[0], rows[-1] + 1))
+    stepper, mask = _support_stepper(problem, T, n_t)
     dt, m = stepper.dt, stepper.m
     zhat_T = problem.target_at(T, n_t).final
     track_states = problem.nonneg_state and not (
@@ -403,53 +379,38 @@ def _primal_machinery(problem: ControlProblem, T: float, n_t: int):
     return stepper, mask, zhat_T, evaluate, gradient
 
 
-def _dual_machinery(problem: ControlProblem, T: float, n_t: int, eps: float):
-    """Shared internals of the smoothed dual solve.
-
-    Returns (stepper, mask, zhat_T, control_from, objective) where
-    control_from maps a terminal adjoint datum to (adjoint cells, the
-    smoothed L1 norm D, the induced control) and objective returns the
-    dual value with its exact gradient.
-    """
-    stepper = _Stepper(problem.op, T, n_t)
-    dt, m = stepper.dt, stepper.m
-    mask = nodes_in_interval(problem.op.grid, problem.omega)
-    w_omega = m * mask
-
-    zhat_T = problem.target_at(T, n_t).final
-    z_free_T = stepper.terminal(problem.z0, None)
-    defect = m * (z_free_T - zhat_T)
-
-    def control_from(p_T: np.ndarray):
-        p_cells = stepper.adjoint_cell_weights(p_T)
-        smooth = np.sqrt(p_cells**2 + eps**2)
-        D = dt * float(w_omega @ smooth.sum(axis=1))
-        u = D * (p_cells / smooth) * mask[:, None]
-        return p_cells, D, u
-
-    def objective(p_T: np.ndarray):
-        p_cells, D, u = control_from(p_T)
-        z_u_T = stepper.terminal(problem.z0, u)
-        J = 0.5 * D * D + float(p_T @ defect)
-        grad = m * (z_u_T - zhat_T)
-        return J, grad
-
-    return stepper, mask, zhat_T, control_from, objective
-
-
 def unconstrained_dual_details(
-    problem: ControlProblem,
-    T: float,
-    n_t: int,
-    epsilon_smooth: float = 1e-4,
+    problem: ControlProblem, T: float, n_t: int
 ) -> tuple[ControlField, np.ndarray, float]:
-    """Solve the smoothed dual problem and return solver internals.
+    """Minimal-sup-norm control as a linear program, with its dual.
 
-    Returns (control, adjoint cell values of shape (n, n_t), smoothed
-    space-time L1 norm of the adjoint over omega).  The control is the
-    one :func:`solve_unconstrained_Linf` returns; the extras support
-    diagnostics such as the bang-bang relation between ``max |u|`` and
-    the adjoint's L1 norm.
+    In the modal coordinates of the terminal map, u steers z0 onto the
+    target iff A u = c, with A from :meth:`_ModalStepper.control_matrix`
+    (A u = V^T M z_T(0, u)) and c = V^T M (zhat(T) - z_free(T)).  After
+    scaling each row of A and c by the row's largest entry, HiGHS's dual
+    simplex solves the homogenized LP: maximize sigma subject to
+    A v = sigma c, -1 <= v <= 1 and sigma >= 0.  Then u = v / sigma has
+    ||u||_inf = 1 / sigma, and at the vertex optimum all but at most
+    n_dof cells sit at +-||u||_inf (bang-bang).
+
+    The LP's equality duals y are modal adjoint terminal data: the
+    adjoint on cell j is p_j = V (d^(n_t - j) o y), and A^T y = dt M p on
+    the support.  LP duality gives ||u||_inf = max_y <y, c> / D(y), where
+    D(y) = dt sum_j sum_omega m |p_j| is the adjoint's space-time L1 norm
+    over omega.  The returned adjoint is the LP's y scaled to minimize
+    the dual functional (1/2) D(p)^2 - <p, c>, and the returned D is its
+    L1 norm <y, c> / D(y): the dual's value, computed from the duals
+    alone, which strong duality makes equal to ||u||_inf.
+
+    Returns (control, adjoint cell values p of shape (n, n_t), D).  When
+    the free state hits the target exactly, c = 0, and the zero control,
+    a zero adjoint and D = 0 are returned without solving.
+
+    Raises
+    ------
+    SolverError
+        If HiGHS does not report an optimum, or the target is
+        unreachable (sigma = 0); the message carries HiGHS's.
     """
     if problem.op.s <= 0.5:
         warnings.warn(
@@ -457,55 +418,56 @@ def unconstrained_dual_details(
             "expected to be attainable; proceeding anyway",
             stacklevel=2,
         )
-    eps = float(epsilon_smooth)
-    stepper, mask, zhat_T, control_from, objective = _dual_machinery(
-        problem, T, n_t, eps
-    )
-    m = stepper.m
+    stepper, mask = _support_stepper(problem, T, n_t)
+    dt, m, V = stepper.dt, stepper.m, stepper.V
+    n, n_sup = problem.op.n_dof, int(mask.sum())
+    # the target through the same map as the free state, so that a free
+    # state already on target leaves c exactly zero
+    zhat_T = stepper.terminal(problem.zhat0, np.full((n_sup, n_t), problem.uhat))
+    c = (m * (zhat_T - stepper.terminal(problem.z0, None))) @ V
+    if not c.any():
+        zero = make_control(problem.op.grid, problem.omega, n_t)
+        return zero, np.zeros((n, n_t)), 0.0
 
-    res = minimize(
-        objective,
-        np.zeros(problem.op.n_dof),
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": 30000,
-            "maxfun": 100000,
-            "ftol": 1e-18,
-            "gtol": 0.0,
-            "maxcor": 50,
-        },
+    A = stepper.control_matrix()
+    row_scale = np.abs(A).max(axis=1)
+    A /= row_scale[:, None]
+    res = linprog(
+        np.r_[np.zeros(A.shape[1]), -1.0],
+        A_eq=np.hstack([A, -(c / row_scale)[:, None]]),
+        b_eq=np.zeros(n),
+        bounds=np.r_[np.tile([-1.0, 1.0], (A.shape[1], 1)), [[0.0, np.inf]]],
+        method="highs-ds",
     )
-    if "ABNORMAL" in str(res.message).upper():
-        # the final gradient is M (z_u(T) - zhat(T)); a line-search abort
-        # only matters while that residual is still above feasibility scale
-        residual = _m_norm(res.jac / m, m)
-        if residual > 1e-3 * _m_norm(zhat_T, m):
-            raise SolverError(
-                "dual line search stagnated; final gradient norm "
-                f"{np.abs(res.jac).max():.3e}"
-            )
-    p_cells, D, u = control_from(res.x)
-    control = make_control(problem.op.grid, problem.omega, n_t, values=u[mask])
-    return control, p_cells, D
+    if res.status != 0:
+        raise SolverError(f"L-infinity LP not solved: {res.message}")
+    sigma = res.x[-1]
+    if not sigma > 0.0:
+        raise SolverError(
+            f"L-infinity LP: the target is unreachable at T={T} ({res.message})"
+        )
+    u = res.x[:-1].reshape(n_sup, n_t) / sigma
+    control = make_control(problem.op.grid, problem.omega, n_t, values=u)
+
+    y = res.eqlin.marginals / row_scale
+    y *= np.sign(y @ c)
+    yc = float(y @ c)
+    p_cells = V @ (stepper.E * y[:, None])
+    D_y = dt * float(np.abs(p_cells[mask]).sum(axis=1) @ m[mask])
+    return control, (yc / D_y**2) * p_cells, yc / D_y
 
 
 def solve_unconstrained_Linf(
-    problem: ControlProblem,
-    T: float,
-    n_t: int,
-    epsilon_smooth: float = 1e-4,
+    problem: ControlProblem, T: float, n_t: int
 ) -> ControlField:
-    """Minimal-sup-norm control via the smoothed dual problem.
+    """Minimal-sup-norm control steering z0 onto the target at T.
 
-    Minimizes over adjoint terminal data p the functional
-    J(p) = (1/2) D(p)^2 + <z_free(T) - zhat(T), p>_M, where D(p) is the
-    space-time L1 norm over omega of the adjoint trajectory with |.|
-    smoothed to sqrt(p^2 + eps^2) and the spatial integral taken with
-    lumped node weights.  At a stationary point the control
-    u_j = D(p) * p_j / sqrt(p_j^2 + eps^2) on omega steers z0 to the
-    target exactly in the discrete dynamics, and its sup norm matches the
-    adjoint's L1 norm up to smoothing (the bang-bang relation).
+    Among the cell controls on omega whose lumped implicit Euler state
+    hits zhat(T) exactly, returns one of least sup norm, found as the
+    exact optimum of the linear program in
+    :func:`unconstrained_dual_details`.  It is bang-bang: all but at most
+    n_dof cells take the values +-||u||_inf, and ||u||_inf equals the
+    space-time L1 norm over omega of the optimal adjoint.
 
     Parameters
     ----------
@@ -514,8 +476,6 @@ def solve_unconstrained_Linf(
         Horizon.
     n_t : int
         Time steps.
-    epsilon_smooth : float
-        Smoothing parameter for |.|.
 
     Returns
     -------
@@ -524,10 +484,10 @@ def solve_unconstrained_Linf(
     Raises
     ------
     SolverError
-        If the quasi-Newton iteration aborts on a failed line search; the
-        message carries the final gradient norm.
+        If HiGHS reports no optimum or the target is unreachable; the
+        message carries HiGHS's.
     """
-    control, _, _ = unconstrained_dual_details(problem, T, n_t, epsilon_smooth)
+    control, _, _ = unconstrained_dual_details(problem, T, n_t)
     return control
 
 

@@ -1,4 +1,5 @@
-"""Control solvers: dual sup-norm minimization, projected gradient, search."""
+"""Control solvers: the modal propagator, the sup-norm LP and its dual,
+the projected gradient and the minimal-time search."""
 
 from __future__ import annotations
 
@@ -7,9 +8,10 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import OptimizeResult
 
 import fracheat as fh
-from fracheat.control import _dual_machinery, _ModalStepper, _primal_machinery
+from fracheat.control import _ModalStepper, _primal_machinery
 
 from conftest import m_norm
 
@@ -61,23 +63,6 @@ def test_primal_gradient_matches_finite_differences(prob_case1):
         fm = evaluate(u - h * d, 1.0)[0]
         fd = (fp - fm) / (2.0 * h)
         assert fd == pytest.approx(float((g * d).sum()), rel=1e-5)
-
-
-def test_dual_gradient_matches_finite_differences(prob_case1):
-    stepper, mask, zhat_T, control_from, objective = _dual_machinery(
-        prob_case1, 0.9, 60, 1e-4
-    )
-    rng = np.random.default_rng(3)
-    p = rng.standard_normal(prob_case1.op.n_dof) * 0.01
-    J, grad = objective(p)
-    h = 1e-6
-    for _ in range(3):
-        d = rng.standard_normal(p.shape)
-        d /= np.abs(d).max()
-        Jp = objective(p + h * d)[0]
-        Jm = objective(p - h * d)[0]
-        fd = (Jp - Jm) / (2.0 * h)
-        assert fd == pytest.approx(float(grad @ d), rel=1e-5)
 
 
 def _modal_case(n_x, n_t):
@@ -173,6 +158,22 @@ def test_terminal_map_adjoint_identity(n_x):
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
+@pytest.mark.parametrize("n_x", [20, 200])
+def test_lp_matrix_is_the_modal_terminal_map(n_x):
+    # A u = V^T M terminal(0, u) and A^T V^T r = gradient(r, None)
+    n_t = 120
+    op, mask, stepper, z0, u = _modal_case(n_x, n_t)
+    A = stepper.control_matrix()
+    assert A.shape == (op.n_dof, u.size)
+    ref = (stepper.m * stepper.terminal(0.0 * z0, u)) @ stepper.V
+    Au = A @ u.ravel()
+    assert np.abs(Au - ref).max() <= 1e-12 * np.abs(ref).max()
+    r = np.random.default_rng(14).standard_normal(op.n_dof)
+    ref = stepper.gradient(r, None)
+    ATr = (A.T @ (r @ stepper.V)).reshape(u.shape)
+    assert np.abs(ATr - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_primal_penalty_path_gradient_and_weights(op20_unit, cos_profile):
     # a z0 with negative entries can push states below zero, so the states
     # are tracked and penalized; the gradient must include the penalty
@@ -241,10 +242,62 @@ def test_unconstrained_dual_steers_and_is_bang_bang(prob_case1, lumped_diag):
     zhat_T = prob_case1.target_at(0.9, 100).final
     scale = m_norm(zhat_T, lumped_diag)
     assert m_norm(traj.final - zhat_T, lumped_diag) <= 1e-5 * scale
-    # the sup norm of the control equals the smoothed adjoint L1 norm
+    # the sup norm of the control equals the dual's value, the adjoint's
+    # L1 norm over omega
     umax = np.abs(control.values).max()
     assert umax == pytest.approx(D, rel=1e-3)
     assert p_cells.shape == (prob_case1.op.n_dof, 100)
+
+
+def test_unconstrained_steers_on_a_finer_mesh():
+    # case-1 data at n_x = 80, where the re-simulated control must meet the
+    # target far inside the 1e-3 feasibility tolerance
+    grid = fh.build_grid(80)
+    op = fh.build_operator(grid, s=0.8, normalization="unit")
+    cos = np.cos(np.pi * grid.interior_nodes / 2.0)
+    prob = fh.make_problem(op, 2.0 * cos, 0.05 * cos, 0.2, (-0.3, 0.8), 0.9, 300)
+    control = fh.solve_unconstrained_Linf(prob, 0.9, 300)
+    final = fh.simulate(op, prob.z0, control, 0.9, 300).final
+    zhat_T = prob.target.final
+    m = np.diag(op.mass_lumped)
+    assert m_norm(final - zhat_T, m) <= 1e-5 * m_norm(zhat_T, m)
+
+
+def test_unconstrained_on_target_returns_zero_without_solving(
+    op20_unit, cos_profile, monkeypatch
+):
+    # z0 is the target's initial datum and the target control is zero, so
+    # the free state already hits the target
+    prob = fh.make_problem(
+        op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8), 0.5, 40
+    )
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP must not be solved")
+
+    monkeypatch.setattr("fracheat.control.linprog", no_lp)
+    control, p_cells, D = fh.unconstrained_dual_details(prob, 0.5, 40)
+    assert control.values.shape == (12, 40)
+    assert not control.values.any()
+    assert p_cells.shape == (op20_unit.n_dof, 40)
+    assert not p_cells.any()
+    assert D == 0.0
+
+
+@pytest.mark.parametrize(
+    "status, sigma, match",
+    [(4, None, "not solved: HiGHS mock"), (0, 0.0, "unreachable.*HiGHS mock")],
+)
+def test_unconstrained_lp_failure_raises(
+    prob_case1, monkeypatch, status, sigma, match
+):
+    def failed_lp(c, **kwargs):
+        x = None if sigma is None else np.r_[np.zeros(c.size - 1), sigma]
+        return OptimizeResult(status=status, x=x, message="HiGHS mock")
+
+    monkeypatch.setattr("fracheat.control.linprog", failed_lp)
+    with pytest.raises(fh.SolverError, match=match):
+        fh.solve_unconstrained_Linf(prob_case1, 0.9, 60)
 
 
 def test_solve_unconstrained_warns_below_half(grid20):
@@ -412,8 +465,8 @@ def test_sufficient_time_bound_exhausted_grid(prob_case1):
 
 
 def test_unconstrained_scaling_equivariance(prob_case1, op20_unit):
-    # the dual problem is positively homogeneous: scaling z0, zhat0, uhat
-    # by alpha scales the optimal control by alpha, up to smoothing
+    # the LP is positively homogeneous: scaling z0, zhat0, uhat by alpha
+    # scales the optimal control by alpha
     alpha = 2.0
     scaled = fh.make_problem(
         op20_unit,
@@ -424,18 +477,15 @@ def test_unconstrained_scaling_equivariance(prob_case1, op20_unit):
         0.9,
         300,
     )
-    base4, _, _ = fh.unconstrained_dual_details(prob_case1, 0.9, 300, 1e-4)
-    scal4, _, _ = fh.unconstrained_dual_details(scaled, 0.9, 300, 1e-4)
+    base, _, _ = fh.unconstrained_dual_details(prob_case1, 0.9, 300)
+    scal, _, _ = fh.unconstrained_dual_details(scaled, 0.9, 300)
     umax_dev = abs(
-        np.abs(scal4.values).max() - alpha * np.abs(base4.values).max()
-    ) / (alpha * np.abs(base4.values).max())
+        np.abs(scal.values).max() - alpha * np.abs(base.values).max()
+    ) / (alpha * np.abs(base.values).max())
     assert umax_dev <= 0.01
-    # the full field needs the smoothing scaled down before alpha-scaling
-    # is visible pointwise; compare space-time L1 masses at eps = 1e-6
-    base6, _, _ = fh.unconstrained_dual_details(prob_case1, 0.9, 300, 1e-6)
-    scal6, _, _ = fh.unconstrained_dual_details(scaled, 0.9, 300, 1e-6)
-    diff = np.abs(scal6.values - alpha * base6.values).sum()
-    assert diff / (alpha * np.abs(base6.values).sum()) <= 0.01
+    # pointwise, through the space-time L1 masses
+    diff = np.abs(scal.values - alpha * base.values).sum()
+    assert diff / (alpha * np.abs(base.values).sum()) <= 0.01
 
 
 @given(
