@@ -30,7 +30,6 @@ ratio = float(np.abs(est.witness_coeffs) @ np.exp(-mu * T))
 ratio /= fh.l1_norm_exp_sum(witness, n_quad=256)
 print(f"\nT = {T}: lower bound C >= {est.lower_bound_C:.6f}")
 print(f"recomputed on the witness: {ratio:.6f}")
-print("witness families tried:", ", ".join(est.strategy_log))
 
 # sweep the horizon from long to short; the envelope is nonincreasing
 # in T and the short-horizon bounds grow explosively

@@ -14,7 +14,10 @@ spectrum
     Print the leading eigenvalues of the discrete operator as CSV.
 obs-curve
     Print lower bounds of the observability constant over a horizon
-    sweep as CSV.
+    sweep as CSV.  The estimator is deterministic (the Gram-cancellation
+    ladder with coordinate ascent), so equal arguments print equal
+    output; ``--nrandom`` and ``--seed`` are still accepted for old
+    command lines and have no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 I/O error, 1 unexpected internal error.  Every failure writes a JSON
@@ -73,8 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument("--tmax", type=float, required=True, help="largest horizon")
     p_obs.add_argument("--points", type=int, default=9, help="horizons in the sweep")
     p_obs.add_argument("--kmax", type=int, default=8, help="exponents used")
-    p_obs.add_argument("--nrandom", type=int, default=200, help="random restarts")
-    p_obs.add_argument("--seed", type=int, default=0, help="estimator seed")
+    p_obs.add_argument(
+        "--nrandom", type=int, default=200, help="no effect; the estimator is deterministic"
+    )
+    p_obs.add_argument(
+        "--seed", type=int, default=0, help="no effect; the estimator is deterministic"
+    )
     return parser
 
 
@@ -144,8 +151,6 @@ def _cmd_obs_curve(args) -> int:
         raise ConfigError(f"points: must be >= 3, got {args.points}")
     if args.kmax < 1:
         raise ConfigError(f"kmax: must be >= 1, got {args.kmax}")
-    if args.nrandom < 0:
-        raise ConfigError(f"nrandom: must be >= 0, got {args.nrandom}")
 
     import numpy as np
 
@@ -155,9 +160,7 @@ def _cmd_obs_curve(args) -> int:
     ks = np.arange(1, args.kmax + 1)
     mu = lambda_asymptotic(ks, args.s)
     T_values = np.geomspace(args.tmax, args.tmin, args.points)
-    curve = blowup_curve(
-        mu, T_values, K=args.kmax, n_random=args.nrandom, seed=args.seed
-    )
+    curve = blowup_curve(mu, T_values, K=args.kmax)
     print("T,C_lower,C_envelope")
     for T, c, env in zip(curve.T_values, curve.C_lower, curve.C_envelope):
         print(f"{T:.17g},{c:.17g},{env:.17g}")

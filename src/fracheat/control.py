@@ -641,10 +641,7 @@ def minimal_time_search(
     Validates the bracket with two initial solves (the lower end must be
     infeasible, the upper end feasible), then bisects, warm-starting each
     probe from the latest feasible control with its cell grid rescaled to
-    the probed horizon.  An infeasible probe below a previously feasible
-    horizon would contradict monotonicity of feasibility, so such probes
-    are retried once with a doubled iteration budget before accepting the
-    result.
+    the probed horizon.
 
     Parameters
     ----------
@@ -675,29 +672,29 @@ def minimal_time_search(
 
     history: list[tuple[float, bool, float]] = []
 
-    def probe(T, u0, budget):
+    def probe(T, u0):
         out = solve_constrained_fixed_time(
-            problem, T, n_t, eps_cons=eps_cons, max_iter=budget, u0=u0
+            problem, T, n_t, eps_cons=eps_cons, max_iter=max_iter, u0=u0
         )
         if not out.feasible and u0 is not None:
             # a warm start can park the iteration in a worse region than
             # zero does; declare infeasible only if the cold solve agrees
             cold = solve_constrained_fixed_time(
-                problem, T, n_t, eps_cons=eps_cons, max_iter=budget, u0=None
+                problem, T, n_t, eps_cons=eps_cons, max_iter=max_iter, u0=None
             )
             if cold.feasible or cold.final_residual < out.final_residual:
                 out = cold
         history.append((T, out.feasible, out.final_residual))
         return out
 
-    lo_out = probe(T_lo, None, max_iter)
+    lo_out = probe(T_lo, None)
     if lo_out.feasible:
         raise SolverError(
             f"bracket invalid: lower horizon T={T_lo} is already feasible "
             f"(residual {lo_out.final_residual:.3e}); minimal time lies below "
             "the bracket"
         )
-    hi_out = probe(T_hi, None, max_iter)
+    hi_out = probe(T_hi, None)
     if not hi_out.feasible:
         raise SolverError(
             f"bracket invalid: upper horizon T={T_hi} is infeasible "
@@ -711,11 +708,7 @@ def minimal_time_search(
         if T_hi - T_lo <= tol_T:
             break
         T_mid = 0.5 * (T_lo + T_hi)
-        out = probe(T_mid, warm, max_iter)
-        if not out.feasible and any(Tf <= T_mid for Tf, ok, _ in history if ok):
-            # should not happen: feasibility is monotone in the horizon;
-            # treat as a budget artifact and retry once, twice the budget
-            out = probe(T_mid, warm, 2 * max_iter)
+        out = probe(T_mid, warm)
         if out.feasible:
             T_hi = T_mid
             hi_control = out.control

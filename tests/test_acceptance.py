@@ -266,8 +266,8 @@ def test_criterion_09_blowup(observability_constants):
 @pytest.mark.xfail(
     strict=True,
     reason="the certified lower bounds keep decaying on [1, 4]: "
-    "C(1)/C(4) = 522, far outside the gated factor 10; the witness "
-    "families expose e^(-lambda_1 T) decay rather than a uniform floor",
+    "C(1)/C(4) = 522, far outside the gated factor 10; the Gram-cancellation "
+    "witnesses expose e^(-lambda_1 T) decay rather than a uniform floor",
 )
 def test_criterion_09_uniform_window(observability_constants):
     C = observability_constants

@@ -183,6 +183,18 @@ def test_obs_curve_output(capsys):
     assert np.all(data[:, 2] >= data[:, 1])
 
 
+def test_obs_curve_ignores_seed(capsys):
+    # --seed is accepted but has no effect: the estimator is deterministic,
+    # down to the last digit and also at K = 2
+    outputs = []
+    for seed in ("0", "7"):
+        argv = ["obs-curve", "--s", "0.8", "--tmin", "0.4", "--tmax", "2.5"]
+        argv += ["--points", "3", "--kmax", "2", "--seed", seed]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_obs_curve_validation_exit_2(capsys):
     assert main(["obs-curve", "--s", "0.8", "--tmin", "1.0", "--tmax", "0.5"]) == 2
     stderr_record(capsys)
