@@ -1,10 +1,10 @@
 """fracheat: controlled fractional heat equation on (-1, 1).
 
 P1 finite-element discretization of the fractional Laplacian with
-exterior Dirichlet condition, time marching schemes that preserve
-positivity, spectral and observability diagnostics, and control
-synthesis with nonnegativity constraints, including minimal-horizon
-estimation by bisection.
+exterior Dirichlet condition, lumped-mass implicit Euler time marching,
+which preserves positivity for s above about 0.23, spectral and
+observability diagnostics, and control synthesis with nonnegativity
+constraints, including minimal-horizon estimation by bisection.
 """
 
 from .assembly import (
@@ -12,7 +12,6 @@ from .assembly import (
     assemble_mass,
     assemble_stiffness,
     build_operator,
-    export_matrix_csv,
     normalization_constant,
 )
 from .config import HorizonMode, ScenarioConfig, parse_config, preset_fields
@@ -24,7 +23,6 @@ from .control import (
     control_to_csv,
     impulse_analysis,
     make_problem,
-    minimal_time_report_to_json,
     minimal_time_search,
     solve_constrained_fixed_time,
     solve_unconstrained_Linf,
@@ -33,23 +31,20 @@ from .control import (
 )
 from .dynamics import (
     ControlField,
-    PositivityReport,
     Trajectory,
     duhamel_spectral,
     generate_target_trajectory,
     make_control,
-    positivity_check,
     simulate,
     trajectory_to_csv,
 )
-from .errors import CFLError, ConfigError, FracheatError, QuadratureError, SolverError
+from .errors import ConfigError, FracheatError, QuadratureError, SolverError
 from .grid import Grid, build_grid, nodes_in_interval, trapezoid_weights
 from .scenario import ScenarioResult, build_problem_from_config, run_scenario
 from .observability import (
     BlowupCurve,
     ExponentialSum,
     ObservabilityEstimate,
-    adjoint_observability_ratio,
     blowup_curve,
     blowup_curve_to_csv,
     estimate_observability_constant,
@@ -77,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicityReport",
     "BlowupCurve",
-    "CFLError",
     "ConfigError",
     "ControlField",
     "ControlProblem",
@@ -91,7 +85,6 @@ __all__ = [
     "HorizonMode",
     "MinimalTimeReport",
     "ObservabilityEstimate",
-    "PositivityReport",
     "QuadratureError",
     "QuasiEigenfunction",
     "ScenarioConfig",
@@ -99,7 +92,6 @@ __all__ = [
     "SolverError",
     "SpectralBasis",
     "Trajectory",
-    "adjoint_observability_ratio",
     "assemble_mass",
     "assemble_stiffness",
     "blowup_curve",
@@ -111,7 +103,6 @@ __all__ = [
     "duhamel_spectral",
     "eigendecompose",
     "estimate_observability_constant",
-    "export_matrix_csv",
     "flattening_ratio",
     "gamma_density",
     "gap_statistics",
@@ -122,13 +113,11 @@ __all__ = [
     "lambda_asymptotic",
     "make_control",
     "make_problem",
-    "minimal_time_report_to_json",
     "minimal_time_search",
     "mu_value",
     "nodes_in_interval",
     "normalization_constant",
     "parse_config",
-    "positivity_check",
     "preset_fields",
     "q_profile",
     "quasi_eigenfunction",

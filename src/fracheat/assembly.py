@@ -311,15 +311,6 @@ class DiscreteOperator:
         raise ValueError(f"mass kind must be 'consistent' or 'lumped', got {kind!r}")
 
     @cached_property
-    def lambda_max_lumped(self) -> float:
-        """Largest generalized eigenvalue of (stiffness, lumped mass)."""
-        from scipy.linalg import eigh
-
-        d = 1.0 / np.sqrt(np.diag(self.mass_lumped))
-        B = d[:, None] * self.stiffness * d[None, :]
-        return float(eigh(B, eigvals_only=True, subset_by_index=[self.n_dof - 1] * 2)[0])
-
-    @cached_property
     def positivity_preserving(self) -> bool:
         """True iff the stiffness has no positive off-diagonal entry.
 
@@ -358,8 +349,3 @@ def build_operator(grid: Grid, s: float, normalization: str = "symbol") -> Discr
         mass=assemble_mass(grid, lumped=False),
         mass_lumped=assemble_mass(grid, lumped=True),
     )
-
-
-def export_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Write a dense matrix as row-major CSV with 17 significant digits."""
-    np.savetxt(path, np.asarray(matrix), fmt="%.17g", delimiter=",")

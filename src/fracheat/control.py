@@ -57,11 +57,14 @@ __all__ = [
     "impulse_analysis",
     "sufficient_time_bound",
     "unconstrained_dual_details",
-    "minimal_time_report_to_json",
     "control_to_csv",
 ]
 
-EPS_CONS_DEFAULT = 1e-8
+# feasibility tolerances of the constrained solver: the terminal residual
+# may reach EPS_TARGET_FRACTION times the target's norm, and controls and
+# states may dip to -EPS_CONS
+EPS_TARGET_FRACTION = 1e-3
+EPS_CONS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,9 @@ class ControlProblem:
     """Controllability data: dynamics, initial state, and target family.
 
     The target at horizon T is the trajectory of its own dynamics (initial
-    datum zhat0, constant control uhat on omega) run up to T, so probing
-    different horizons regenerates the target rather than truncating it.
+    datum zhat0, constant control uhat on omega) run up to T, built on
+    demand by :meth:`target_at`, so probing different horizons regenerates
+    the target rather than truncating it.
 
     Attributes
     ----------
@@ -81,8 +85,6 @@ class ControlProblem:
         Strictly positive initial datum of the target trajectory.
     uhat : float
         Constant nonnegative control defining the target trajectory.
-    target : Trajectory
-        Target trajectory at the nominal horizon (diagnostic reference).
     omega : tuple
         Control region, strictly inside (-1, 1).
     nonneg_control : bool
@@ -98,7 +100,6 @@ class ControlProblem:
     z0: np.ndarray = field(repr=False)
     zhat0: np.ndarray = field(repr=False)
     uhat: float
-    target: Trajectory = field(repr=False)
     omega: tuple[float, float]
     nonneg_control: bool = True
     nonneg_state: bool = True
@@ -121,8 +122,8 @@ class FixedTimeOutcome:
     final_residual : float
         ||z(T) - zhat(T)|| in the lumped discrete L2 norm.
     feasible : bool
-        True iff final_residual <= eps_target and all requested
-        constraints hold to eps_cons.
+        True iff final_residual is at most EPS_TARGET_FRACTION times the
+        target's norm at T and all requested constraints hold to EPS_CONS.
     iterations : int
     objective_history : ndarray
     """
@@ -189,26 +190,41 @@ def make_problem(
     zhat0: np.ndarray,
     uhat: float,
     omega: tuple[float, float],
-    T_nominal: float,
-    n_t: int,
     nonneg_control: bool = True,
     nonneg_state: bool = True,
     nu: float | None = None,
 ) -> ControlProblem:
-    """Assemble a ControlProblem, generating the nominal target trajectory."""
+    """Assemble and validate a ControlProblem.
+
+    Targets are not built here; :meth:`ControlProblem.target_at` builds
+    the one each horizon needs.
+
+    Raises
+    ------
+    ValueError
+        If omega is not strictly inside (-1, 1) or holds no interior node,
+        z0 or zhat0 is not one value per interior node, zhat0 is not
+        strictly positive, or uhat is negative.
+    """
     lo, hi = float(omega[0]), float(omega[1])
     if not (-1.0 < lo < hi < 1.0):
         raise ValueError(f"omega must be strictly inside (-1, 1), got {omega!r}")
+    if not nodes_in_interval(op.grid, (lo, hi)).any():
+        raise ValueError(f"control region {omega!r} contains no interior nodes")
     z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (op.n_dof,):
-        raise ValueError(f"z0 must have shape ({op.n_dof},), got {z0.shape}")
-    target = generate_target_trajectory(op, zhat0, uhat, (lo, hi), T_nominal, n_t)
+    zhat0 = np.asarray(zhat0, dtype=float)
+    for name, v in (("z0", z0), ("zhat0", zhat0)):
+        if v.shape != (op.n_dof,):
+            raise ValueError(f"{name} must have shape ({op.n_dof},), got {v.shape}")
+    if (zhat0 <= 0).any():
+        raise ValueError("target initial datum must be strictly positive")
+    if uhat < 0:
+        raise ValueError(f"uhat must be nonnegative, got {uhat}")
     return ControlProblem(
         op=op,
         z0=z0,
-        zhat0=np.asarray(zhat0, dtype=float),
+        zhat0=zhat0,
         uhat=float(uhat),
-        target=target,
         omega=(lo, hi),
         nonneg_control=nonneg_control,
         nonneg_state=nonneg_state,
@@ -495,8 +511,6 @@ def solve_constrained_fixed_time(
     problem: ControlProblem,
     T: float,
     n_t: int,
-    eps_target: float | None = None,
-    eps_cons: float = EPS_CONS_DEFAULT,
     max_iter: int = 3000,
     u0: np.ndarray | None = None,
 ) -> FixedTimeOutcome:
@@ -507,12 +521,15 @@ def solve_constrained_fixed_time(
     safeguarded by a nonmonotone backtracking line search.  When
     nonneg_state is set, negative states are penalized quadratically and
     the penalty weight is increased tenfold (up to 5 rounds) while the
-    trajectory dips below -eps_cons.  With u >= 0, z0 >= 0 and a
+    trajectory dips below -EPS_CONS.  With u >= 0, z0 >= 0 and a
     positivity-preserving operator no state can turn negative, so the
     iteration then works on the terminal state alone; the reported
     residual and constraint check always come from the full trajectory.
 
-    Never raises on exhausted iterations: the outcome reports
+    The solve is feasible when the terminal residual is at most
+    EPS_TARGET_FRACTION times the target's norm at T (a residual exactly
+    at that tolerance counts) and the requested constraints hold to
+    EPS_CONS.  Never raises on exhausted iterations: the outcome reports
     feasible=False with the residual reached.
 
     Parameters
@@ -520,11 +537,6 @@ def solve_constrained_fixed_time(
     problem : ControlProblem
     T, n_t
         Horizon and step count.
-    eps_target : float, optional
-        Feasibility residual tolerance; defaults to 1e-3 times the target
-        norm at T.  A residual exactly at tolerance counts as feasible.
-    eps_cons : float
-        Constraint tolerance.
     max_iter : int
         Gradient iterations per penalty round.
     u0 : ndarray, optional
@@ -538,9 +550,7 @@ def solve_constrained_fixed_time(
     dt, m = stepper.dt, stepper.m
     n_sup = int(mask.sum())
 
-    target_scale = _m_norm(zhat_T, m)
-    if eps_target is None:
-        eps_target = 1e-3 * target_scale
+    eps_target = EPS_TARGET_FRACTION * _m_norm(zhat_T, m)
 
     if u0 is None:
         u_sup = np.zeros((n_sup, n_t))
@@ -570,7 +580,7 @@ def solve_constrained_fixed_time(
         converged = False
 
         for _it in range(max_iter):
-            state_ok = states is None or states.min() >= -eps_cons
+            state_ok = states is None or states.min() >= -EPS_CONS
             if residual <= eps_target and state_ok:
                 converged = True
                 break
@@ -608,15 +618,15 @@ def solve_constrained_fixed_time(
             residual = _m_norm(r, m)
             history.append(f)
 
-        if converged or states is None or states.min() >= -eps_cons:
+        if converged or states is None or states.min() >= -EPS_CONS:
             break
         rho *= 10.0
 
     # the verdict always rests on the full trajectory
     states = stepper.forward(problem.z0, u_sup)
     residual = _m_norm(states[-1] - zhat_T, m)
-    state_ok = (not problem.nonneg_state) or states.min() >= -eps_cons
-    control_ok = (not problem.nonneg_control) or u_sup.min() >= -eps_cons
+    state_ok = (not problem.nonneg_state) or states.min() >= -EPS_CONS
+    control_ok = (not problem.nonneg_control) or u_sup.min() >= -EPS_CONS
     feasible = bool(residual <= eps_target and state_ok and control_ok)
     control = make_control(problem.op.grid, problem.omega, n_t, values=u_sup)
     return FixedTimeOutcome(
@@ -633,7 +643,6 @@ def minimal_time_search(
     T_bracket: tuple[float, float],
     tol_T: float,
     n_t: int,
-    eps_cons: float = EPS_CONS_DEFAULT,
     max_iter: int = 3000,
 ) -> MinimalTimeReport:
     """Bisection for the smallest horizon with a feasible constrained solve.
@@ -652,7 +661,7 @@ def minimal_time_search(
         Stop when T_hi - T_lo <= tol_T.
     n_t : int
         Time steps used at every horizon.
-    eps_cons, max_iter
+    max_iter : int
         Forwarded to the fixed-horizon solver.
 
     Returns
@@ -673,15 +682,11 @@ def minimal_time_search(
     history: list[tuple[float, bool, float]] = []
 
     def probe(T, u0):
-        out = solve_constrained_fixed_time(
-            problem, T, n_t, eps_cons=eps_cons, max_iter=max_iter, u0=u0
-        )
+        out = solve_constrained_fixed_time(problem, T, n_t, max_iter=max_iter, u0=u0)
         if not out.feasible and u0 is not None:
             # a warm start can park the iteration in a worse region than
             # zero does; declare infeasible only if the cold solve agrees
-            cold = solve_constrained_fixed_time(
-                problem, T, n_t, eps_cons=eps_cons, max_iter=max_iter, u0=None
-            )
+            cold = solve_constrained_fixed_time(problem, T, n_t, max_iter=max_iter)
             if cold.feasible or cold.final_residual < out.final_residual:
                 out = cold
         history.append((T, out.feasible, out.final_residual))
@@ -736,14 +741,13 @@ def impulse_analysis(
     dt: float,
     dx: float,
     threshold: float,
-    eps_cons: float = EPS_CONS_DEFAULT,
 ) -> AtomicityReport:
     """Mass-concentration report of a nonnegative control.
 
     Each (node, step) cell carries mass u * dt * dx; the report gives the
     total, the fraction of cells above threshold times the peak mass, and
     the ten heaviest cells located at node coordinates and time-cell
-    midpoints.
+    midpoints.  Entries down to -EPS_CONS count as zero.
 
     Parameters
     ----------
@@ -752,8 +756,6 @@ def impulse_analysis(
         Cell sizes of the control grid.
     threshold : float
         Relative activity threshold in (0, 1).
-    eps_cons : float
-        Tolerance below which negative entries are treated as zero.
 
     Returns
     -------
@@ -762,7 +764,7 @@ def impulse_analysis(
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     vals = control.values
-    if vals.min() < -eps_cons:
+    if vals.min() < -EPS_CONS:
         raise ValueError(
             f"control has negative entries down to {vals.min():.3e}, "
             "impulse analysis expects a nonnegative control"
@@ -775,11 +777,8 @@ def impulse_analysis(
     else:
         active = 0.0
 
-    # node coordinates reconstructed from the uniform grid on (-1, 1)
-    lo = control.omega[0]
-    m0 = int(np.ceil((lo + 1.0) / dx - 1e-9))
-    x0 = -1.0 + m0 * dx
-    n_sup, n_t = mass.shape
+    # interior node i sits at -1 + (i + 1) dx on the uniform grid
+    x0 = -1.0 + (int(np.argmax(control.support_mask)) + 1) * dx
     order = np.argsort(mass.ravel(), kind="stable")[::-1][:10]
     top = []
     for flat in order:
@@ -842,32 +841,6 @@ def sufficient_time_bound(
         f"no horizon up to {T_grid[-1]:.3g} satisfied the sufficiency "
         "criterion; enlarge the search window"
     )
-
-
-def minimal_time_report_to_json(report: MinimalTimeReport, path) -> None:
-    """Write a MinimalTimeReport as JSON, including the full probe history."""
-    import json
-
-    payload = {
-        "T_lo": report.T_lo,
-        "T_hi": report.T_hi,
-        "T_min_estimate": report.T_min_estimate,
-        "history": [
-            {"T": T, "feasible": feasible, "residual": residual}
-            for T, feasible, residual in report.history
-        ],
-        "atomicity": {
-            "total_mass": report.atomicity.total_mass,
-            "active_cell_fraction": report.atomicity.active_cell_fraction,
-            "top_impulses": [
-                {"x": imp[0], "t": imp[1], "mass": imp[2]}
-                for imp in report.atomicity.top_impulses
-            ],
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def control_to_csv(control: ControlField, grid, T: float, path) -> None:

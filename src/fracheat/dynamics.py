@@ -1,10 +1,10 @@
 """Time integration of the controlled fractional heat equation.
 
 Marches the semi-discrete system M dz/dt + K z = M (u restricted to the
-control region) with explicit or implicit Euler on a uniform time grid,
-with piecewise-constant-in-time controls on right-open cells.  Also
-provides the exact modal (Duhamel) solution used as a cross-check oracle,
-target-trajectory generation, and a positivity monitor.
+control region), with M the lumped mass, by implicit Euler on a uniform
+time grid, with piecewise-constant-in-time controls on right-open cells.
+Also provides the exact modal (Duhamel) solution used as a cross-check
+oracle and target-trajectory generation.
 """
 
 from __future__ import annotations
@@ -15,19 +15,16 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .assembly import DiscreteOperator
-from .errors import CFLError
 from .grid import Grid, nodes_in_interval
 from .spectral import SpectralBasis
 
 __all__ = [
     "Trajectory",
     "ControlField",
-    "PositivityReport",
     "make_control",
     "simulate",
     "duhamel_spectral",
     "generate_target_trajectory",
-    "positivity_check",
     "trajectory_to_csv",
 ]
 
@@ -90,14 +87,6 @@ class ControlField:
         return full
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    """Result of scanning a trajectory for negative entries."""
-
-    min_value: float
-    first_violation: tuple[int, int] | None
-
-
 def make_control(
     grid: Grid,
     omega: tuple[float, float],
@@ -146,10 +135,14 @@ def simulate(
     control: ControlField | None,
     T: float,
     n_t: int,
-    scheme: str = "implicit_euler",
-    mass_kind: str = "lumped",
 ) -> Trajectory:
-    """March the semi-discrete system over [0, T].
+    """March the semi-discrete system over [0, T] by lumped implicit Euler.
+
+    Each step solves (M + dt K) z_{j+1} = M (z_j + dt u_j) with the lumped
+    mass M and a Cholesky factor computed once.  The step matrix is
+    entrywise nonnegative, hence positivity-preserving, for every dt when
+    ``op.positivity_preserving`` holds (s above about 0.23); otherwise
+    small steps can turn nonnegative data negative.
 
     Parameters
     ----------
@@ -162,27 +155,10 @@ def simulate(
         Final time, positive.
     n_t : int
         Number of time steps.
-    scheme : str
-        "implicit_euler" (default) solves (M + dt K) z_{j+1} = M (z_j
-        + dt u_j); "explicit_euler" uses the lumped-mass forward update
-        and enforces the stability bound dt * lambda_max <= 2.
-    mass_kind : str
-        Mass matrix for the implicit scheme, "lumped" (default) or
-        "consistent".  The lumped step matrix is entrywise nonnegative,
-        hence positivity-preserving, for every dt when
-        ``op.positivity_preserving`` holds (s above about 0.23); otherwise
-        small steps can turn nonnegative data negative.  The explicit
-        scheme always uses the lumped mass.
 
     Returns
     -------
     Trajectory
-
-    Raises
-    ------
-    CFLError
-        For the explicit scheme when dt * lambda_max > 2; the message
-        names the smallest admissible n_t.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -201,41 +177,19 @@ def simulate(
         u_full = control.expand()
 
     dt = T / n_t
-    K = op.stiffness
     states = np.empty((n_t + 1, n))
     states[0] = z0
-    z = z0.copy()
-
-    if scheme == "explicit_euler":
-        lam_max = op.lambda_max_lumped
-        if dt * lam_max > 2.0:
-            n_admissible = int(np.ceil(T * lam_max / 2.0))
-            raise CFLError(
-                f"explicit Euler unstable: dt*lambda_max = {dt * lam_max:.4g} > 2; "
-                f"need n_t >= {n_admissible}"
-            )
-        m = np.diag(op.mass_lumped)
-        for j in range(n_t):
-            z = z - dt * (K @ z) / m
-            if u_full is not None:
-                z = z + dt * u_full[:, j]
-            states[j + 1] = z
-    elif scheme == "implicit_euler":
-        M = op.mass_matrix(mass_kind)
-        factor = cho_factor(M + dt * K)
-        # the lumped mass is diagonal: scale by it, not by a dense product
-        m = np.diag(M) if mass_kind == "lumped" else None
-        for j in range(n_t):
-            rhs = M @ z if m is None else m * z
-            if u_full is not None:
-                u_j = u_full[:, j]
-                rhs = rhs + dt * (M @ u_j if m is None else m * u_j)
-            z = cho_solve(factor, rhs)
-            states[j + 1] = z
-    else:
-        raise ValueError(
-            f"scheme must be 'explicit_euler' or 'implicit_euler', got {scheme!r}"
-        )
+    z = z0
+    M = op.mass_lumped
+    factor = cho_factor(M + dt * op.stiffness)
+    # the lumped mass is diagonal: scale by it, not by a dense product
+    m = np.diag(M)
+    for j in range(n_t):
+        rhs = m * z
+        if u_full is not None:
+            rhs = rhs + dt * (m * u_full[:, j])
+        z = cho_solve(factor, rhs)
+        states[j + 1] = z
 
     states.setflags(write=False)
     times = _time_grid(T, n_t)
@@ -296,7 +250,6 @@ def generate_target_trajectory(
     omega: tuple[float, float],
     T: float,
     n_t: int,
-    scheme: str = "implicit_euler",
 ) -> Trajectory:
     """Free-running target trajectory with a constant control on omega.
 
@@ -308,7 +261,7 @@ def generate_target_trajectory(
     uhat : float
         Constant nonnegative control value applied on omega.
     omega : (float, float)
-    T, n_t, scheme
+    T, n_t
         Passed through to :func:`simulate`.
 
     Returns
@@ -322,23 +275,7 @@ def generate_target_trajectory(
     if uhat < 0:
         raise ValueError(f"uhat must be nonnegative, got {uhat}")
     control = make_control(op.grid, omega, n_t, values=float(uhat))
-    return simulate(op, zhat0, control, T, n_t, scheme=scheme)
-
-
-def positivity_check(traj: Trajectory, tol: float) -> PositivityReport:
-    """Scan a trajectory for entries below -tol.
-
-    Returns the global minimum and the first (time index, node index)
-    violating the threshold, or None if there is no violation.
-    """
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    viol = traj.states < -tol
-    first = None
-    if viol.any():
-        j, i = np.unravel_index(np.argmax(viol), viol.shape)
-        first = (int(j), int(i))
-    return PositivityReport(min_value=float(traj.states.min()), first_violation=first)
+    return simulate(op, zhat0, control, T, n_t)
 
 
 def trajectory_to_csv(traj: Trajectory, grid: Grid, path) -> None:

@@ -17,7 +17,3 @@ class QuadratureError(FracheatError):
 
 class SolverError(FracheatError):
     """An iterative solver failed to produce a usable result."""
-
-
-class CFLError(SolverError):
-    """Explicit time step violates the stability bound."""

@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import QuadratureError, SolverError
-from .grid import trapezoid_weights
-from .spectral import SpectralBasis
+from .errors import QuadratureError
 
 __all__ = [
     "ExponentialSum",
@@ -31,7 +29,6 @@ __all__ = [
     "l1_norm_exp_sum",
     "estimate_observability_constant",
     "blowup_curve",
-    "adjoint_observability_ratio",
     "blowup_curve_to_csv",
 ]
 
@@ -131,7 +128,9 @@ def l1_norm_exp_sum(es: ExponentialSum, n_quad: int) -> float:
     ------
     QuadratureError
         If more sign changes are detected than the K - 1 possible for a
-        sum of K decaying exponentials.
+        sum of K decaying exponentials, or if a sign change seen on the
+        grid vanishes when its cell's endpoints are evaluated one at a
+        time: both happen only to sums that cancel down to roundoff.
     """
     if n_quad < 64:
         raise ValueError(f"n_quad must be >= 64, got {n_quad}")
@@ -146,7 +145,12 @@ def l1_norm_exp_sum(es: ExponentialSum, n_quad: int) -> float:
             f"detected {change.size} sign changes, more than the K-1={K - 1} "
             "possible for this exponential sum"
         )
-    roots = [brentq(es, grid[i], grid[i + 1], xtol=1e-14) for i in change]
+    try:
+        roots = [brentq(es, grid[i], grid[i + 1], xtol=1e-14) for i in change]
+    except ValueError as exc:
+        # brentq evaluates the endpoints one at a time, which can round to
+        # other signs than the vectorized grid evaluation did
+        raise QuadratureError(f"sign change lost to roundoff: {exc}") from exc
     edges = np.unique(np.concatenate([grid, roots]))
     gx, gw = np.polynomial.legendre.leggauss(10)
     half = 0.5 * np.diff(edges)
@@ -322,57 +326,6 @@ def blowup_curve(
     T_out = T_arr.copy()
     T_out.setflags(write=False)
     return BlowupCurve(T_values=T_out, C_lower=C, C_envelope=env, slope_fit=slope)
-
-
-def adjoint_observability_ratio(
-    basis: SpectralBasis,
-    omega: tuple[float, float],
-    T: float,
-    a: np.ndarray,
-    n_t: int,
-) -> float:
-    """Ratio of final modal energy to the squared L1 observation.
-
-    Computes (sum_k a_k^2 e^(-2 lambda_k T)) divided by the square of
-    the space-time integral over omega x (0, T) of |sum_k a_k phi_k
-    e^(-lambda_k t)|, with a trapezoid rule in time on n_t cells and the
-    nodal trapezoid rule in space.
-
-    Parameters
-    ----------
-    basis : SpectralBasis
-    omega : (float, float)
-    T : float
-    a : ndarray
-        Nonzero modal coefficients, length <= basis.k_max.
-    n_t : int
-        Time cells.
-
-    Returns
-    -------
-    float
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size > basis.k_max:
-        raise ValueError(f"a must be 1-D with at most {basis.k_max} entries")
-    if not np.abs(a).max() > 0:
-        raise ValueError("a must be nonzero")
-    if T <= 0 or n_t < 1:
-        raise ValueError("need T > 0 and n_t >= 1")
-    lam = basis.eigenvalues[: a.size]
-    V = basis.eigenvectors[:, : a.size]
-    w = trapezoid_weights(basis.grid, omega)
-    times = np.arange(n_t + 1) * (T / n_t)
-    decay = np.exp(-np.multiply.outer(times, lam))
-    fields = (a[None, :] * decay) @ V.T
-    f = np.abs(fields) @ w
-    time_weights = np.full(n_t + 1, T / n_t)
-    time_weights[[0, -1]] *= 0.5
-    denom = float(time_weights @ f)
-    if denom == 0.0:
-        raise SolverError("observation integral vanished for a nonzero datum")
-    numer = float(a @ (a * np.exp(-2.0 * lam * T)))
-    return numer / denom**2
 
 
 def blowup_curve_to_csv(curve: BlowupCurve, path) -> None:

@@ -76,8 +76,7 @@ def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
     """Instantiate the control problem a config describes.
 
     The initial datum and the target's initial datum are cosine profiles
-    scaled by the configured amplitudes; the nominal horizon is the fixed
-    horizon or the bracket's upper end.
+    scaled by the configured amplitudes.
 
     Parameters
     ----------
@@ -90,18 +89,12 @@ def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
     grid = build_grid(config.n_x)
     op = build_operator(grid, s=config.s, normalization=config.normalization)
     profile = _cosine_profile(grid)
-    if config.horizon.kind == "fixed":
-        T_nominal = config.horizon.T
-    else:
-        T_nominal = config.horizon.bracket[1]
     return make_problem(
         op,
         config.z0_amplitude * profile,
         config.zhat0_amplitude * profile,
         uhat=config.uhat,
         omega=config.omega,
-        T_nominal=T_nominal,
-        n_t=config.n_t,
         nonneg_control=config.nonneg_control,
         nonneg_state=config.nonneg_state,
         nu=config.nu,

@@ -46,8 +46,6 @@ def prob_case1(op20_unit, cos_profile):
         0.05 * cos_profile,
         uhat=0.2,
         omega=(-0.3, 0.8),
-        T_nominal=0.9,
-        n_t=300,
     )
 
 
@@ -60,8 +58,6 @@ def prob_case2(op20_unit, cos_profile):
         6.0 * cos_profile,
         uhat=1.0,
         omega=(-0.3, 0.8),
-        T_nominal=0.4,
-        n_t=100,
     )
 
 

@@ -112,12 +112,3 @@ def test_build_operator_rejects_bad_s():
         fh.build_operator(g, s=1.2)
     with pytest.raises(ValueError, match="s"):
         fh.build_operator(g, s=0.0)
-
-
-def test_export_matrix_csv(tmp_path):
-    g = fh.build_grid(6)
-    K = fh.assemble_stiffness(g, s=0.7, normalization="symbol")
-    path = tmp_path / "K.csv"
-    fh.export_matrix_csv(K, path)
-    data = np.loadtxt(path, delimiter=",")
-    assert np.allclose(data, K, rtol=1e-15)

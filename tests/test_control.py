@@ -3,8 +3,6 @@ the projected gradient and the minimal-time search."""
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,29 +16,25 @@ from conftest import m_norm
 
 def test_make_problem_validation(op20_unit, cos_profile):
     with pytest.raises(ValueError, match="omega"):
-        fh.make_problem(
-            op20_unit, cos_profile, cos_profile, 0.1, (-1.0, 0.5), 0.5, 50
-        )
+        fh.make_problem(op20_unit, cos_profile, cos_profile, 0.1, (-1.0, 0.5))
     with pytest.raises(ValueError, match="omega"):
-        fh.make_problem(
-            op20_unit, cos_profile, cos_profile, 0.1, (0.8, -0.3), 0.5, 50
-        )
+        fh.make_problem(op20_unit, cos_profile, cos_profile, 0.1, (0.8, -0.3))
     with pytest.raises(ValueError, match="shape"):
-        fh.make_problem(
-            op20_unit, cos_profile[:-2], cos_profile, 0.1, (-0.3, 0.8), 0.5, 50
-        )
+        fh.make_problem(op20_unit, cos_profile[:-2], cos_profile, 0.1, (-0.3, 0.8))
+    with pytest.raises(ValueError, match="zhat0 must have shape"):
+        fh.make_problem(op20_unit, cos_profile, cos_profile[:-2], 0.1, (-0.3, 0.8))
     with pytest.raises(ValueError, match="positive"):
-        fh.make_problem(
-            op20_unit, cos_profile, 0.0 * cos_profile, 0.1, (-0.3, 0.8), 0.5, 50
-        )
+        fh.make_problem(op20_unit, cos_profile, 0.0 * cos_profile, 0.1, (-0.3, 0.8))
+    with pytest.raises(ValueError, match="uhat"):
+        fh.make_problem(op20_unit, cos_profile, cos_profile, -0.1, (-0.3, 0.8))
+    with pytest.raises(ValueError, match="no interior nodes"):
+        fh.make_problem(op20_unit, cos_profile, cos_profile, 0.1, (0.51, 0.54))
 
 
 def test_make_problem_defaults(prob_case1):
     # nu defaults to the target control level
     assert prob_case1.nu == 0.2
     assert prob_case1.nonneg_control and prob_case1.nonneg_state
-    assert prob_case1.target.n_t == 300
-    assert prob_case1.target.times[-1] == 0.9
     # regenerating the target at another horizon keeps the initial datum
     t2 = prob_case1.target_at(0.4, 50)
     assert t2.times[-1] == 0.4
@@ -84,7 +78,7 @@ def test_modal_forward_matches_simulate(n_x):
     op, mask, stepper, z0, u = _modal_case(n_x, n_t)
     if n_x == 200:
         # the stiff regime, where most modes are damped within one step
-        assert stepper.dt * op.lambda_max_lumped > 10.0
+        assert stepper.dt * op.lumped_basis.eigenvalues[-1] > 10.0
     control = fh.make_control(op.grid, (-0.3, 0.8), n_t, values=u)
     ref = fh.simulate(op, z0, control, 0.9, n_t).states
     states = stepper.forward(z0, u)
@@ -178,9 +172,7 @@ def test_primal_penalty_path_gradient_and_weights(op20_unit, cos_profile):
     # a z0 with negative entries can push states below zero, so the states
     # are tracked and penalized; the gradient must include the penalty
     z0 = 2.0 * cos_profile - 1.0
-    prob = fh.make_problem(
-        op20_unit, z0, 0.05 * cos_profile, 0.2, (-0.3, 0.8), 0.9, 60
-    )
+    prob = fh.make_problem(op20_unit, z0, 0.05 * cos_profile, 0.2, (-0.3, 0.8))
     _, mask, _, evaluate, gradient = _primal_machinery(prob, 0.9, 60)
     rng = np.random.default_rng(13)
     u = rng.uniform(0.0, 0.3, (int(mask.sum()), 60))
@@ -198,9 +190,7 @@ def test_primal_penalty_path_gradient_and_weights(op20_unit, cos_profile):
     # penalty weight to apply
     z0 = 2.0 * cos_profile
     z0[[2, 15]] = -0.5
-    prob = fh.make_problem(
-        op20_unit, z0, 0.05 * cos_profile, 0.2, (-0.3, 0.8), 0.9, 60
-    )
+    prob = fh.make_problem(op20_unit, z0, 0.05 * cos_profile, 0.2, (-0.3, 0.8))
     _, _, _, evaluate, _ = _primal_machinery(prob, 0.9, 60)
     _, states, _, chi = evaluate(u, 10.0)
     assert states[0].min() < 0.0 <= states[1:].min()
@@ -216,9 +206,7 @@ def test_primal_tracks_states_only_where_they_can_turn_negative(
     assert evaluate(u, 1.0)[1] is None
     # s = 0.2 has positive off-diagonals, so states are tracked
     op = fh.build_operator(op20_unit.grid, s=0.2, normalization="unit")
-    prob = fh.make_problem(
-        op, 2.0 * cos_profile, 0.05 * cos_profile, 0.2, (-0.3, 0.8), 0.9, 30
-    )
+    prob = fh.make_problem(op, 2.0 * cos_profile, 0.05 * cos_profile, 0.2, (-0.3, 0.8))
     _, _, _, evaluate, _ = _primal_machinery(prob, 0.9, 30)
     assert evaluate(u, 1.0)[1].shape == (31, op.n_dof)
 
@@ -255,10 +243,10 @@ def test_unconstrained_steers_on_a_finer_mesh():
     grid = fh.build_grid(80)
     op = fh.build_operator(grid, s=0.8, normalization="unit")
     cos = np.cos(np.pi * grid.interior_nodes / 2.0)
-    prob = fh.make_problem(op, 2.0 * cos, 0.05 * cos, 0.2, (-0.3, 0.8), 0.9, 300)
+    prob = fh.make_problem(op, 2.0 * cos, 0.05 * cos, 0.2, (-0.3, 0.8))
     control = fh.solve_unconstrained_Linf(prob, 0.9, 300)
     final = fh.simulate(op, prob.z0, control, 0.9, 300).final
-    zhat_T = prob.target.final
+    zhat_T = prob.target_at(0.9, 300).final
     m = np.diag(op.mass_lumped)
     assert m_norm(final - zhat_T, m) <= 1e-5 * m_norm(zhat_T, m)
 
@@ -268,9 +256,7 @@ def test_unconstrained_on_target_returns_zero_without_solving(
 ):
     # z0 is the target's initial datum and the target control is zero, so
     # the free state already hits the target
-    prob = fh.make_problem(
-        op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8), 0.5, 40
-    )
+    prob = fh.make_problem(op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8))
 
     def no_lp(*args, **kwargs):
         raise AssertionError("the LP must not be solved")
@@ -309,8 +295,6 @@ def test_solve_unconstrained_warns_below_half(grid20):
         0.5 * np.cos(np.pi * x / 2.0),
         0.1,
         (-0.3, 0.8),
-        0.5,
-        20,
     )
     with pytest.warns(UserWarning, match="1/2"):
         fh.solve_unconstrained_Linf(prob, 0.5, 20)
@@ -333,9 +317,7 @@ def test_constrained_solve_zero_iterations_when_already_on_target(
 ):
     # z0 equal to the target's initial datum with zero target control:
     # the zero control is already exact
-    prob = fh.make_problem(
-        op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8), 0.5, 40
-    )
+    prob = fh.make_problem(op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8))
     out = fh.solve_constrained_fixed_time(prob, 0.5, 40)
     assert out.feasible
     assert out.iterations == 0
@@ -396,6 +378,18 @@ def test_impulse_analysis_uniform_and_single_cell(grid20):
     assert mass == pytest.approx(3.0 * 0.1 * grid20.h)
 
 
+def test_impulse_analysis_locates_support_as_the_mask_does(grid20):
+    # omega's left end sits just above the node -0.3, past the node mask's
+    # 1e-12 slack, so the support starts one node later, at -0.2
+    omega = (-0.3 + 5e-11, 0.8)
+    single = np.zeros((11, 4))
+    single[0, 1] = 1.0
+    ctrl = fh.make_control(grid20, omega, 4, values=single)
+    assert grid20.interior_nodes[ctrl.support_mask][0] == pytest.approx(-0.2)
+    rep = fh.impulse_analysis(ctrl, dt=0.1, dx=grid20.h, threshold=0.01)
+    assert rep.top_impulses[0][0] == pytest.approx(-0.2)
+
+
 def test_impulse_analysis_ordering_and_cap(grid20):
     rng = np.random.default_rng(11)
     vals = rng.uniform(0.0, 1.0, (12, 30))
@@ -439,19 +433,19 @@ def test_impulse_total_mass_property(seed):
 def test_sufficient_time_bound_trivial_cases(op20_unit, cos_profile):
     # an enormous margin nu is satisfied at the first grid horizon
     prob = fh.make_problem(
-        op20_unit, 2.0 * cos_profile, 0.05 * cos_profile, 1e8, (-0.3, 0.8), 0.9, 50
+        op20_unit, 2.0 * cos_profile, 0.05 * cos_profile, 1e8, (-0.3, 0.8)
     )
     assert fh.sufficient_time_bound(prob, lambda T: 1.0) == pytest.approx(0.05)
     # zero initial gap is satisfied immediately as well
     prob0 = fh.make_problem(
-        op20_unit, 0.05 * cos_profile, 0.05 * cos_profile, 0.2, (-0.3, 0.8), 0.9, 50
+        op20_unit, 0.05 * cos_profile, 0.05 * cos_profile, 0.2, (-0.3, 0.8)
     )
     assert fh.sufficient_time_bound(prob0, lambda T: 1.0) == pytest.approx(0.05)
 
 
 def test_sufficient_time_bound_validation(op20_unit, cos_profile):
     prob = fh.make_problem(
-        op20_unit, 2.0 * cos_profile, 0.05 * cos_profile, 0.0, (-0.3, 0.8), 0.9, 50
+        op20_unit, 2.0 * cos_profile, 0.05 * cos_profile, 0.0, (-0.3, 0.8)
     )
     with pytest.raises(ValueError, match="nu"):
         fh.sufficient_time_bound(prob, lambda T: 1.0)
@@ -474,8 +468,6 @@ def test_unconstrained_scaling_equivariance(prob_case1, op20_unit):
         alpha * prob_case1.zhat0,
         alpha * prob_case1.uhat,
         prob_case1.omega,
-        0.9,
-        300,
     )
     base, _, _ = fh.unconstrained_dual_details(prob_case1, 0.9, 300)
     scal, _, _ = fh.unconstrained_dual_details(scaled, 0.9, 300)
@@ -505,30 +497,9 @@ def test_minimal_time_degenerate_problem_invalidates_bracket(
 ):
     # z0 equals the target's initial datum with zero target control, so
     # every horizon is feasible and the lower bracket end must invalidate
-    prob = fh.make_problem(
-        op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8), 0.5, 30
-    )
+    prob = fh.make_problem(op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8))
     with pytest.raises(fh.SolverError, match="already feasible"):
         fh.minimal_time_search(prob, (0.2, 0.5), 0.05, 30)
-
-
-def test_minimal_time_report_to_json(tmp_path, grid20):
-    ctrl = fh.make_control(grid20, (-0.3, 0.8), 4, values=1.0)
-    rep = fh.MinimalTimeReport(
-        T_lo=0.5,
-        T_hi=0.55,
-        T_min_estimate=0.525,
-        history=((0.5, False, 0.01), (0.55, True, 1e-5)),
-        atomicity=fh.impulse_analysis(ctrl, dt=0.1, dx=grid20.h, threshold=0.01),
-        control=ctrl,
-    )
-    path = tmp_path / "report.json"
-    fh.minimal_time_report_to_json(rep, path)
-    data = json.loads(path.read_text())
-    assert data["T_min_estimate"] == 0.525
-    assert data["history"][0] == {"T": 0.5, "feasible": False, "residual": 0.01}
-    assert data["atomicity"]["active_cell_fraction"] == 1.0
-    assert len(data["atomicity"]["top_impulses"]) == 10
 
 
 def test_control_to_csv(tmp_path, grid20):

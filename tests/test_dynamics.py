@@ -29,8 +29,6 @@ def test_simulate_validation(op20_unit, cos_profile):
         fh.simulate(op20_unit, cos_profile, None, T=1.0, n_t=0)
     with pytest.raises(ValueError, match="shape"):
         fh.simulate(op20_unit, cos_profile[:-1], None, T=1.0, n_t=10)
-    with pytest.raises(ValueError, match="scheme"):
-        fh.simulate(op20_unit, cos_profile, None, T=1.0, n_t=10, scheme="rk4")
     ctrl = fh.make_control(op20_unit.grid, (-0.3, 0.8), n_t=20)
     with pytest.raises(ValueError, match="time cells"):
         fh.simulate(op20_unit, cos_profile, ctrl, T=1.0, n_t=10)
@@ -70,25 +68,6 @@ def test_free_decay_matches_semigroup(op20_unit, cos_profile):
     ref = modal_reference(op20_unit, cos_profile, None, 0.4)
     traj = fh.simulate(op20_unit, cos_profile, None, 0.4, 800)
     assert np.abs(traj.final - ref).max() < 6e-3 * np.abs(ref).max()
-
-
-def test_explicit_euler_cfl_guard(op20_unit, cos_profile):
-    lam_max = op20_unit.lambda_max_lumped
-    n_bad = int(np.ceil(1.0 * lam_max / 2.0)) - 5
-    with pytest.raises(fh.CFLError, match="n_t >="):
-        fh.simulate(
-            op20_unit, cos_profile, None, 1.0, n_bad, scheme="explicit_euler"
-        )
-
-
-def test_explicit_euler_agrees_with_implicit(op20_unit, cos_profile):
-    lam_max = op20_unit.lambda_max_lumped
-    n_t = 4 * int(np.ceil(0.3 * lam_max / 2.0))
-    ref = modal_reference(op20_unit, cos_profile, None, 0.3)
-    traj = fh.simulate(
-        op20_unit, cos_profile, None, 0.3, n_t, scheme="explicit_euler"
-    )
-    assert np.abs(traj.final - ref).max() < 2e-2 * np.abs(ref).max()
 
 
 def test_implicit_lumped_preserves_positivity_randomized(op20_unit):
@@ -164,28 +143,6 @@ def test_generate_target_trajectory(op20_unit, cos_profile):
         fh.generate_target_trajectory(
             op20_unit, 0.05 * cos_profile, -1.0, (-0.3, 0.8), 0.9, 60
         )
-
-
-def test_positivity_check(op20_unit, cos_profile):
-    traj = fh.simulate(op20_unit, cos_profile, None, 0.5, 20)
-    rep = fh.positivity_check(traj, tol=1e-12)
-    assert rep.first_violation is None
-    assert rep.min_value == traj.min_value
-    # plant a violation
-    bad = fh.Trajectory(
-        times=traj.times,
-        states=np.where(
-            np.arange(traj.states.size).reshape(traj.states.shape) == 47,
-            -1.0,
-            traj.states,
-        ),
-        min_value=-1.0,
-    )
-    rep = fh.positivity_check(bad, tol=0.5)
-    assert rep.first_violation == (2, 9)
-    assert rep.min_value == -1.0
-    with pytest.raises(ValueError, match="tol"):
-        fh.positivity_check(traj, tol=-1.0)
 
 
 def test_trajectory_to_csv(tmp_path, op20_unit, cos_profile):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fracheat as fh
+from fracheat.observability import _ratio
 
 
 def anti(c, mu, t):
@@ -146,32 +147,20 @@ def test_l1_norm_dominates_plain_integral(coeffs, T):
     assert fh.l1_norm_exp_sum(es, 64) >= plain - 1e-12 * max(plain, 1.0)
 
 
-def test_adjoint_observability_ratio(op20_unit):
-    basis = fh.eigendecompose(op20_unit, k_max=4)
-    a = np.array([1.0, -0.5, 0.25])
-    r = fh.adjoint_observability_ratio(basis, (-0.3, 0.8), 0.5, a, 200)
-    assert r > 0
-    # degree-0 homogeneity: doubling the datum is exact in floating point
-    r2 = fh.adjoint_observability_ratio(basis, (-0.3, 0.8), 0.5, 2.0 * a, 200)
-    assert r2 == r
-    with pytest.raises(ValueError, match="nonzero"):
-        fh.adjoint_observability_ratio(basis, (-0.3, 0.8), 0.5, np.zeros(3), 200)
-    with pytest.raises(ValueError, match="at most"):
-        fh.adjoint_observability_ratio(basis, (-0.3, 0.8), 0.5, np.ones(9), 200)
-
-
-def test_adjoint_ratio_single_mode_closed_numerator(op20_unit):
-    basis = fh.eigendecompose(op20_unit, k_max=2)
-    lam1 = basis.eigenvalues[0]
-    T = 0.4
-    r = fh.adjoint_observability_ratio(basis, (-0.3, 0.8), T, np.array([1.0]), 400)
-    # reconstruct the denominator directly
-    w = fh.trapezoid_weights(op20_unit.grid, (-0.3, 0.8))
-    phi_obs = float(w @ np.abs(basis.eigenvectors[:, 0]))
-    times = np.linspace(0.0, T, 401)
-    f = phi_obs * np.exp(-lam1 * times)
-    denom = np.trapezoid(f, times)
-    assert r == pytest.approx(math.exp(-2.0 * lam1 * T) / denom**2, rel=1e-12)
+def test_l1_norm_of_a_sum_cancelled_to_roundoff():
+    # the vectorized grid evaluation sees a sign change in a cell whose
+    # endpoints, evaluated one at a time, round to the same sign
+    c = np.array([1.0, 1.0000000000025004, -2.0000000000040004])
+    mu = np.array([1.0, 2.0, 3.0])
+    try:
+        norm = fh.l1_norm_exp_sum(fh.ExponentialSum(c, mu, 1e-12), 256)
+    except fh.QuadratureError:
+        pass
+    else:
+        assert np.isfinite(norm) and norm >= 0.0
+    # the estimator treats such a sum as a degenerate witness
+    r = _ratio(c, mu, 1e-12, 256)
+    assert np.isfinite(r) and r >= 0.0
 
 
 def test_blowup_curve_to_csv(tmp_path):
