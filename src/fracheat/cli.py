@@ -14,10 +14,10 @@ spectrum
     Print the leading eigenvalues of the discrete operator as CSV.
 obs-curve
     Print lower bounds of the observability constant over a horizon
-    sweep as CSV.  The estimator is deterministic (the Gram-cancellation
-    ladder with coordinate ascent), so equal arguments print equal
-    output; ``--nrandom`` and ``--seed`` are still accepted for old
-    command lines and have no effect.
+    sweep as CSV.  The estimator is deterministic (the best witness of
+    the Gram-cancellation ladder), so equal arguments print equal output;
+    ``--nrandom`` and ``--seed`` are still accepted for old command lines
+    and have no effect.
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 I/O error, 1 unexpected internal error.  Every failure writes a JSON

@@ -14,7 +14,8 @@ Accepted keys::
     n_t             number of time steps, >= 1
     omega           [a, b] control region, -1 < a < b < 1
     normalization   "unit" | "symbol"
-    z0_amplitude    initial datum amplitude: z0 = A cos(pi x / 2)
+    z0_amplitude    initial datum amplitude: z0 = A cos(pi x / 2), >= 0
+                    when constraints.nonneg_state is true
     zhat0_amplitude target initial amplitude, > 0
     uhat            constant target control level, >= 0
     nu              control floor used by sufficiency bounds, > 0 or null
@@ -359,6 +360,13 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
     else:
         horizon = base
     nonneg_control, nonneg_state = _parse_constraints(merged["constraints"])
+    if nonneg_state and z0_amp < 0:
+        # z0 is the first state of every trajectory, so no control can
+        # satisfy the state constraint
+        _fail(
+            "z0_amplitude",
+            f"must be >= 0 when constraints.nonneg_state is true, got {z0_amp}",
+        )
     output_dir = merged["output_dir"]
     if not isinstance(output_dir, str) or not output_dir:
         _fail("output_dir", f"expected a nonempty string, got {output_dir!r}")

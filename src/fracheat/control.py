@@ -87,8 +87,6 @@ class ControlProblem:
         Constant nonnegative control defining the target trajectory.
     omega : tuple
         Control region, strictly inside (-1, 1).
-    nonneg_control : bool
-        Enforce u >= 0 in the constrained solver.
     nonneg_state : bool
         Enforce z >= 0 via penalty continuation in the constrained solver.
     nu : float
@@ -101,7 +99,6 @@ class ControlProblem:
     zhat0: np.ndarray = field(repr=False)
     uhat: float
     omega: tuple[float, float]
-    nonneg_control: bool = True
     nonneg_state: bool = True
     nu: float = 0.0
 
@@ -190,7 +187,6 @@ def make_problem(
     zhat0: np.ndarray,
     uhat: float,
     omega: tuple[float, float],
-    nonneg_control: bool = True,
     nonneg_state: bool = True,
     nu: float | None = None,
 ) -> ControlProblem:
@@ -226,7 +222,6 @@ def make_problem(
         zhat0=zhat0,
         uhat=float(uhat),
         omega=(lo, hi),
-        nonneg_control=nonneg_control,
         nonneg_state=nonneg_state,
         nu=float(uhat) if nu is None else float(nu),
     )
@@ -358,19 +353,18 @@ def _primal_machinery(problem: ControlProblem, T: float, n_t: int):
     cells (the states enter it through the penalty weights only).
 
     The states are tracked only while a state constraint could bind.
-    With nonnegative controls, z0 >= 0 and a positivity-preserving
-    operator every state is nonnegative, so the penalty never acts:
-    evaluate then applies the closed-form terminal map and returns None
-    for the states, as it does when states are unconstrained.  The
-    penalty weights are None whenever no state after z0 is negative.
+    The controls are nonnegative, so with z0 >= 0 and a
+    positivity-preserving operator every state is nonnegative and the
+    penalty never acts: evaluate then applies the closed-form terminal
+    map and returns None for the states, as it does when states are
+    unconstrained.  The penalty weights are None whenever no state after
+    z0 is negative.
     """
     stepper, mask = _support_stepper(problem, T, n_t)
     dt, m = stepper.dt, stepper.m
     zhat_T = problem.target_at(T, n_t).final
     track_states = problem.nonneg_state and not (
-        problem.nonneg_control
-        and problem.z0.min() >= 0.0
-        and problem.op.positivity_preserving
+        problem.z0.min() >= 0.0 and problem.op.positivity_preserving
     )
 
     def evaluate(u_s, rho):
@@ -516,21 +510,22 @@ def solve_constrained_fixed_time(
 ) -> FixedTimeOutcome:
     """Constrained tracking of the target at a fixed horizon.
 
-    Minimizes (1/2) ||z(T) - zhat(T)||_M^2 over cell controls, projecting
-    onto u >= 0 when nonneg_control is set, with Barzilai-Borwein steps
-    safeguarded by a nonmonotone backtracking line search.  When
-    nonneg_state is set, negative states are penalized quadratically and
-    the penalty weight is increased tenfold (up to 5 rounds) while the
-    trajectory dips below -EPS_CONS.  With u >= 0, z0 >= 0 and a
-    positivity-preserving operator no state can turn negative, so the
-    iteration then works on the terminal state alone; the reported
-    residual and constraint check always come from the full trajectory.
+    Minimizes (1/2) ||z(T) - zhat(T)||_M^2 over nonnegative cell controls
+    by projected gradient, with Barzilai-Borwein steps safeguarded by a
+    nonmonotone backtracking line search.  When nonneg_state is set,
+    negative states are penalized quadratically and the penalty weight is
+    increased tenfold (up to 5 rounds) while the trajectory dips below
+    -EPS_CONS.  With z0 >= 0 and a positivity-preserving operator no
+    state can turn negative, so the iteration then works on the terminal
+    state alone; the reported residual and constraint check always come
+    from the full trajectory.
 
     The solve is feasible when the terminal residual is at most
     EPS_TARGET_FRACTION times the target's norm at T (a residual exactly
-    at that tolerance counts) and the requested constraints hold to
-    EPS_CONS.  Never raises on exhausted iterations: the outcome reports
-    feasible=False with the residual reached.
+    at that tolerance counts), the control is nonnegative to EPS_CONS,
+    and so are the states when nonneg_state is set.  Never raises on
+    exhausted iterations: the outcome reports feasible=False with the
+    residual reached.
 
     Parameters
     ----------
@@ -560,8 +555,7 @@ def solve_constrained_fixed_time(
             raise ValueError(
                 f"u0 must have shape ({n_sup}, {n_t}), got {u_sup.shape}"
             )
-    if problem.nonneg_control:
-        u_sup = np.maximum(u_sup, 0.0)
+    u_sup = np.maximum(u_sup, 0.0)
 
     history: list[float] = []
     residual = np.inf
@@ -600,9 +594,7 @@ def solve_constrained_fixed_time(
             accepted = False
             step = alpha
             for _bt in range(40):
-                trial = u_sup - step * g
-                if problem.nonneg_control:
-                    trial = np.maximum(trial, 0.0)
+                trial = np.maximum(u_sup - step * g, 0.0)
                 f_t, states_t, r_t, chi_t = evaluate(trial, rho)
                 decrease = float((g * (u_sup - trial)).sum())
                 if f_t <= f_ref - 1e-4 * decrease or decrease <= 0:
@@ -626,8 +618,7 @@ def solve_constrained_fixed_time(
     states = stepper.forward(problem.z0, u_sup)
     residual = _m_norm(states[-1] - zhat_T, m)
     state_ok = (not problem.nonneg_state) or states.min() >= -EPS_CONS
-    control_ok = (not problem.nonneg_control) or u_sup.min() >= -EPS_CONS
-    feasible = bool(residual <= eps_target and state_ok and control_ok)
+    feasible = bool(residual <= eps_target and state_ok and u_sup.min() >= -EPS_CONS)
     control = make_control(problem.op.grid, problem.omega, n_t, values=u_sup)
     return FixedTimeOutcome(
         control=control,
@@ -793,18 +784,15 @@ def impulse_analysis(
     )
 
 
-def sufficient_time_bound(
-    problem: ControlProblem,
-    C_of_T,
-    T_grid: np.ndarray | None = None,
-) -> float:
+def sufficient_time_bound(problem: ControlProblem, C_of_T) -> float:
     """Heuristic horizon after which constrained steering must succeed.
 
-    Returns the smallest grid horizon T with e^(-lambda_1 T) C(T)
-    ||z0 - zhat0||_M^2 < nu^2: past that point the uncontrolled gap decays
-    below the margin the target control maintains above zero.  C_of_T is
-    an observability estimate (a lower bound of the true constant), so the
-    returned horizon is heuristic rather than certified.
+    Returns the smallest horizon T of a 48-point log grid on [0.05, 20]
+    with e^(-lambda_1 T) C(T) ||z0 - zhat0||_M^2 < nu^2: past that point
+    the uncontrolled gap decays below the margin the target control
+    maintains above zero.  C_of_T is an observability estimate (a lower
+    bound of the true constant), so the returned horizon is heuristic
+    rather than certified.
 
     Parameters
     ----------
@@ -812,9 +800,6 @@ def sufficient_time_bound(
         Needs nu > 0.
     C_of_T : callable
         Maps a horizon to an observability-constant estimate.
-    T_grid : ndarray, optional
-        Increasing horizons to scan; defaults to a log grid on
-        [0.05, 20].
 
     Returns
     -------
@@ -827,20 +812,15 @@ def sufficient_time_bound(
     """
     if problem.nu <= 0:
         raise ValueError(f"need nu > 0, got {problem.nu}")
-    if T_grid is None:
-        T_grid = np.geomspace(0.05, 20.0, 48)
     lam1 = float(eigendecompose(problem.op, k_max=1).eigenvalues[0])
     m = np.diag(problem.op.mass_lumped)
     gap = problem.z0 - problem.zhat0
     gap2 = float(gap @ (m * gap))
     nu2 = problem.nu**2
-    for T in T_grid:
+    for T in np.geomspace(0.05, 20.0, 48):
         if np.exp(-lam1 * T) * float(C_of_T(T)) * gap2 < nu2:
             return float(T)
-    raise SolverError(
-        f"no horizon up to {T_grid[-1]:.3g} satisfied the sufficiency "
-        "criterion; enlarge the search window"
-    )
+    raise SolverError("no horizon up to 20 satisfied the sufficiency criterion")
 
 
 def control_to_csv(control: ControlField, grid, T: float, path) -> None:

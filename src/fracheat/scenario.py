@@ -28,8 +28,10 @@ import numpy as np
 from .assembly import build_operator
 from .config import ScenarioConfig
 from .control import (
+    EPS_TARGET_FRACTION,
     AtomicityReport,
     ControlProblem,
+    _m_norm,
     control_to_csv,
     impulse_analysis,
     make_problem,
@@ -95,7 +97,6 @@ def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
         config.zhat0_amplitude * profile,
         uhat=config.uhat,
         omega=config.omega,
-        nonneg_control=config.nonneg_control,
         nonneg_state=config.nonneg_state,
         nu=config.nu,
     )
@@ -156,6 +157,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         "beta_hat": spec["beta_hat"],
     }
 
+    traj = None
     if config.horizon.kind == "fixed":
         T = config.horizon.T
         if config.nonneg_control:
@@ -166,13 +168,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             summary["iterations"] = outcome.iterations
         else:
             control = solve_unconstrained_Linf(problem, T, config.n_t)
-            traj_u = simulate(op, problem.z0, control, T, config.n_t)
-            target = problem.target_at(T, config.n_t)
-            diff = traj_u.final - target.final
+            traj = simulate(op, problem.z0, control, T, config.n_t)
+            target = problem.target_at(T, config.n_t).final
             m = np.diag(op.mass_lumped)
-            residual = float(np.sqrt(diff @ (m * diff)))
-            scale = float(np.sqrt(target.final @ (m * target.final)))
-            summary["feasible"] = bool(residual <= 1e-3 * scale)
+            residual = _m_norm(traj.final - target, m)
+            eps_target = EPS_TARGET_FRACTION * _m_norm(target, m)
+            summary["feasible"] = bool(residual <= eps_target)
             summary["final_residual"] = residual
         # signed controls (unconstrained solver) are analyzed through |u|
         atom_control = control
@@ -209,7 +210,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     files: list[str] = []
 
-    traj = simulate(op, problem.z0, control, T, config.n_t)
+    if traj is None:
+        traj = simulate(op, problem.z0, control, T, config.n_t)
     trajectory_to_csv(traj, grid, outdir / "trajectory.csv")
     files.append("trajectory.csv")
 

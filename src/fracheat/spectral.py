@@ -209,25 +209,18 @@ def gap_statistics(basis: SpectralBasis) -> GapReport:
     return GapReport(min_gap=min_gap, partial_sums=partial_sums, resolved_count=r)
 
 
-def flattening_ratio(
-    report: GapReport,
-    early: tuple[int, int] = (10, 50),
-    late: tuple[int, int] = (40, 80),
-) -> float:
+def flattening_ratio(report: GapReport) -> float:
     """Ratio of late to early growth of the reciprocal partial sums.
 
-    Computes (S_late[1] - S_late[0]) / (S_early[1] - S_early[0]) where S_K
-    denotes sum_{k<=K} 1/lambda_k.  Values at or below 0.5 indicate the
-    sums are flattening (summable-like spectrum); values near or above 1
-    indicate harmonic-like growth.
+    Computes (S_80 - S_40) / (S_50 - S_10) where S_K denotes
+    sum_{k<=K} 1/lambda_k.  Values at or below 0.5 indicate the sums are
+    flattening (summable-like spectrum); values near or above 1 indicate
+    harmonic-like growth.
     """
     S = report.partial_sums
-    need = max(early[1], late[1])
-    if len(S) < need:
-        raise ValueError(f"need partial sums up to K={need}, have {len(S)}")
-    inc_early = S[early[1] - 1] - S[early[0] - 1]
-    inc_late = S[late[1] - 1] - S[late[0] - 1]
-    return float(inc_late / inc_early)
+    if len(S) < 80:
+        raise ValueError(f"need partial sums up to K=80, have {len(S)}")
+    return float((S[79] - S[39]) / (S[49] - S[9]))
 
 
 def l1_lower_bound(basis: SpectralBasis, omega: tuple[float, float]) -> float:

@@ -110,6 +110,8 @@ def test_unknown_keys_rejected():
         ('{"omega": [-1.0, 0.5]}', "omega"),
         ('{"normalization": "weird"}', "normalization"),
         ('{"z0_amplitude": null}', "z0_amplitude"),
+        ('{"z0_amplitude": -1.0}', "z0_amplitude"),
+        ('{"case_preset": "case1", "z0_amplitude": -1.0}', "z0_amplitude"),
         ('{"zhat0_amplitude": 0}', "zhat0_amplitude"),
         ('{"uhat": -0.1}', "uhat"),
         ('{"nu": 0}', "nu"),
@@ -134,6 +136,13 @@ def test_unknown_keys_rejected():
 def test_field_errors_name_the_path(snippet, path):
     with pytest.raises(fh.ConfigError, match=path.replace("[", r"\[")):
         fh.parse_config(snippet)
+
+
+def test_negative_amplitude_parses_without_state_constraint():
+    cfg = fh.parse_config(
+        '{"z0_amplitude": -1.0, "constraints": {"nonneg_state": false}}'
+    )
+    assert cfg.z0_amplitude == -1.0 and not cfg.nonneg_state
 
 
 def test_to_dict_round_trip():

@@ -34,7 +34,7 @@ def test_make_problem_validation(op20_unit, cos_profile):
 def test_make_problem_defaults(prob_case1):
     # nu defaults to the target control level
     assert prob_case1.nu == 0.2
-    assert prob_case1.nonneg_control and prob_case1.nonneg_state
+    assert prob_case1.nonneg_state
     # regenerating the target at another horizon keeps the initial datum
     t2 = prob_case1.target_at(0.4, 50)
     assert t2.times[-1] == 0.4

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fracheat as fh
-from fracheat.observability import _ratio
+from fracheat.observability import N_QUAD, _cancellation_candidates, _ratio
 
 
 def anti(c, mu, t):
@@ -100,6 +100,21 @@ def test_estimator_nondecreasing_in_K():
         est = fh.estimate_observability_constant(mu, 0.4, K)
         assert est.lower_bound_C >= prev - 1e-12
         prev = est.lower_bound_C
+
+
+def test_estimate_is_the_best_ladder_witness():
+    # no local search refines the ladder: at K = 2 coordinate ascent would
+    # raise this estimate from 6.578 to 6.678
+    mu = fh.lambda_asymptotic(np.arange(1, 9), 0.8)
+    K, T = 2, 0.4
+    candidates = [np.eye(K, 1).ravel()]
+    for m in range(1, K + 1):
+        for v in _cancellation_candidates(mu[:m], T):
+            candidates.append(np.pad(v, (0, K - m)))
+    best = max(_ratio(c, mu[:K], T, N_QUAD) for c in candidates)
+    est = fh.estimate_observability_constant(mu, T, K)
+    assert est.lower_bound_C == best
+    assert est.lower_bound_C == pytest.approx(6.578, rel=1e-3)
 
 
 def test_estimator_at_underflowing_horizon():
