@@ -21,7 +21,8 @@ Accepted keys::
     nu              control floor used by sufficiency bounds, > 0 or null
     horizon_mode    {"fixed": T} or
                     {"minimal_time": {"bracket": [lo, hi], "tol": t}}
-    constraints     {"nonneg_control": bool, "nonneg_state": bool}
+    constraints     {"nonneg_control": bool, "nonneg_state": bool}; the
+                    state constraint needs s of about 0.24 or more
     output_dir      directory receiving the result files
     emit_plots      also write plot scripts
     seed            random seed recorded in the summary, >= 0

@@ -3,26 +3,25 @@
 The minimal-sup-norm control that steers the state exactly onto the
 target is one linear program over the terminal map; its duals give the
 adjoint state and the bang-bang relation.  Nonnegative controls come from
-a fixed-horizon solver (projected gradient with Barzilai-Borwein steps
-and a state-penalty continuation) and a bisection search for the minimal
-horizon at which that problem stays feasible.  Impulse diagnostics
-quantify how concentrated near-minimal-time controls are, and a heuristic
-sufficient horizon is derived from decay and observability estimates.
+a fixed-horizon solver (projected gradient with Barzilai-Borwein steps on
+the terminal residual) and a bisection search for the minimal horizon at
+which that problem stays feasible.  Impulse diagnostics quantify how
+concentrated near-minimal-time controls are, and a heuristic sufficient
+horizon is derived from decay and observability estimates.
 
 All solvers march with the lumped-mass implicit Euler scheme, and
 gradients are exact discrete adjoints of it.  They run the scheme in the
 eigenbasis of (stiffness, lumped mass), which each operator computes once
 and every horizon shares, where one step scales mode k by
 1 / (1 + dt lambda_k).  The terminal state and its adjoint are closed
-forms over the powers of those factors; the full trajectory, and the
-adjoint of a penalty on it, come from a vectorized doubling scan over the
-steps.
+forms over the powers of those factors.  Every full trajectory, the one
+each verdict checks and writes, comes from :func:`simulate`.
 
-The step matrix is entrywise nonnegative only when the stiffness has no
-positive off-diagonal entry (``DiscreteOperator.positivity_preserving``,
-s above about 0.23).  Then nonnegative data and controls keep every state
-nonnegative, and the constrained solver needs only the terminal map; in
-every other case it tracks all states and penalizes negative ones.
+The state constraint z >= 0 is accepted only with z0 >= 0 and an
+operator whose step matrix is entrywise nonnegative
+(``DiscreteOperator.positivity_preserving``, s of about 0.24 or more).
+Then nonnegative controls keep every state nonnegative, so the
+constrained solver needs only the terminal map.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .dynamics import (
     _write_long_csv,
     generate_target_trajectory,
     make_control,
+    simulate,
 )
 from .errors import SolverError
 from .grid import nodes_in_interval
@@ -88,7 +88,8 @@ class ControlProblem:
     omega : tuple
         Control region, strictly inside (-1, 1).
     nonneg_state : bool
-        Enforce z >= 0 via penalty continuation in the constrained solver.
+        Require z >= 0 at every step; :func:`make_problem` accepts it only
+        with z0 >= 0 and a positivity-preserving operator.
     nu : float
         Lower bound of the target's control on omega (uhat for constant
         controls); scales the sufficient-horizon criterion.
@@ -123,6 +124,8 @@ class FixedTimeOutcome:
         target's norm at T and all requested constraints hold to EPS_CONS.
     iterations : int
     objective_history : ndarray
+    trajectory : Trajectory
+        The control's trajectory from :func:`simulate`; the verdict's.
     """
 
     control: ControlField = field(repr=False)
@@ -130,6 +133,7 @@ class FixedTimeOutcome:
     feasible: bool
     iterations: int
     objective_history: np.ndarray = field(repr=False)
+    trajectory: Trajectory = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -171,6 +175,8 @@ class MinimalTimeReport:
         Impulse diagnostics of the control at T_hi.
     control : ControlField
         The feasible control found at T_hi.
+    trajectory : Trajectory
+        That control's state trajectory, as its verdict checked it.
     """
 
     T_lo: float
@@ -179,6 +185,7 @@ class MinimalTimeReport:
     history: tuple[tuple[float, bool, float], ...]
     atomicity: AtomicityReport
     control: ControlField = field(repr=False)
+    trajectory: Trajectory = field(repr=False)
 
 
 def make_problem(
@@ -200,7 +207,9 @@ def make_problem(
     ValueError
         If omega is not strictly inside (-1, 1) or holds no interior node,
         z0 or zhat0 is not one value per interior node, zhat0 is not
-        strictly positive, or uhat is negative.
+        strictly positive, or uhat is negative; or nonneg_state is set
+        while z0 has a negative entry or the operator is not
+        positivity-preserving.
     """
     lo, hi = float(omega[0]), float(omega[1])
     if not (-1.0 < lo < hi < 1.0):
@@ -216,6 +225,11 @@ def make_problem(
         raise ValueError("target initial datum must be strictly positive")
     if uhat < 0:
         raise ValueError(f"uhat must be nonnegative, got {uhat}")
+    if nonneg_state and not (z0.min() >= 0.0 and op.positivity_preserving):
+        raise ValueError(
+            "nonneg_state needs z0 >= 0 and a positivity-preserving operator, "
+            f"got min(z0) = {z0.min():.3g} at s = {op.s}"
+        )
     return ControlProblem(
         op=op,
         z0=z0,
@@ -227,39 +241,8 @@ def make_problem(
     )
 
 
-def _doubling_powers(d: np.ndarray, n: int) -> list[np.ndarray]:
-    """d^1, d^2, d^4, ... for every shift below n, as :func:`_decay_scan` uses.
-
-    Powers below 1e-150 are flushed to zero so that the scan never works
-    on subnormal numbers; the terms this drops are below 1e-150 relative.
-    """
-    powers = []
-    pw = d
-    while (1 << len(powers)) < n:
-        powers.append(pw)
-        pw = pw * pw
-        pw[pw < 1e-150] = 0.0
-    return powers
-
-
-def _decay_scan(powers: list[np.ndarray], y: np.ndarray) -> np.ndarray:
-    """Overwrite row j of y with the sum over k <= j of d^(j-k) y[k].
-
-    This solves x_j = d x_{j-1} + y_j (x_0 = y_0) for every column at
-    once with a doubling scan, ceil(log2(len(y))) vectorized passes in
-    place of a loop over the rows; powers comes from
-    :func:`_doubling_powers`.
-    """
-    for k, pw in enumerate(powers):
-        shift = 1 << k
-        if shift >= len(y):
-            break
-        y[shift:] += pw * y[:-shift]
-    return y
-
-
 class _ModalStepper:
-    """Lumped-mass implicit Euler propagator in the lumped eigenbasis.
+    """Terminal map of lumped-mass implicit Euler, in the lumped eigenbasis.
 
     One step is z_{j+1} = P (z_j + dt u_j) with P = (M + dt K)^{-1} M.
     With K V = M V diag(lambda) and V^T M V = I (the operator's cached
@@ -267,22 +250,18 @@ class _ModalStepper:
     So the terminal state is z(T) = V (d^n_t c0 + dt sum_j E[:, j] V^T M
     u_j) with c0 = V^T M z0 and E[k, j] = d_k^(n_t - j), and it and its
     adjoint are two matrix products each, with no loop over the steps.
-    All states, and the adjoint of a penalty on them, are per-mode linear
-    recursions, run for all modes and steps at once by
-    :func:`_decay_scan`.  Controls enter only on the support, a
-    contiguous run of nodes given as a slice, so its rows of V are a
-    view rather than a copy.
+    Controls enter only on the support, a contiguous run of nodes given
+    as a slice, so its rows of V are a view rather than a copy.
     """
 
     def __init__(self, op: DiscreteOperator, T: float, n_t: int, support: slice):
         basis = op.lumped_basis
         self.dt = T / n_t
-        self.n_t = n_t
         self.m = np.diag(op.mass_lumped)
         self.V = basis.eigenvectors
         self.d = 1.0 / (1.0 + self.dt * basis.eigenvalues)
-        self.powers = _doubling_powers(self.d, n_t + 1)
-        # E[k, j] = d_k^(n_t - j), flushed below 1e-150 as the scan's powers
+        # E[k, j] = d_k^(n_t - j), flushed below 1e-150 so that no product
+        # works on subnormal numbers
         self.E = self.d[:, None] ** np.arange(n_t, 0, -1)
         self.E[self.E < 1e-150] = 0.0
         self.V_sup = self.V[support]
@@ -300,36 +279,21 @@ class _ModalStepper:
         """Modal matrix A of the control term of :meth:`terminal`.
 
         A[k, (i, j)] = dt m_i V[i, k] E[k, j] over support node i and cell
-        j, so A u = V^T M terminal(0, u) and A^T V^T r = gradient(r, None)
+        j, so A u = V^T M terminal(0, u) and A^T V^T r = gradient(r)
         with u and the gradient flattened node-major.
         """
         A = self.V_sup.T * (self.dt * self.m_sup)
         return (A[:, :, None] * self.E[:, None, :]).reshape(self.d.size, -1)
 
-    def forward(self, z0: np.ndarray, u_sup: np.ndarray) -> np.ndarray:
-        """All states, shape (n_t + 1, n); u_sup is (support nodes, n_t)."""
-        y = np.empty((self.n_t + 1, z0.size))
-        y[0] = (self.m * z0) @ self.V
-        y[1:] = (u_sup.T * (self.dt * self.m_sup)) @ self.V_sup
-        y[1:] *= self.d
-        return _decay_scan(self.powers, y) @ self.V.T
+    def gradient(self, r_weighted: np.ndarray) -> np.ndarray:
+        """Adjoint of the terminal map, in closed form.
 
-    def gradient(self, r_weighted: np.ndarray, chi: np.ndarray | None) -> np.ndarray:
-        """Exact gradient of the objective w.r.t. the support cell controls.
-
-        r_weighted is d(objective)/d(z_T) and chi, when given, holds
-        d(objective)/d(z_j) for each state row.  Without chi this is the
-        adjoint of the terminal map, in closed form.  Returns shape
+        r_weighted is d(objective)/d(z_T); returns the exact gradient of
+        the objective w.r.t. the support cell controls, shape
         (support nodes, n_t).
         """
         scale = (self.dt * self.m_sup)[:, None]
-        if chi is None:
-            return scale * (self.V_sup @ (self.E * (r_weighted @ self.V)[:, None]))
-        # row k holds the modal adjoint of cell n_t - 1 - k
-        y = (chi[self.n_t : 0 : -1] @ self.V) * self.d
-        y[0] += (r_weighted @ self.V) * self.d
-        q = _decay_scan(self.powers, y)[::-1]
-        return scale * (self.V_sup @ q.T)
+        return scale * (self.V_sup @ (self.E * (r_weighted @ self.V)[:, None]))
 
 
 def _m_norm(v: np.ndarray, m: np.ndarray) -> float:
@@ -341,52 +305,6 @@ def _support_stepper(problem: ControlProblem, T: float, n_t: int):
     mask = nodes_in_interval(problem.op.grid, problem.omega)
     rows = np.flatnonzero(mask)
     return _ModalStepper(problem.op, T, n_t, slice(rows[0], rows[-1] + 1)), mask
-
-
-def _primal_machinery(problem: ControlProblem, T: float, n_t: int):
-    """Shared internals of the fixed-time penalized least-squares solve.
-
-    Returns (stepper, mask, zhat_T, evaluate, gradient).  evaluate maps
-    (support-cell controls, penalty weight) to (value, states, terminal
-    residual vector, state-penalty weights); gradient maps evaluate's
-    last three outputs to the exact objective gradient over the support
-    cells (the states enter it through the penalty weights only).
-
-    The states are tracked only while a state constraint could bind.
-    The controls are nonnegative, so with z0 >= 0 and a
-    positivity-preserving operator every state is nonnegative and the
-    penalty never acts: evaluate then applies the closed-form terminal
-    map and returns None for the states, as it does when states are
-    unconstrained.  The penalty weights are None whenever no state after
-    z0 is negative.
-    """
-    stepper, mask = _support_stepper(problem, T, n_t)
-    dt, m = stepper.dt, stepper.m
-    zhat_T = problem.target_at(T, n_t).final
-    track_states = problem.nonneg_state and not (
-        problem.z0.min() >= 0.0 and problem.op.positivity_preserving
-    )
-
-    def evaluate(u_s, rho):
-        if not track_states:
-            r = stepper.terminal(problem.z0, u_s) - zhat_T
-            return 0.5 * float(r @ (m * r)), None, r, None
-        states = stepper.forward(problem.z0, u_s)
-        r = states[-1] - zhat_T
-        f = 0.5 * float(r @ (m * r))
-        chi = None
-        if rho > 0.0:
-            neg = np.minimum(states, 0.0)
-            f += rho * dt * float(((neg * neg) @ m).sum())
-            neg[0] = 0.0
-            if neg.any():
-                chi = 2.0 * rho * dt * (m[None, :] * neg)
-        return f, states, r, chi
-
-    def gradient(_states, r, chi):
-        return stepper.gradient(m * r, chi)
-
-    return stepper, mask, zhat_T, evaluate, gradient
 
 
 def unconstrained_dual_details(
@@ -501,6 +419,61 @@ def solve_unconstrained_Linf(
     return control
 
 
+def _projected_gradient(stepper, z0, zhat_T, u_sup, eps_target, alpha0, max_iter):
+    """The iteration of :func:`solve_constrained_fixed_time` from u_sup;
+    returns (u_sup, steps taken, objective history)."""
+    m = stepper.m
+
+    def evaluate(u_s):
+        r = stepper.terminal(z0, u_s) - zhat_T
+        return 0.5 * float(r @ (m * r)), r
+
+    f, r = evaluate(u_sup)
+    g = stepper.gradient(m * r)
+    residual = _m_norm(r, m)
+    history = [f]
+    total_iters = 0
+    alpha = alpha0
+    prev_u = prev_g = None
+
+    for it in range(max_iter):
+        if residual <= eps_target:
+            break
+        # Barzilai-Borwein step, alternating the two step rules
+        if prev_u is not None:
+            s_vec = u_sup - prev_u
+            y_vec = g - prev_g
+            sy = float((s_vec * y_vec).sum())
+            if sy > 1e-300:
+                if it % 2 == 0:
+                    alpha = float((s_vec * s_vec).sum()) / sy
+                else:
+                    yy = float((y_vec * y_vec).sum())
+                    alpha = sy / yy if yy > 1e-300 else alpha
+                alpha = min(max(alpha, 1e-10 * alpha0), 1e10 * alpha0)
+        f_ref = max(history[-10:])
+        accepted = False
+        step = alpha
+        for _bt in range(40):
+            trial = np.maximum(u_sup - step * g, 0.0)
+            f_t, r_t = evaluate(trial)
+            decrease = float((g * (u_sup - trial)).sum())
+            if f_t <= f_ref - 1e-4 * decrease or decrease <= 0:
+                accepted = True
+                break
+            step *= 0.5
+        total_iters += 1
+        if not accepted or np.abs(u_sup - trial).max() == 0.0:
+            break
+        prev_u, prev_g = u_sup, g
+        u_sup, f, r = trial, f_t, r_t
+        g = stepper.gradient(m * r)
+        residual = _m_norm(r, m)
+        history.append(f)
+
+    return u_sup, total_iters, history
+
+
 def solve_constrained_fixed_time(
     problem: ControlProblem,
     T: float,
@@ -512,20 +485,18 @@ def solve_constrained_fixed_time(
 
     Minimizes (1/2) ||z(T) - zhat(T)||_M^2 over nonnegative cell controls
     by projected gradient, with Barzilai-Borwein steps safeguarded by a
-    nonmonotone backtracking line search.  When nonneg_state is set,
-    negative states are penalized quadratically and the penalty weight is
-    increased tenfold (up to 5 rounds) while the trajectory dips below
-    -EPS_CONS.  With z0 >= 0 and a positivity-preserving operator no
-    state can turn negative, so the iteration then works on the terminal
-    state alone; the reported residual and constraint check always come
-    from the full trajectory.
+    nonmonotone backtracking line search, on the closed-form terminal map
+    and its adjoint alone: with nonneg_state set, :func:`make_problem`
+    has required z0 >= 0 and a positivity-preserving operator, so no
+    state can turn negative.
 
-    The solve is feasible when the terminal residual is at most
-    EPS_TARGET_FRACTION times the target's norm at T (a residual exactly
-    at that tolerance counts), the control is nonnegative to EPS_CONS,
-    and so are the states when nonneg_state is set.  Never raises on
-    exhausted iterations: the outcome reports feasible=False with the
-    residual reached.
+    The verdict rests on the control's trajectory from :func:`simulate`,
+    which the outcome carries.  The solve is feasible when its terminal
+    residual is at most EPS_TARGET_FRACTION times the target's norm at T
+    (a residual exactly at that tolerance counts), the control is
+    nonnegative to EPS_CONS, and so are the states when nonneg_state is
+    set.  Never raises on exhausted iterations: the outcome reports
+    feasible=False with the residual reached.
 
     Parameters
     ----------
@@ -533,7 +504,7 @@ def solve_constrained_fixed_time(
     T, n_t
         Horizon and step count.
     max_iter : int
-        Gradient iterations per penalty round.
+        Gradient iterations.
     u0 : ndarray, optional
         Warm-start control values over (support nodes, n_t) cells.
 
@@ -541,10 +512,10 @@ def solve_constrained_fixed_time(
     -------
     FixedTimeOutcome
     """
-    stepper, mask, zhat_T, evaluate, gradient = _primal_machinery(problem, T, n_t)
+    stepper, mask = _support_stepper(problem, T, n_t)
     dt, m = stepper.dt, stepper.m
     n_sup = int(mask.sum())
-
+    zhat_T = problem.target_at(T, n_t).final
     eps_target = EPS_TARGET_FRACTION * _m_norm(zhat_T, m)
 
     if u0 is None:
@@ -557,75 +528,24 @@ def solve_constrained_fixed_time(
             )
     u_sup = np.maximum(u_sup, 0.0)
 
-    history: list[float] = []
-    residual = np.inf
-    total_iters = 0
-    rho = 1.0 if problem.nonneg_state else 0.0
     alpha0 = 1.0 / (dt * T * problem.op.grid.h)
+    # the iteration's arrays are freed before the verdict's dense simulate
+    u_sup, total_iters, history = _projected_gradient(
+        stepper, problem.z0, zhat_T, u_sup, eps_target, alpha0, max_iter
+    )
 
-    for _round in range(5):
-        f, states, r, chi = evaluate(u_sup, rho)
-        g = gradient(states, r, chi)
-        residual = _m_norm(r, m)
-        history.append(f)
-        alpha = alpha0
-        prev_u = None
-        prev_g = None
-        converged = False
-
-        for _it in range(max_iter):
-            state_ok = states is None or states.min() >= -EPS_CONS
-            if residual <= eps_target and state_ok:
-                converged = True
-                break
-            # Barzilai-Borwein step, alternating the two step rules
-            if prev_u is not None:
-                s_vec = u_sup - prev_u
-                y_vec = g - prev_g
-                sy = float((s_vec * y_vec).sum())
-                if sy > 1e-300:
-                    if _it % 2 == 0:
-                        alpha = float((s_vec * s_vec).sum()) / sy
-                    else:
-                        yy = float((y_vec * y_vec).sum())
-                        alpha = sy / yy if yy > 1e-300 else alpha
-                    alpha = min(max(alpha, 1e-10 * alpha0), 1e10 * alpha0)
-            f_ref = max(history[-10:])
-            accepted = False
-            step = alpha
-            for _bt in range(40):
-                trial = np.maximum(u_sup - step * g, 0.0)
-                f_t, states_t, r_t, chi_t = evaluate(trial, rho)
-                decrease = float((g * (u_sup - trial)).sum())
-                if f_t <= f_ref - 1e-4 * decrease or decrease <= 0:
-                    accepted = True
-                    break
-                step *= 0.5
-            total_iters += 1
-            if not accepted or np.abs(u_sup - trial).max() == 0.0:
-                break
-            prev_u, prev_g = u_sup, g
-            u_sup, f, states, r, chi = trial, f_t, states_t, r_t, chi_t
-            g = gradient(states, r, chi)
-            residual = _m_norm(r, m)
-            history.append(f)
-
-        if converged or states is None or states.min() >= -EPS_CONS:
-            break
-        rho *= 10.0
-
-    # the verdict always rests on the full trajectory
-    states = stepper.forward(problem.z0, u_sup)
-    residual = _m_norm(states[-1] - zhat_T, m)
-    state_ok = (not problem.nonneg_state) or states.min() >= -EPS_CONS
-    feasible = bool(residual <= eps_target and state_ok and u_sup.min() >= -EPS_CONS)
     control = make_control(problem.op.grid, problem.omega, n_t, values=u_sup)
+    traj = simulate(problem.op, problem.z0, control, T, n_t)
+    residual = _m_norm(traj.final - zhat_T, m)
+    state_ok = (not problem.nonneg_state) or traj.min_value >= -EPS_CONS
+    feasible = bool(residual <= eps_target and state_ok and u_sup.min() >= -EPS_CONS)
     return FixedTimeOutcome(
         control=control,
         final_residual=float(residual),
         feasible=feasible,
         iterations=total_iters,
         objective_history=np.array(history),
+        trajectory=traj,
     )
 
 
@@ -697,25 +617,21 @@ def minimal_time_search(
             f"(residual {hi_out.final_residual:.3e}); enlarge the bracket or "
             "the iteration budget"
         )
-    warm = hi_out.control.values.copy()
-    hi_control = hi_out.control
 
     for _ in range(64):
         if T_hi - T_lo <= tol_T:
             break
         T_mid = 0.5 * (T_lo + T_hi)
-        out = probe(T_mid, warm)
+        out = probe(T_mid, hi_out.control.values)
         if out.feasible:
-            T_hi = T_mid
-            hi_control = out.control
-            warm = out.control.values.copy()
+            T_hi, hi_out = T_mid, out
         else:
             T_lo = T_mid
     else:
         raise SolverError("probe budget exhausted before reaching tol_T")
 
     atomicity = impulse_analysis(
-        hi_control, dt=T_hi / n_t, dx=problem.op.grid.h, threshold=0.01
+        hi_out.control, dt=T_hi / n_t, dx=problem.op.grid.h, threshold=0.01
     )
     return MinimalTimeReport(
         T_lo=T_lo,
@@ -723,7 +639,8 @@ def minimal_time_search(
         T_min_estimate=0.5 * (T_lo + T_hi),
         history=tuple(history),
         atomicity=atomicity,
-        control=hi_control,
+        control=hi_out.control,
+        trajectory=hi_out.trajectory,
     )
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from .assembly import build_operator
 from .config import ScenarioConfig
 from .control import (
+    EPS_CONS,
     EPS_TARGET_FRACTION,
     AtomicityReport,
     ControlProblem,
@@ -87,9 +88,20 @@ def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
     Returns
     -------
     ControlProblem
+
+    Raises
+    ------
+    ConfigError
+        When constraints.nonneg_state is true and the assembled operator
+        is not positivity-preserving.
     """
     grid = build_grid(config.n_x)
     op = build_operator(grid, s=config.s, normalization=config.normalization)
+    if config.nonneg_state and not op.positivity_preserving:
+        raise ConfigError(
+            "constraints.nonneg_state: needs a positivity-preserving operator, "
+            f"but s = {config.s} gives positive off-diagonal stiffness entries"
+        )
     profile = _cosine_profile(grid)
     return make_problem(
         op,
@@ -128,7 +140,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     ------
     ConfigError
         Minimal-time mode with the control nonnegativity constraint
-        disabled (the searched-for transition does not exist then).
+        disabled (the searched-for transition does not exist then), or
+        the state constraint with an operator that cannot keep it.
     SolverError
         Propagated from the bisection when the bracket is invalid or the
         probe budget is exhausted.
@@ -157,12 +170,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         "beta_hat": spec["beta_hat"],
     }
 
-    traj = None
     if config.horizon.kind == "fixed":
         T = config.horizon.T
         if config.nonneg_control:
             outcome = solve_constrained_fixed_time(problem, T, config.n_t)
-            control = outcome.control
+            control, traj = outcome.control, outcome.trajectory
             summary["feasible"] = outcome.feasible
             summary["final_residual"] = outcome.final_residual
             summary["iterations"] = outcome.iterations
@@ -173,7 +185,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             m = np.diag(op.mass_lumped)
             residual = _m_norm(traj.final - target, m)
             eps_target = EPS_TARGET_FRACTION * _m_norm(target, m)
-            summary["feasible"] = bool(residual <= eps_target)
+            # the LP constrains z(T) only, so check the states it passes
+            state_ok = (not config.nonneg_state) or traj.min_value >= -EPS_CONS
+            summary["feasible"] = bool(residual <= eps_target and state_ok)
             summary["final_residual"] = residual
         # signed controls (unconstrained solver) are analyzed through |u|
         atom_control = control
@@ -195,7 +209,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             problem, config.horizon.bracket, config.horizon.tol, config.n_t
         )
         T = report.T_hi
-        control = report.control
+        control, traj = report.control, report.trajectory
         atomicity = report.atomicity
         summary["feasible"] = True
         summary["T_min_estimate"] = report.T_min_estimate
@@ -210,8 +224,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     files: list[str] = []
 
-    if traj is None:
-        traj = simulate(op, problem.z0, control, T, config.n_t)
     trajectory_to_csv(traj, grid, outdir / "trajectory.csv")
     files.append("trajectory.csv")
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fracheat as fh
-from fracheat.control import _primal_machinery
+from fracheat.control import _support_stepper
 
 from conftest import m_norm
 
@@ -229,15 +229,21 @@ def test_criterion_08_gradient_checks(prob_case1):
     h = 1e-6
     rng = np.random.default_rng(1)
 
-    _, mask, _, evaluate, gradient = _primal_machinery(prob_case1, 0.9, 120)
+    stepper, mask = _support_stepper(prob_case1, 0.9, 120)
+    zhat_T = prob_case1.target_at(0.9, 120).final
+    m = stepper.m
+
+    def objective(u):
+        r = stepper.terminal(prob_case1.z0, u) - zhat_T
+        return 0.5 * float(r @ (m * r))
+
     u = rng.uniform(0.0, 0.3, (int(mask.sum()), 120))
-    _, states, r, chi = evaluate(u, 1.0)
-    g = gradient(states, r, chi)
+    g = stepper.gradient(m * (stepper.terminal(prob_case1.z0, u) - zhat_T))
     worst_primal = 0.0
     for _ in range(10):
         d = rng.standard_normal(u.shape)
         d /= np.abs(d).max()
-        fd = (evaluate(u + h * d, 1.0)[0] - evaluate(u - h * d, 1.0)[0]) / (2 * h)
+        fd = (objective(u + h * d) - objective(u - h * d)) / (2 * h)
         gd = float((g * d).sum())
         worst_primal = max(worst_primal, abs(fd - gd) / max(abs(fd), abs(gd)))
 

@@ -84,6 +84,25 @@ def test_run_config_error_exits_2(tmp_path, capsys):
     }
 
 
+def test_run_state_constraint_needs_positivity_preserving_operator(
+    tmp_path, capsys
+):
+    # at s = 0.2 the stiffness has positive off-diagonals, so nonnegative
+    # controls need not keep the state nonnegative
+    path = write_config(tmp_path, {"s": 0.2})
+    assert main(["run", "--config", str(path)]) == 2
+    record = stderr_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("constraints.nonneg_state:")
+    assert not (tmp_path / "out" / "summary.json").exists()
+    # without the state constraint the same operator runs
+    path = write_config(
+        tmp_path, {"s": 0.2, "constraints": {"nonneg_state": False}}
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    assert (tmp_path / "out" / "summary.json").is_file()
+
+
 def test_run_missing_config_exits_4(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
     record = stderr_record(capsys)

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from scipy.optimize import OptimizeResult
 
 import fracheat as fh
-from fracheat.control import _ModalStepper, _primal_machinery
+from fracheat.control import _ModalStepper, _support_stepper
 
 from conftest import m_norm
 
@@ -29,6 +29,18 @@ def test_make_problem_validation(op20_unit, cos_profile):
         fh.make_problem(op20_unit, cos_profile, cos_profile, -0.1, (-0.3, 0.8))
     with pytest.raises(ValueError, match="no interior nodes"):
         fh.make_problem(op20_unit, cos_profile, cos_profile, 0.1, (0.51, 0.54))
+    # the state constraint is accepted only where nonnegative controls keep
+    # every state nonnegative: z0 >= 0 and a positivity-preserving operator
+    op_low = fh.build_operator(op20_unit.grid, s=0.2, normalization="unit")
+    assert not op_low.positivity_preserving
+    negative_z0 = 2.0 * cos_profile - 1.0
+    for op, z0 in ((op20_unit, negative_z0), (op_low, 2.0 * cos_profile)):
+        with pytest.raises(ValueError, match="z0 >= 0.*positivity-preserving"):
+            fh.make_problem(op, z0, cos_profile, 0.1, (-0.3, 0.8))
+        prob = fh.make_problem(
+            op, z0, cos_profile, 0.1, (-0.3, 0.8), nonneg_state=False
+        )
+        assert not prob.nonneg_state
 
 
 def test_make_problem_defaults(prob_case1):
@@ -42,20 +54,24 @@ def test_make_problem_defaults(prob_case1):
 
 
 def test_primal_gradient_matches_finite_differences(prob_case1):
-    stepper, mask, zhat_T, evaluate, gradient = _primal_machinery(
-        prob_case1, 0.9, 60
-    )
+    # (1/2) ||z(T) - zhat(T)||_M^2 through the terminal map, against the
+    # stepper's closed-form adjoint
+    stepper, mask = _support_stepper(prob_case1, 0.9, 60)
+    zhat_T = prob_case1.target_at(0.9, 60).final
+    m = stepper.m
+
+    def objective(u):
+        r = stepper.terminal(prob_case1.z0, u) - zhat_T
+        return 0.5 * float(r @ (m * r))
+
     rng = np.random.default_rng(2)
     u = rng.uniform(0.0, 0.3, (int(mask.sum()), 60))
-    f, states, r, chi = evaluate(u, 1.0)
-    g = gradient(states, r, chi)
+    g = stepper.gradient(m * (stepper.terminal(prob_case1.z0, u) - zhat_T))
     h = 1e-6
     for _ in range(3):
         d = rng.standard_normal(u.shape)
         d /= np.abs(d).max()
-        fp = evaluate(u + h * d, 1.0)[0]
-        fm = evaluate(u - h * d, 1.0)[0]
-        fd = (fp - fm) / (2.0 * h)
+        fd = (objective(u + h * d) - objective(u - h * d)) / (2.0 * h)
         assert fd == pytest.approx(float((g * d).sum()), rel=1e-5)
 
 
@@ -72,56 +88,23 @@ def _modal_case(n_x, n_t):
     return op, mask, stepper, z0, u
 
 
-@pytest.mark.parametrize("n_x", [20, 200])
-def test_modal_forward_matches_simulate(n_x):
-    n_t = 300
-    op, mask, stepper, z0, u = _modal_case(n_x, n_t)
-    if n_x == 200:
-        # the stiff regime, where most modes are damped within one step
-        assert stepper.dt * op.lumped_basis.eigenvalues[-1] > 10.0
-    control = fh.make_control(op.grid, (-0.3, 0.8), n_t, values=u)
-    ref = fh.simulate(op, z0, control, 0.9, n_t).states
-    states = stepper.forward(z0, u)
-    assert np.abs(states - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-@pytest.mark.parametrize("with_chi", [False, True])
-def test_modal_gradient_matches_dense_recursion(with_chi):
+def test_modal_gradient_matches_dense_recursion():
     n_t = 60
     op, mask, stepper, _, _ = _modal_case(20, n_t)
     rng = np.random.default_rng(4)
     n = op.n_dof
     r_weighted = rng.standard_normal(n)
-    chi = None
-    if with_chi:
-        chi = rng.standard_normal((n_t + 1, n))
-        chi[0] = 0.0
     # reference: the per-step adjoint of z_{j+1} = P (z_j + dt u_j)
     dt = stepper.dt
     P = np.linalg.solve(op.mass_lumped + dt * op.stiffness, op.mass_lumped)
     ref = np.empty((n, n_t))
-    g = r_weighted if chi is None else r_weighted + chi[n_t]
+    g = r_weighted
     for j in range(n_t - 1, -1, -1):
-        e = P.T @ g
-        ref[:, j] = dt * e
-        g = e if chi is None else e + chi[j]
-    grad = stepper.gradient(r_weighted, chi)
+        g = P.T @ g
+        ref[:, j] = dt * g
+    grad = stepper.gradient(r_weighted)
     assert grad.shape == (int(mask.sum()), n_t)
     assert np.abs(grad - ref[mask]).max() <= 1e-12 * np.abs(ref[mask]).max()
-
-
-@pytest.mark.parametrize("n_x", [20, 200])
-def test_modal_adjoint_identity(n_x):
-    # <z_T(u) - z_T(0), p>_M = dt sum_j <u_j, p_j>_M with p_j = P^(n_t - j) p;
-    # the stepper's gradient of <z_T, p>_M is dt M p_j on the support
-    n_t = 120
-    op, mask, stepper, z0, u = _modal_case(n_x, n_t)
-    m = np.diag(op.mass_lumped)
-    p = np.random.default_rng(5).standard_normal(op.n_dof)
-    dz_T = stepper.forward(z0, u)[-1] - stepper.forward(z0, 0.0 * u)[-1]
-    lhs = float(dz_T @ (m * p))
-    rhs = float((u * stepper.gradient(m * p, None)).sum())
-    assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
 @pytest.mark.parametrize("n_x", [20, 200])
@@ -130,9 +113,7 @@ def test_terminal_map_matches_scan_and_simulate(n_x):
     op, mask, stepper, z0, u = _modal_case(n_x, n_t)
     control = fh.make_control(op.grid, (-0.3, 0.8), n_t, values=u)
     ref = fh.simulate(op, z0, control, 0.9, n_t).final
-    scan = stepper.forward(z0, u)[-1]
     z_T = stepper.terminal(z0, u)
-    assert np.abs(z_T - scan).max() <= 1e-12 * np.abs(scan).max()
     assert np.abs(z_T - ref).max() <= 1e-12 * np.abs(ref).max()
     free = fh.simulate(op, z0, None, 0.9, n_t).final
     free_T = stepper.terminal(z0, None)
@@ -148,13 +129,13 @@ def test_terminal_map_adjoint_identity(n_x):
     r = np.random.default_rng(12).standard_normal(op.n_dof)
     Gu = stepper.terminal(z0, u) - stepper.terminal(z0, None)
     lhs = float(Gu @ (m * r))
-    rhs = float((u * stepper.gradient(m * r, None)).sum())
+    rhs = float((u * stepper.gradient(m * r)).sum())
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
 @pytest.mark.parametrize("n_x", [20, 200])
 def test_lp_matrix_is_the_modal_terminal_map(n_x):
-    # A u = V^T M terminal(0, u) and A^T V^T r = gradient(r, None)
+    # A u = V^T M terminal(0, u) and A^T V^T r = gradient(r)
     n_t = 120
     op, mask, stepper, z0, u = _modal_case(n_x, n_t)
     A = stepper.control_matrix()
@@ -163,65 +144,19 @@ def test_lp_matrix_is_the_modal_terminal_map(n_x):
     Au = A @ u.ravel()
     assert np.abs(Au - ref).max() <= 1e-12 * np.abs(ref).max()
     r = np.random.default_rng(14).standard_normal(op.n_dof)
-    ref = stepper.gradient(r, None)
+    ref = stepper.gradient(r)
     ATr = (A.T @ (r @ stepper.V)).reshape(u.shape)
     assert np.abs(ATr - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_primal_penalty_path_gradient_and_weights(op20_unit, cos_profile):
-    # a z0 with negative entries can push states below zero, so the states
-    # are tracked and penalized; the gradient must include the penalty
-    z0 = 2.0 * cos_profile - 1.0
-    prob = fh.make_problem(op20_unit, z0, 0.05 * cos_profile, 0.2, (-0.3, 0.8))
-    _, mask, _, evaluate, gradient = _primal_machinery(prob, 0.9, 60)
-    rng = np.random.default_rng(13)
-    u = rng.uniform(0.0, 0.3, (int(mask.sum()), 60))
-    f, states, r, chi = evaluate(u, 10.0)
-    assert states is not None and chi is not None
-    assert states[1:].min() < 0.0
-    g = gradient(states, r, chi)
-    h = 1e-6
-    for _ in range(3):
-        d = rng.standard_normal(u.shape)
-        d /= np.abs(d).max()
-        fd = (evaluate(u + h * d, 10.0)[0] - evaluate(u - h * d, 10.0)[0]) / (2 * h)
-        assert fd == pytest.approx(float((g * d).sum()), rel=1e-5)
-    # negative entries that one step already smooths out leave no
-    # penalty weight to apply
-    z0 = 2.0 * cos_profile
-    z0[[2, 15]] = -0.5
-    prob = fh.make_problem(op20_unit, z0, 0.05 * cos_profile, 0.2, (-0.3, 0.8))
-    _, _, _, evaluate, _ = _primal_machinery(prob, 0.9, 60)
-    _, states, _, chi = evaluate(u, 10.0)
-    assert states[0].min() < 0.0 <= states[1:].min()
-    assert chi is None
-
-
-def test_primal_tracks_states_only_where_they_can_turn_negative(
-    prob_case1, op20_unit, cos_profile
-):
-    u = np.full((12, 30), 0.1)
-    # z0 >= 0, u >= 0 and s = 0.8: the terminal map alone
-    _, _, _, evaluate, _ = _primal_machinery(prob_case1, 0.9, 30)
-    assert evaluate(u, 1.0)[1] is None
-    # s = 0.2 has positive off-diagonals, so states are tracked
-    op = fh.build_operator(op20_unit.grid, s=0.2, normalization="unit")
-    prob = fh.make_problem(op, 2.0 * cos_profile, 0.05 * cos_profile, 0.2, (-0.3, 0.8))
-    _, _, _, evaluate, _ = _primal_machinery(prob, 0.9, 30)
-    assert evaluate(u, 1.0)[1].shape == (31, op.n_dof)
 
 
 def test_modal_stepper_fine_mesh_finite_and_nonnegative():
     n_t = 300
     op, mask, stepper, z0, u = _modal_case(800, n_t)
-    states = stepper.forward(z0, u)
-    assert np.isfinite(states).all()
-    assert states.min() >= -1e-12
-    chi = np.random.default_rng(6).standard_normal(states.shape)
-    chi[0] = 0.0
-    for c in (None, chi):
-        grad = stepper.gradient(np.diag(op.mass_lumped) * states[-1], c)
-        assert np.isfinite(grad).all()
+    z_T = stepper.terminal(z0, u)
+    assert np.isfinite(z_T).all()
+    assert z_T.min() >= -1e-12
+    grad = stepper.gradient(stepper.m * z_T)
+    assert np.isfinite(grad).all()
 
 
 def test_unconstrained_dual_steers_and_is_bang_bang(prob_case1, lumped_diag):

@@ -139,6 +139,52 @@ def test_unconstrained_fixed_run(tmp_path):
     assert result.files == ("trajectory.csv", "control.csv", "summary.json")
 
 
+@pytest.mark.parametrize("nonneg_state", [True, False])
+def test_unconstrained_fixed_run_checks_the_state_constraint(tmp_path, nonneg_state):
+    # the sup-norm control at T = 0.1 hits the case-1 target but drives the
+    # state far below zero on the way
+    cfg_text = json.dumps(
+        {
+            "case_preset": "case1",
+            "horizon_mode": {"fixed": 0.1},
+            "constraints": {"nonneg_control": False, "nonneg_state": nonneg_state},
+            "output_dir": str(tmp_path / "unc"),
+        }
+    )
+    result = fh.run_scenario(fh.parse_config(cfg_text))
+    traj = np.loadtxt(result.output_dir / "trajectory.csv", delimiter=",", skiprows=1)
+    assert traj[:, 2].min() == pytest.approx(-2.49, abs=0.01)
+    assert result.summary["final_residual"] <= 1e-5
+    assert result.summary["feasible"] is (not nonneg_state)
+
+
+def test_written_trajectory_is_the_verdicts(tmp_path, monkeypatch, prob_case1):
+    out = fh.solve_constrained_fixed_time(prob_case1, 0.9, 60)
+    fresh = fh.simulate(prob_case1.op, prob_case1.z0, out.control, 0.9, 60)
+    assert np.array_equal(out.trajectory.states, fresh.states)
+    m = np.diag(prob_case1.op.mass_lumped)
+    r = out.trajectory.final - prob_case1.target_at(0.9, 60).final
+    assert out.final_residual == float(np.sqrt(r @ (m * r)))
+
+    # run_scenario writes the solver's trajectory instead of simulating
+    # the control again
+    def no_simulate(*args, **kwargs):
+        raise AssertionError("run_scenario must not simulate the control again")
+
+    monkeypatch.setattr("fracheat.scenario.simulate", no_simulate)
+    fixed = json.loads(FAST_FIXED)
+    minimal = dict(
+        fixed, horizon_mode={"minimal_time": {"bracket": [0.2, 0.9], "tol": 0.3}}
+    )
+    for name, cfg in (("fixed", fixed), ("mt", minimal)):
+        cfg["output_dir"] = str(tmp_path / name)
+        result = fh.run_scenario(fh.parse_config(json.dumps(cfg)))
+        written = np.loadtxt(
+            result.output_dir / "trajectory.csv", delimiter=",", skiprows=1
+        )
+        assert written.shape == (31 * 11, 3)
+
+
 def test_emit_plots_scripts_render(tmp_path):
     pytest.importorskip("matplotlib")
     cfg_text = json.dumps(
