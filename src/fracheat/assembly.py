@@ -223,14 +223,19 @@ def assemble_stiffness(grid: Grid, s: float, normalization: str = "symbol") -> n
         full[e : e + 3, e : e + 3] += j1
 
     # Disjoint pairs, one offset at a time (blocks depend only on offset).
+    # For fixed m and block entry (a, b), the element pairs e = 0 .. n-m-1
+    # hit the distinct cells (e + oa, e + ob) of one diagonal: in the
+    # flattened matrix a stride of n + 2 from oa (n + 1) + ob, so one
+    # in-place add on a strided view adds exactly what a scatter would.
+    flat = full.reshape(-1)
     for m in range(2, n):
         jm = 2.0 * _distant_block(s, h, m)
-        e = np.arange(n - m)
+        offsets = (0, 1, m, m + 1)
+        stop = (n - m) * (n + 2)
         for a in range(4):
             for b in range(4):
-                ia = e + (a if a < 2 else m + a - 2)
-                ib = e + (b if b < 2 else m + b - 2)
-                np.add.at(full, (ia, ib), jm[a, b])
+                start = offsets[a] * (n + 1) + offsets[b]
+                flat[start : start + stop : n + 2] += jm[a, b]
 
     full *= 0.5
 

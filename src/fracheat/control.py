@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .assembly import DiscreteOperator
 from .dynamics import (
@@ -356,6 +355,10 @@ def unconstrained_dual_details(
     if not c.any():
         zero = make_control(problem.op.grid, problem.omega, n_t)
         return zero, np.zeros((n, n_t)), 0.0
+
+    # imported here, as it loads all of scipy.optimize, which no other
+    # run path needs
+    from scipy.optimize import linprog
 
     A = stepper.control_matrix()
     row_scale = np.abs(A).max(axis=1)

@@ -139,10 +139,11 @@ def simulate(
     """March the semi-discrete system over [0, T] by lumped implicit Euler.
 
     Each step solves (M + dt K) z_{j+1} = M (z_j + dt u_j) with the lumped
-    mass M and a Cholesky factor computed once.  The step matrix is
-    entrywise nonnegative, hence positivity-preserving, for every dt when
-    ``op.positivity_preserving`` holds (s above about 0.23); otherwise
-    small steps can turn nonnegative data negative.
+    mass M and a Cholesky factor computed once.  z0 and the control are
+    checked for NaN and inf once, before the march, not at every solve.
+    The step matrix is entrywise nonnegative, hence positivity-preserving,
+    for every dt when ``op.positivity_preserving`` holds (s above about
+    0.23); otherwise small steps can turn nonnegative data negative.
 
     Parameters
     ----------
@@ -159,6 +160,12 @@ def simulate(
     Returns
     -------
     Trajectory
+
+    Raises
+    ------
+    ValueError
+        If an argument is out of range or z0 or the control holds NaN or
+        inf.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -175,6 +182,10 @@ def simulate(
                 f"control has {control.n_t} time cells, simulation has {n_t}"
             )
         u_full = control.expand()
+    if not np.isfinite(z0).all() or (
+        u_full is not None and not np.isfinite(u_full).all()
+    ):
+        raise ValueError("array must not contain infs or NaNs")
 
     dt = T / n_t
     states = np.empty((n_t + 1, n))
@@ -188,7 +199,7 @@ def simulate(
         rhs = m * z
         if u_full is not None:
             rhs = rhs + dt * (m * u_full[:, j])
-        z = cho_solve(factor, rhs)
+        z = cho_solve(factor, rhs, check_finite=False)
         states[j + 1] = z
 
     states.setflags(write=False)
@@ -296,17 +307,16 @@ def _write_long_csv(
     """Write the rows (t[i], x[k], values[i, k]), k varying fastest.
 
     Every number is formatted with %.17g, so the file is byte for byte
-    what ``np.savetxt(..., fmt="%.17g", delimiter=",")`` writes; the rows
-    are formatted a few thousand at a time with one format string.
+    what ``np.savetxt(..., fmt="%.17g", delimiter=",")`` writes.  Each x
+    is formatted once per file, into a format string for one time slice,
+    and each t once per slice, so only the values are formatted per row.
     """
-    per = max(1, 4096 // x.size)
-    line = "%.17g,%.17g,%.17g\n"
+    # %.17g never prints a '%', so the x strings are safe in a format
+    slice_fmt = "".join("%s," + ("%.17g" % xk) + ",%.17g\n" for xk in x.tolist())
+    cells: list = [None] * (2 * x.size)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for a in range(0, t.size, per):
-            block = values[a : a + per]
-            rows = np.empty(block.shape + (3,))
-            rows[..., 0] = t[a : a + per, None]
-            rows[..., 1] = x
-            rows[..., 2] = block
-            fh.write((line * block.size) % tuple(rows.ravel().tolist()))
+        for ti, row in zip(t.tolist(), values):
+            cells[0::2] = ["%.17g" % ti] * x.size
+            cells[1::2] = row.tolist()
+            fh.write(slice_fmt % tuple(cells))

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import QuadratureError
 
@@ -146,6 +145,10 @@ def l1_norm_exp_sum(es: ExponentialSum, n_quad: int) -> float:
             f"detected {change.size} sign changes, more than the K-1={K - 1} "
             "possible for this exponential sum"
         )
+    # imported here so that importing the package leaves scipy.optimize
+    # unloaded for the run paths, which never reach this function
+    from scipy.optimize import brentq
+
     try:
         roots = [brentq(es, grid[i], grid[i + 1], xtol=1e-14) for i in change]
     except ValueError as exc:

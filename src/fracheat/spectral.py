@@ -124,6 +124,12 @@ def eigendecompose(
 ) -> SpectralBasis:
     """Solve the dense generalized eigenproblem K v = lambda M v.
 
+    With k_max below the number of interior DOFs only the k_max smallest
+    pairs are computed (``eigh``'s ``subset_by_index``), about twice as
+    fast on fine grids.  They agree with the leading pairs of the full
+    solve, which :attr:`DiscreteOperator.lumped_basis` uses, to roundoff
+    but not bit for bit.
+
     Parameters
     ----------
     op : DiscreteOperator
@@ -151,15 +157,16 @@ def eigendecompose(
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
     K = op.stiffness
     M = op.mass_matrix(mass_kind)
+    subset = None if k_max == n else [0, k_max - 1]
     if mass_kind == "lumped":
         # Diagonal mass: reduce to a standard symmetric problem directly.
         d = 1.0 / np.sqrt(np.diag(M))
-        lam, V = eigh(d[:, None] * K * d[None, :])
+        lam, V = eigh(d[:, None] * K * d[None, :], subset_by_index=subset)
         V = d[:, None] * V
     else:
-        lam, V = eigh(K, M)
-    lam = lam[:k_max].copy()
-    V = V[:, :k_max].copy()
+        lam, V = eigh(K, M, subset_by_index=subset)
+    # eigh returned exactly k_max pairs; the copy stores V in C order
+    V = V.copy()
     flip = V[np.abs(V).argmax(axis=0), np.arange(k_max)] < 0.0
     V[:, flip] *= -1.0
 

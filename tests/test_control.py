@@ -196,7 +196,7 @@ def test_unconstrained_on_target_returns_zero_without_solving(
     def no_lp(*args, **kwargs):
         raise AssertionError("the LP must not be solved")
 
-    monkeypatch.setattr("fracheat.control.linprog", no_lp)
+    monkeypatch.setattr("scipy.optimize.linprog", no_lp)
     control, p_cells, D = fh.unconstrained_dual_details(prob, 0.5, 40)
     assert control.values.shape == (12, 40)
     assert not control.values.any()
@@ -216,7 +216,7 @@ def test_unconstrained_lp_failure_raises(
         x = None if sigma is None else np.r_[np.zeros(c.size - 1), sigma]
         return OptimizeResult(status=status, x=x, message="HiGHS mock")
 
-    monkeypatch.setattr("fracheat.control.linprog", failed_lp)
+    monkeypatch.setattr("scipy.optimize.linprog", failed_lp)
     with pytest.raises(fh.SolverError, match=match):
         fh.solve_unconstrained_Linf(prob_case1, 0.9, 60)
 

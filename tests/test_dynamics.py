@@ -32,6 +32,16 @@ def test_simulate_validation(op20_unit, cos_profile):
     ctrl = fh.make_control(op20_unit.grid, (-0.3, 0.8), n_t=20)
     with pytest.raises(ValueError, match="time cells"):
         fh.simulate(op20_unit, cos_profile, ctrl, T=1.0, n_t=10)
+    # the march solves without checking, so NaN and inf are caught up front
+    z_nan = cos_profile.copy()
+    z_nan[3] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        fh.simulate(op20_unit, z_nan, None, T=1.0, n_t=10)
+    u_inf = np.zeros((12, 10))
+    u_inf[4, 7] = np.inf
+    ctrl = fh.make_control(op20_unit.grid, (-0.3, 0.8), n_t=10, values=u_inf)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        fh.simulate(op20_unit, cos_profile, ctrl, T=1.0, n_t=10)
 
 
 def test_trajectory_shape_and_times(op20_unit, cos_profile):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -218,6 +220,37 @@ def test_emit_plots_scripts_render(tmp_path):
         "impulse_map.png",
         "state_evolution.png",
     ]
+
+
+def test_scipy_optimize_loads_only_for_the_lp(tmp_path):
+    # scipy.optimize costs a tenth of a second to import; only the
+    # L-infinity LP (and the observability estimate) needs it
+    script = """
+import json, sys
+import fracheat as fh
+import fracheat.cli
+loaded = ["scipy.optimize" in sys.modules]
+cfg = fh.parse_config(json.dumps({
+    "n_x": 8, "n_t": 20, "horizon_mode": {"fixed": 0.9}, "output_dir": sys.argv[1],
+}))
+fh.run_scenario(cfg)
+loaded.append("scipy.optimize" in sys.modules)
+fh.solve_unconstrained_Linf(fh.build_problem_from_config(cfg), 0.9, 20)
+loaded.append("scipy.optimize" in sys.modules)
+print(json.dumps(loaded))
+"""
+    env = dict(os.environ)
+    src = str(Path(fh.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, False, True]
 
 
 def test_build_problem_from_config(prob_case1):

@@ -66,6 +66,29 @@ def test_eigendecompose_k_max_validation(op20_unit):
         fh.eigendecompose(op20_unit, k_max=op20_unit.n_dof + 1)
 
 
+@pytest.fixture(scope="module")
+def op200_unit():
+    return fh.build_operator(fh.build_grid(200), s=0.8, normalization="unit")
+
+
+@pytest.mark.parametrize("mass_kind", ["consistent", "lumped"])
+def test_partial_eigensolve_matches_full(op200_unit, mass_kind):
+    part = fh.eigendecompose(op200_unit, k_max=8, mass_kind=mass_kind)
+    full = fh.eigendecompose(op200_unit, mass_kind=mass_kind)
+    assert part.k_max == 8
+    assert part.eigenvalues == pytest.approx(full.eigenvalues[:8], rel=1e-12)
+    # an odd mode on the symmetric grid has two largest entries of equal
+    # size and opposite sign, so roundoff picks its sign; fix it to the
+    # full solve's before comparing
+    V = full.eigenvectors[:, :8]
+    W = part.eigenvectors * np.sign((part.eigenvectors * V).sum(axis=0))
+    assert np.abs(W - V).max() <= 1e-9
+
+
+def test_lumped_basis_is_the_full_solve(op200_unit):
+    assert op200_unit.lumped_basis.k_max == op200_unit.n_dof
+
+
 def test_lumped_basis_close_to_consistent(op20_unit, basis20):
     basis_l = fh.eigendecompose(op20_unit, k_max=8, mass_kind="lumped")
     # lumping perturbs lambda_k at O((k h)^2) relative; k = 3 on this grid
