@@ -103,6 +103,24 @@ def _adjacent_block(s: float, h: float, n_quad: int = 8) -> np.ndarray:
     return h ** (1.0 - 2.0 * s) / (3.0 - 2.0 * s) * block
 
 
+@lru_cache(maxsize=None)
+def _tensor_rule(n_quad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tensor Gauss rule on the unit square for :func:`_distant_block`.
+
+    Returns read-only nodes xi and eta, weights, and the 4 x n_quad^2
+    matrix of the hat differences at the nodes, in the node order
+    (e, e+1, e+m, e+m+1).
+    """
+    t, w = _gauss01(n_quad)
+    xi, eta = np.meshgrid(t, t, indexing="ij")
+    xi, eta = xi.ravel(), eta.ravel()
+    ww = np.outer(w, w).ravel()
+    d = np.stack([1.0 - xi, xi, -(1.0 - eta), -eta])
+    for a in (xi, eta, ww, d):
+        a.setflags(write=False)
+    return xi, eta, ww, d
+
+
 def _distant_block(s: float, h: float, m: int, n_quad: int = 5) -> np.ndarray:
     """Interaction block of two elements separated by offset m >= 2.
 
@@ -110,11 +128,7 @@ def _distant_block(s: float, h: float, m: int, n_quad: int = 5) -> np.ndarray:
     small tensor Gauss rule suffices.  Nodes are ordered
     (e, e+1, e+m, e+m+1); the returned block is one ordered pair's worth.
     """
-    t, w = _gauss01(n_quad)
-    xi, eta = np.meshgrid(t, t, indexing="ij")
-    xi, eta = xi.ravel(), eta.ravel()
-    ww = np.outer(w, w).ravel()
-    d = np.stack([1.0 - xi, xi, -(1.0 - eta), -eta])
+    xi, eta, ww, d = _tensor_rule(n_quad)
     kern = ww * (m + eta - xi) ** (-1.0 - 2.0 * s)
     return h ** (1.0 - 2.0 * s) * ((d * kern) @ d.T)
 

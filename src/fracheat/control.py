@@ -14,8 +14,11 @@ gradients are exact discrete adjoints of it.  They run the scheme in the
 eigenbasis of (stiffness, lumped mass), which each operator computes once
 and every horizon shares, where one step scales mode k by
 1 / (1 + dt lambda_k).  The terminal state and its adjoint are closed
-forms over the powers of those factors.  Every full trajectory, the one
-each verdict checks and writes, comes from :func:`simulate`.
+forms over the powers of those factors.  Powers below 1e-150 are
+flushed to zero, and both products skip them in blocks of time cells:
+on fine meshes the early cells carry only the slow modes.  Every full
+trajectory, the one each verdict checks and writes, comes from
+:func:`simulate`.
 
 The state constraint z >= 0 is accepted only with z0 >= 0 and an
 operator whose step matrix is entrywise nonnegative
@@ -251,6 +254,16 @@ class _ModalStepper:
     adjoint are two matrix products each, with no loop over the steps.
     Controls enter only on the support, a contiguous run of nodes given
     as a slice, so its rows of V are a view rather than a copy.
+
+    E is flushed to zero below 1e-150, and as lambda ascends each column
+    is nonzero on a prefix of the modes that grows toward T: on fine
+    meshes only the slow modes survive the early cells.  The cells are
+    split into blocks (a, b, K), a new block starting wherever that
+    prefix first exceeds twice its length at the block's first cell, and
+    both products run over each block's cells a:b and first K modes
+    only.  At n_x = 800, n_t = 300, T = 0.9 that is 6 blocks and 28% of
+    the dense work; where E has no zero it is one block and the dense
+    products.
     """
 
     def __init__(self, op: DiscreteOperator, T: float, n_t: int, support: slice):
@@ -265,13 +278,37 @@ class _ModalStepper:
         self.E[self.E < 1e-150] = 0.0
         self.V_sup = self.V[support]
         self.m_sup = self.m[support]
+        self.dt_m_sup = self.dt * self.m_sup
+        # live[j]: the modes up to column j's last nonzero
+        live = self.d.size - np.argmax(self.E[::-1] != 0.0, axis=0)
+        starts = [0]
+        for j in range(1, n_t):
+            if live[j] > 2 * live[starts[-1]]:
+                starts.append(j)
+        self.blocks = tuple(
+            (a, b, int(live[a:b].max()))
+            for a, b in zip(starts, starts[1:] + [n_t])
+        )
+
+    def free(self, z0: np.ndarray) -> np.ndarray:
+        """Modal coordinates V^T M z(T) of the uncontrolled final state."""
+        return self.E[:, 0] * ((self.m * z0) @ self.V)
+
+    def forced(self, u_sup: np.ndarray) -> np.ndarray:
+        """Modal coordinates of the control's part of z(T); u_sup is
+        (support nodes, n_t)."""
+        mu = self.m_sup[:, None] * u_sup
+        c = np.zeros(self.d.size)
+        for a, b, K in self.blocks:
+            w = self.V_sup[:, :K].T @ mu[:, a:b]
+            c[:K] += np.einsum("kj,kj->k", self.E[:K, a:b], w)
+        return self.dt * c
 
     def terminal(self, z0: np.ndarray, u_sup: np.ndarray | None) -> np.ndarray:
         """Final state z(T); u_sup is (support nodes, n_t), or None."""
-        c = self.E[:, 0] * ((self.m * z0) @ self.V)
+        c = self.free(z0)
         if u_sup is not None:
-            w = self.V_sup.T @ (self.m_sup[:, None] * u_sup)
-            c += self.dt * np.einsum("kj,kj->k", self.E, w)
+            c += self.forced(u_sup)
         return self.V @ c
 
     def control_matrix(self) -> np.ndarray:
@@ -281,7 +318,7 @@ class _ModalStepper:
         j, so A u = V^T M terminal(0, u) and A^T V^T r = gradient(r)
         with u and the gradient flattened node-major.
         """
-        A = self.V_sup.T * (self.dt * self.m_sup)
+        A = self.V_sup.T * self.dt_m_sup
         return (A[:, :, None] * self.E[:, None, :]).reshape(self.d.size, -1)
 
     def gradient(self, r_weighted: np.ndarray) -> np.ndarray:
@@ -291,8 +328,14 @@ class _ModalStepper:
         the objective w.r.t. the support cell controls, shape
         (support nodes, n_t).
         """
-        scale = (self.dt * self.m_sup)[:, None]
-        return scale * (self.V_sup @ (self.E * (r_weighted @ self.V)[:, None]))
+        rho = r_weighted @ self.V
+        g = np.empty((self.m_sup.size, self.E.shape[1]))
+        for a, b, K in self.blocks:
+            np.matmul(
+                self.V_sup[:, :K], self.E[:K, a:b] * rho[:K, None], out=g[:, a:b]
+            )
+        g *= self.dt_m_sup[:, None]
+        return g
 
 
 def _m_norm(v: np.ndarray, m: np.ndarray) -> float:
@@ -426,15 +469,18 @@ def _projected_gradient(stepper, z0, zhat_T, u_sup, eps_target, alpha0, max_iter
     """The iteration of :func:`solve_constrained_fixed_time` from u_sup;
     returns (u_sup, steps taken, objective history)."""
     m = stepper.m
+    c_free = stepper.free(z0)
 
     def evaluate(u_s):
-        r = stepper.terminal(z0, u_s) - zhat_T
-        return 0.5 * float(r @ (m * r)), r
+        """Returns (r^T M r, M r) for the terminal residual r."""
+        r = stepper.V @ (c_free + stepper.forced(u_s)) - zhat_T
+        mr = m * r
+        return float(r @ mr), mr
 
-    f, r = evaluate(u_sup)
-    g = stepper.gradient(m * r)
-    residual = _m_norm(r, m)
-    history = [f]
+    rr, mr = evaluate(u_sup)
+    g = stepper.gradient(mr)
+    residual = np.sqrt(rr)
+    history = [0.5 * rr]
     total_iters = 0
     alpha = alpha0
     prev_u = prev_g = None
@@ -459,20 +505,22 @@ def _projected_gradient(stepper, z0, zhat_T, u_sup, eps_target, alpha0, max_iter
         step = alpha
         for _bt in range(40):
             trial = np.maximum(u_sup - step * g, 0.0)
-            f_t, r_t = evaluate(trial)
-            decrease = float((g * (u_sup - trial)).sum())
+            rr_t, mr_t = evaluate(trial)
+            f_t = 0.5 * rr_t
+            moved = u_sup - trial
+            decrease = float((g * moved).sum())
             if f_t <= f_ref - 1e-4 * decrease or decrease <= 0:
                 accepted = True
                 break
             step *= 0.5
         total_iters += 1
-        if not accepted or np.abs(u_sup - trial).max() == 0.0:
+        if not accepted or not moved.any():
             break
         prev_u, prev_g = u_sup, g
-        u_sup, f, r = trial, f_t, r_t
-        g = stepper.gradient(m * r)
-        residual = _m_norm(r, m)
-        history.append(f)
+        u_sup = trial
+        g = stepper.gradient(mr_t)
+        residual = np.sqrt(rr_t)
+        history.append(f_t)
 
     return u_sup, total_iters, history
 

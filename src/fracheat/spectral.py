@@ -52,7 +52,12 @@ class SpectralBasis:
         Increasing positive eigenvalues.
     eigenvectors : ndarray, shape (n_interior, k_max)
         Columns are mass-orthonormal discrete eigenfunctions over interior
-        DOFs, each scaled so its entry of largest magnitude is positive.
+        DOFs, each signed so that its entry of largest magnitude among the
+        first (n + 1) // 2 of the n DOFs is positive.  On the symmetric
+        grid each mode is even or odd, so over all DOFs an odd mode's
+        largest entries are a mirror pair of opposite sign, and roundoff
+        would pick between them; the left half, middle DOF included,
+        holds one entry of each pair.
     k_max : int
         Number of retained pairs.
     s : float
@@ -142,8 +147,8 @@ def eigendecompose(
     -------
     SpectralBasis
         Eigenvalues increasing, eigenvectors mass-orthonormal, each column
-        signed so its largest-magnitude entry is positive (this makes the
-        ground state nonnegative at every interior node).
+        signed as :class:`SpectralBasis` states (this makes the ground
+        state nonnegative at every interior node).
 
     Raises
     ------
@@ -167,7 +172,7 @@ def eigendecompose(
         lam, V = eigh(K, M, subset_by_index=subset)
     # eigh returned exactly k_max pairs; the copy stores V in C order
     V = V.copy()
-    flip = V[np.abs(V).argmax(axis=0), np.arange(k_max)] < 0.0
+    flip = V[np.abs(V[: (n + 1) // 2]).argmax(axis=0), np.arange(k_max)] < 0.0
     V[:, flip] *= -1.0
 
     # the residual M V diag(lam) - K V, built in the storage of M V

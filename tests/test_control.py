@@ -89,22 +89,57 @@ def _modal_case(n_x, n_t):
 
 
 def test_modal_gradient_matches_dense_recursion():
-    n_t = 60
-    op, mask, stepper, _, _ = _modal_case(20, n_t)
-    rng = np.random.default_rng(4)
-    n = op.n_dof
-    r_weighted = rng.standard_normal(n)
-    # reference: the per-step adjoint of z_{j+1} = P (z_j + dt u_j)
+    # at n_x = 200, n_t = 300 the stepper runs in 4 blocks
+    for n_x, n_t in ((20, 60), (200, 300)):
+        op, mask, stepper, _, _ = _modal_case(n_x, n_t)
+        rng = np.random.default_rng(4)
+        n = op.n_dof
+        r_weighted = rng.standard_normal(n)
+        # reference: the per-step adjoint of z_{j+1} = P (z_j + dt u_j)
+        dt = stepper.dt
+        P = np.linalg.solve(op.mass_lumped + dt * op.stiffness, op.mass_lumped)
+        ref = np.empty((n, n_t))
+        g = r_weighted
+        for j in range(n_t - 1, -1, -1):
+            g = P.T @ g
+            ref[:, j] = dt * g
+        grad = stepper.gradient(r_weighted)
+        assert grad.shape == (int(mask.sum()), n_t)
+        assert np.abs(grad - ref[mask]).max() <= 1e-12 * np.abs(ref[mask]).max()
+
+
+@pytest.mark.parametrize("n_x", [20, 200, 800])
+def test_modal_blocks_cover_the_nonzeros(n_x):
+    _, _, stepper, _, _ = _modal_case(n_x, 300)
+    E = stepper.E
+    starts = [a for a, _, _ in stepper.blocks]
+    ends = [b for _, b, _ in stepper.blocks]
+    assert starts == [0] + ends[:-1] and ends[-1] == E.shape[1]
+    for a, b, K in stepper.blocks:
+        assert not E[K:, a:b].any()
+        # the block's last cell needs all K modes
+        assert E[K - 1, b - 1] != 0.0
+    # E has no zero at n_x = 20; at 200 and 800 the early cells need only
+    # the slow modes
+    assert len(stepper.blocks) == 1 if n_x == 20 else len(stepper.blocks) > 2
+
+
+@pytest.mark.parametrize(("n_x", "rel_tol"), [(20, 0.0), (200, 1e-14)])
+def test_blocked_products_match_the_dense_ones(n_x, rel_tol):
+    # the dense products over all of E: at n_x = 20 (one block) the
+    # blocked ones are the same BLAS calls; at n_x = 200 (4 blocks, 44%
+    # of E nonzero) they sum in another order
+    op, _, stepper, z0, u = _modal_case(n_x, 300)
+    E, V, V_sup, m_sup = stepper.E, stepper.V, stepper.V_sup, stepper.m_sup
     dt = stepper.dt
-    P = np.linalg.solve(op.mass_lumped + dt * op.stiffness, op.mass_lumped)
-    ref = np.empty((n, n_t))
-    g = r_weighted
-    for j in range(n_t - 1, -1, -1):
-        g = P.T @ g
-        ref[:, j] = dt * g
-    grad = stepper.gradient(r_weighted)
-    assert grad.shape == (int(mask.sum()), n_t)
-    assert np.abs(grad - ref[mask]).max() <= 1e-12 * np.abs(ref[mask]).max()
+    c = E[:, 0] * ((stepper.m * z0) @ V)
+    c += dt * np.einsum("kj,kj->k", E, V_sup.T @ (m_sup[:, None] * u))
+    dense_T = V @ c
+    r = np.random.default_rng(6).standard_normal(op.n_dof)
+    dense_g = (dt * m_sup)[:, None] * (V_sup @ (E * (r @ V)[:, None]))
+    pairs = ((stepper.terminal(z0, u), dense_T), (stepper.gradient(r), dense_g))
+    for blocked, dense in pairs:
+        assert np.abs(blocked - dense).max() <= rel_tol * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("n_x", [20, 200])
