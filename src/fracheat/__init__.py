@@ -4,7 +4,10 @@ P1 finite-element discretization of the fractional Laplacian with
 exterior Dirichlet condition, lumped-mass implicit Euler time marching,
 which preserves positivity for s above about 0.23, spectral and
 observability diagnostics, and control synthesis with nonnegativity
-constraints, including minimal-horizon estimation by bisection.
+constraints, including minimal-horizon estimation by bisection.  Every
+control a solver returns comes with one verdict, a
+:class:`FixedTimeOutcome`: its simulated trajectory, terminal residual
+and feasibility.
 """
 
 from .assembly import (
@@ -26,7 +29,6 @@ from .control import (
     minimal_time_search,
     solve_constrained_fixed_time,
     solve_unconstrained_Linf,
-    sufficient_time_bound,
     unconstrained_dual_details,
 )
 from .dynamics import (
@@ -126,7 +128,6 @@ __all__ = [
     "solve_constrained_fixed_time",
     "solve_unconstrained_Linf",
     "spectral_report",
-    "sufficient_time_bound",
     "trajectory_to_csv",
     "trapezoid_weights",
     "unconstrained_dual_details",

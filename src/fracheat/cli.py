@@ -31,6 +31,7 @@ import json
 import os
 import sys
 
+from .assembly import S_MAX, S_MIN
 from .errors import ConfigError, SolverError
 
 __all__ = ["build_parser", "main"]
@@ -86,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_s(s: float) -> float:
-    if not (0.01 <= s <= 0.99):
-        raise ConfigError(f"s: must be in [0.01, 0.99], got {s}")
+    if not (S_MIN <= s <= S_MAX):
+        raise ConfigError(f"s: must be in [{S_MIN}, {S_MAX}], got {s}")
     return s
 
 

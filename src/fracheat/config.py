@@ -18,14 +18,14 @@ Accepted keys::
                     when constraints.nonneg_state is true
     zhat0_amplitude target initial amplitude, > 0
     uhat            constant target control level, >= 0
-    nu              control floor used by sufficiency bounds, > 0 or null
+    nu              > 0 or null; recorded in the summary only
     horizon_mode    {"fixed": T} or
                     {"minimal_time": {"bracket": [lo, hi], "tol": t}}
     constraints     {"nonneg_control": bool, "nonneg_state": bool}; the
                     state constraint needs s of about 0.24 or more
     output_dir      directory receiving the result files
     emit_plots      also write plot scripts
-    seed            random seed recorded in the summary, >= 0
+    seed            >= 0; recorded in the summary only
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
+from .assembly import S_MAX, S_MIN
 from .errors import ConfigError
 
 __all__ = [
@@ -334,7 +335,7 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
         if key != "case_preset":
             merged[key] = value
 
-    s = _check_number("s", merged["s"], minimum=0.01, maximum=0.99)
+    s = _check_number("s", merged["s"], minimum=S_MIN, maximum=S_MAX)
     n_x = _check_int("n_x", merged["n_x"], minimum=2)
     n_t = _check_int("n_t", merged["n_t"], minimum=1)
     omega = _check_omega("omega", merged["omega"])

@@ -5,9 +5,10 @@ target is one linear program over the terminal map; its duals give the
 adjoint state and the bang-bang relation.  Nonnegative controls come from
 a fixed-horizon solver (projected gradient with Barzilai-Borwein steps on
 the terminal residual) and a bisection search for the minimal horizon at
-which that problem stays feasible.  Impulse diagnostics quantify how
-concentrated near-minimal-time controls are, and a heuristic sufficient
-horizon is derived from decay and observability estimates.
+which that problem stays feasible.  Both fixed-horizon solvers return a
+:class:`FixedTimeOutcome`, and one function judges every such control:
+it simulates it and checks the terminal residual and the signs.  Impulse
+diagnostics quantify how concentrated near-minimal-time controls are.
 
 All solvers march with the lumped-mass implicit Euler scheme, and
 gradients are exact discrete adjoints of it.  They run the scheme in the
@@ -17,7 +18,7 @@ and every horizon shares, where one step scales mode k by
 forms over the powers of those factors.  Powers below 1e-150 are
 flushed to zero, and both products skip them in blocks of time cells:
 on fine meshes the early cells carry only the slow modes.  Every full
-trajectory, the one each verdict checks and writes, comes from
+trajectory, the one each verdict checks and a run writes, comes from
 :func:`simulate`.
 
 The state constraint z >= 0 is accepted only with z0 >= 0 and an
@@ -45,7 +46,6 @@ from .dynamics import (
 )
 from .errors import SolverError
 from .grid import nodes_in_interval
-from .spectral import eigendecompose
 
 __all__ = [
     "ControlProblem",
@@ -57,13 +57,12 @@ __all__ = [
     "solve_constrained_fixed_time",
     "minimal_time_search",
     "impulse_analysis",
-    "sufficient_time_bound",
     "unconstrained_dual_details",
     "control_to_csv",
 ]
 
-# feasibility tolerances of the constrained solver: the terminal residual
-# may reach EPS_TARGET_FRACTION times the target's norm, and controls and
+# feasibility tolerances of every verdict: the terminal residual may reach
+# EPS_TARGET_FRACTION times the target's norm, and constrained controls and
 # states may dip to -EPS_CONS
 EPS_TARGET_FRACTION = 1e-3
 EPS_CONS = 1e-8
@@ -92,9 +91,6 @@ class ControlProblem:
     nonneg_state : bool
         Require z >= 0 at every step; :func:`make_problem` accepts it only
         with z0 >= 0 and a positivity-preserving operator.
-    nu : float
-        Lower bound of the target's control on omega (uhat for constant
-        controls); scales the sufficient-horizon criterion.
     """
 
     op: DiscreteOperator
@@ -103,7 +99,6 @@ class ControlProblem:
     uhat: float
     omega: tuple[float, float]
     nonneg_state: bool = True
-    nu: float = 0.0
 
     def target_at(self, T: float, n_t: int) -> Trajectory:
         """Target trajectory regenerated at horizon T with n_t steps."""
@@ -114,7 +109,7 @@ class ControlProblem:
 
 @dataclass(frozen=True)
 class FixedTimeOutcome:
-    """Result of a constrained fixed-horizon solve.
+    """A control at a fixed horizon and its verdict, from either solver.
 
     Attributes
     ----------
@@ -123,9 +118,12 @@ class FixedTimeOutcome:
         ||z(T) - zhat(T)|| in the lumped discrete L2 norm.
     feasible : bool
         True iff final_residual is at most EPS_TARGET_FRACTION times the
-        target's norm at T and all requested constraints hold to EPS_CONS.
-    iterations : int
-    objective_history : ndarray
+        target's norm at T, the states are nonnegative to EPS_CONS when
+        nonneg_state is set, and so is the control unless it comes from
+        the signed solver :func:`solve_unconstrained_Linf`.
+    iterations : int or None
+        Gradient iterations of :func:`solve_constrained_fixed_time`; None
+        for the linear program of :func:`solve_unconstrained_Linf`.
     trajectory : Trajectory
         The control's trajectory from :func:`simulate`; the verdict's.
     """
@@ -133,8 +131,7 @@ class FixedTimeOutcome:
     control: ControlField = field(repr=False)
     final_residual: float
     feasible: bool
-    iterations: int
-    objective_history: np.ndarray = field(repr=False)
+    iterations: int | None
     trajectory: Trajectory = field(repr=False)
 
 
@@ -173,21 +170,15 @@ class MinimalTimeReport:
         Midpoint of the final bracket.
     history : tuple of (T, feasible, residual)
         All probes in evaluation order.
-    atomicity : AtomicityReport
-        Impulse diagnostics of the control at T_hi.
-    control : ControlField
-        The feasible control found at T_hi.
-    trajectory : Trajectory
-        That control's state trajectory, as its verdict checked it.
+    outcome : FixedTimeOutcome
+        The feasible solve at T_hi.
     """
 
     T_lo: float
     T_hi: float
     T_min_estimate: float
     history: tuple[tuple[float, bool, float], ...]
-    atomicity: AtomicityReport
-    control: ControlField = field(repr=False)
-    trajectory: Trajectory = field(repr=False)
+    outcome: FixedTimeOutcome = field(repr=False)
 
 
 def make_problem(
@@ -197,7 +188,6 @@ def make_problem(
     uhat: float,
     omega: tuple[float, float],
     nonneg_state: bool = True,
-    nu: float | None = None,
 ) -> ControlProblem:
     """Assemble and validate a ControlProblem.
 
@@ -239,7 +229,6 @@ def make_problem(
         uhat=float(uhat),
         omega=(lo, hi),
         nonneg_state=nonneg_state,
-        nu=float(uhat) if nu is None else float(nu),
     )
 
 
@@ -342,6 +331,40 @@ def _m_norm(v: np.ndarray, m: np.ndarray) -> float:
     return float(np.sqrt(v @ (m * v)))
 
 
+def _outcome(
+    problem: ControlProblem,
+    T: float,
+    n_t: int,
+    control: ControlField,
+    zhat_T: np.ndarray,
+    iterations: int | None,
+    signed: bool = False,
+) -> FixedTimeOutcome:
+    """The verdict on a control at horizon T, the only one in the package.
+
+    Simulates the control and compares its terminal state with zhat_T, the
+    target at T: feasible iff the residual is at most EPS_TARGET_FRACTION
+    times the target's norm (a residual exactly at that tolerance counts),
+    the states are >= -EPS_CONS when nonneg_state is set, and the control
+    is >= -EPS_CONS unless ``signed``.
+    """
+    traj = simulate(problem.op, problem.z0, control, T, n_t)
+    m = np.diag(problem.op.mass_lumped)
+    residual = _m_norm(traj.final - zhat_T, m)
+    feasible = residual <= EPS_TARGET_FRACTION * _m_norm(zhat_T, m)
+    if problem.nonneg_state:
+        feasible = feasible and traj.min_value >= -EPS_CONS
+    if not signed:
+        feasible = feasible and control.values.min() >= -EPS_CONS
+    return FixedTimeOutcome(
+        control=control,
+        final_residual=residual,
+        feasible=bool(feasible),
+        iterations=iterations,
+        trajectory=traj,
+    )
+
+
 def _support_stepper(problem: ControlProblem, T: float, n_t: int):
     """Modal stepper with controls on omega's nodes, and omega's node mask."""
     mask = nodes_in_interval(problem.op.grid, problem.omega)
@@ -433,15 +456,19 @@ def unconstrained_dual_details(
 
 def solve_unconstrained_Linf(
     problem: ControlProblem, T: float, n_t: int
-) -> ControlField:
+) -> FixedTimeOutcome:
     """Minimal-sup-norm control steering z0 onto the target at T.
 
     Among the cell controls on omega whose lumped implicit Euler state
-    hits zhat(T) exactly, returns one of least sup norm, found as the
-    exact optimum of the linear program in
-    :func:`unconstrained_dual_details`.  It is bang-bang: all but at most
-    n_dof cells take the values +-||u||_inf, and ||u||_inf equals the
-    space-time L1 norm over omega of the optimal adjoint.
+    hits zhat(T) exactly, finds one of least sup norm, as the exact
+    optimum of the linear program in :func:`unconstrained_dual_details`.
+    It is bang-bang: all but at most n_dof cells take the values
+    +-||u||_inf, and ||u||_inf equals the space-time L1 norm over omega
+    of the optimal adjoint.
+
+    The LP constrains z(T) only, so the verdict simulates the control and
+    checks its states when nonneg_state is set.  The control may take
+    either sign; its verdict does not check it.
 
     Parameters
     ----------
@@ -453,7 +480,8 @@ def solve_unconstrained_Linf(
 
     Returns
     -------
-    ControlField
+    FixedTimeOutcome
+        With iterations None.
 
     Raises
     ------
@@ -462,12 +490,13 @@ def solve_unconstrained_Linf(
         message carries HiGHS's.
     """
     control, _, _ = unconstrained_dual_details(problem, T, n_t)
-    return control
+    zhat_T = problem.target_at(T, n_t).final
+    return _outcome(problem, T, n_t, control, zhat_T, None, signed=True)
 
 
 def _projected_gradient(stepper, z0, zhat_T, u_sup, eps_target, alpha0, max_iter):
     """The iteration of :func:`solve_constrained_fixed_time` from u_sup;
-    returns (u_sup, steps taken, objective history)."""
+    returns (u_sup, steps taken)."""
     m = stepper.m
     c_free = stepper.free(z0)
 
@@ -480,6 +509,8 @@ def _projected_gradient(stepper, z0, zhat_T, u_sup, eps_target, alpha0, max_iter
     rr, mr = evaluate(u_sup)
     g = stepper.gradient(mr)
     residual = np.sqrt(rr)
+    # objective values, whose last ten set the nonmonotone line search's
+    # reference
     history = [0.5 * rr]
     total_iters = 0
     alpha = alpha0
@@ -522,7 +553,7 @@ def _projected_gradient(stepper, z0, zhat_T, u_sup, eps_target, alpha0, max_iter
         residual = np.sqrt(rr_t)
         history.append(f_t)
 
-    return u_sup, total_iters, history
+    return u_sup, total_iters
 
 
 def solve_constrained_fixed_time(
@@ -542,12 +573,9 @@ def solve_constrained_fixed_time(
     state can turn negative.
 
     The verdict rests on the control's trajectory from :func:`simulate`,
-    which the outcome carries.  The solve is feasible when its terminal
-    residual is at most EPS_TARGET_FRACTION times the target's norm at T
-    (a residual exactly at that tolerance counts), the control is
-    nonnegative to EPS_CONS, and so are the states when nonneg_state is
-    set.  Never raises on exhausted iterations: the outcome reports
-    feasible=False with the residual reached.
+    which the outcome carries: see :class:`FixedTimeOutcome`.  Never
+    raises on exhausted iterations: the outcome reports feasible=False
+    with the residual reached.
 
     Parameters
     ----------
@@ -564,10 +592,9 @@ def solve_constrained_fixed_time(
     FixedTimeOutcome
     """
     stepper, mask = _support_stepper(problem, T, n_t)
-    dt, m = stepper.dt, stepper.m
     n_sup = int(mask.sum())
     zhat_T = problem.target_at(T, n_t).final
-    eps_target = EPS_TARGET_FRACTION * _m_norm(zhat_T, m)
+    eps_target = EPS_TARGET_FRACTION * _m_norm(zhat_T, stepper.m)
 
     if u0 is None:
         u_sup = np.zeros((n_sup, n_t))
@@ -579,25 +606,14 @@ def solve_constrained_fixed_time(
             )
     u_sup = np.maximum(u_sup, 0.0)
 
-    alpha0 = 1.0 / (dt * T * problem.op.grid.h)
+    alpha0 = 1.0 / (stepper.dt * T * problem.op.grid.h)
     # the iteration's arrays are freed before the verdict's dense simulate
-    u_sup, total_iters, history = _projected_gradient(
+    u_sup, total_iters = _projected_gradient(
         stepper, problem.z0, zhat_T, u_sup, eps_target, alpha0, max_iter
     )
 
     control = make_control(problem.op.grid, problem.omega, n_t, values=u_sup)
-    traj = simulate(problem.op, problem.z0, control, T, n_t)
-    residual = _m_norm(traj.final - zhat_T, m)
-    state_ok = (not problem.nonneg_state) or traj.min_value >= -EPS_CONS
-    feasible = bool(residual <= eps_target and state_ok and u_sup.min() >= -EPS_CONS)
-    return FixedTimeOutcome(
-        control=control,
-        final_residual=float(residual),
-        feasible=feasible,
-        iterations=total_iters,
-        objective_history=np.array(history),
-        trajectory=traj,
-    )
+    return _outcome(problem, T, n_t, control, zhat_T, total_iters)
 
 
 def minimal_time_search(
@@ -681,17 +697,12 @@ def minimal_time_search(
     else:
         raise SolverError("probe budget exhausted before reaching tol_T")
 
-    atomicity = impulse_analysis(
-        hi_out.control, dt=T_hi / n_t, dx=problem.op.grid.h, threshold=0.01
-    )
     return MinimalTimeReport(
         T_lo=T_lo,
         T_hi=T_hi,
         T_min_estimate=0.5 * (T_lo + T_hi),
         history=tuple(history),
-        atomicity=atomicity,
-        control=hi_out.control,
-        trajectory=hi_out.trajectory,
+        outcome=hi_out,
     )
 
 
@@ -750,45 +761,6 @@ def impulse_analysis(
         active_cell_fraction=active,
         top_impulses=tuple(top),
     )
-
-
-def sufficient_time_bound(problem: ControlProblem, C_of_T) -> float:
-    """Heuristic horizon after which constrained steering must succeed.
-
-    Returns the smallest horizon T of a 48-point log grid on [0.05, 20]
-    with e^(-lambda_1 T) C(T) ||z0 - zhat0||_M^2 < nu^2: past that point
-    the uncontrolled gap decays below the margin the target control
-    maintains above zero.  C_of_T is an observability estimate (a lower
-    bound of the true constant), so the returned horizon is heuristic
-    rather than certified.
-
-    Parameters
-    ----------
-    problem : ControlProblem
-        Needs nu > 0.
-    C_of_T : callable
-        Maps a horizon to an observability-constant estimate.
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    SolverError
-        If no grid horizon satisfies the criterion.
-    """
-    if problem.nu <= 0:
-        raise ValueError(f"need nu > 0, got {problem.nu}")
-    lam1 = float(eigendecompose(problem.op, k_max=1).eigenvalues[0])
-    m = np.diag(problem.op.mass_lumped)
-    gap = problem.z0 - problem.zhat0
-    gap2 = float(gap @ (m * gap))
-    nu2 = problem.nu**2
-    for T in np.geomspace(0.05, 20.0, 48):
-        if np.exp(-lam1 * T) * float(C_of_T(T)) * gap2 < nu2:
-            return float(T)
-    raise SolverError("no horizon up to 20 satisfied the sufficiency criterion")
 
 
 def control_to_csv(control: ControlField, grid, T: float, path) -> None:

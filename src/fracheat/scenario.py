@@ -28,11 +28,8 @@ import numpy as np
 from .assembly import build_operator
 from .config import ScenarioConfig
 from .control import (
-    EPS_CONS,
-    EPS_TARGET_FRACTION,
     AtomicityReport,
     ControlProblem,
-    _m_norm,
     control_to_csv,
     impulse_analysis,
     make_problem,
@@ -40,7 +37,7 @@ from .control import (
     solve_constrained_fixed_time,
     solve_unconstrained_Linf,
 )
-from .dynamics import make_control, simulate, trajectory_to_csv
+from .dynamics import make_control, trajectory_to_csv
 from .errors import ConfigError
 from .grid import build_grid
 from .spectral import eigendecompose, spectral_report
@@ -110,7 +107,6 @@ def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
         uhat=config.uhat,
         omega=config.omega,
         nonneg_state=config.nonneg_state,
-        nu=config.nu,
     )
 
 
@@ -174,30 +170,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         T = config.horizon.T
         if config.nonneg_control:
             outcome = solve_constrained_fixed_time(problem, T, config.n_t)
-            control, traj = outcome.control, outcome.trajectory
-            summary["feasible"] = outcome.feasible
-            summary["final_residual"] = outcome.final_residual
             summary["iterations"] = outcome.iterations
         else:
-            control = solve_unconstrained_Linf(problem, T, config.n_t)
-            traj = simulate(op, problem.z0, control, T, config.n_t)
-            target = problem.target_at(T, config.n_t).final
-            m = np.diag(op.mass_lumped)
-            residual = _m_norm(traj.final - target, m)
-            eps_target = EPS_TARGET_FRACTION * _m_norm(target, m)
-            # the LP constrains z(T) only, so check the states it passes
-            state_ok = (not config.nonneg_state) or traj.min_value >= -EPS_CONS
-            summary["feasible"] = bool(residual <= eps_target and state_ok)
-            summary["final_residual"] = residual
-        # signed controls (unconstrained solver) are analyzed through |u|
-        atom_control = control
-        if control.values.min() < 0.0:
-            atom_control = make_control(
-                grid, config.omega, config.n_t, values=np.abs(control.values)
-            )
-        atomicity = impulse_analysis(
-            atom_control, dt=T / config.n_t, dx=grid.h, threshold=0.01
-        )
+            outcome = solve_unconstrained_Linf(problem, T, config.n_t)
+        summary["final_residual"] = outcome.final_residual
     else:
         if not config.nonneg_control:
             raise ConfigError(
@@ -208,10 +184,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         report = minimal_time_search(
             problem, config.horizon.bracket, config.horizon.tol, config.n_t
         )
-        T = report.T_hi
-        control, traj = report.control, report.trajectory
-        atomicity = report.atomicity
-        summary["feasible"] = True
+        T, outcome = report.T_hi, report.outcome
         summary["T_min_estimate"] = report.T_min_estimate
         summary["T_lo"] = report.T_lo
         summary["T_hi"] = report.T_hi
@@ -220,7 +193,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             for probe_T, ok, res in report.history
         ]
 
-    summary["atomicity"] = _atomicity_dict(atomicity)
+    control, traj = outcome.control, outcome.trajectory
+    summary["feasible"] = outcome.feasible
+    # signed controls (unconstrained solver) are analyzed through |u|
+    magnitude = make_control(
+        grid, config.omega, config.n_t, values=np.abs(control.values)
+    )
+    summary["atomicity"] = _atomicity_dict(
+        impulse_analysis(magnitude, dt=T / config.n_t, dx=grid.h, threshold=0.01)
+    )
 
     files: list[str] = []
 

@@ -168,23 +168,45 @@ def test_written_trajectory_is_the_verdicts(tmp_path, monkeypatch, prob_case1):
     r = out.trajectory.final - prob_case1.target_at(0.9, 60).final
     assert out.final_residual == float(np.sqrt(r @ (m * r)))
 
-    # run_scenario writes the solver's trajectory instead of simulating
-    # the control again
-    def no_simulate(*args, **kwargs):
-        raise AssertionError("run_scenario must not simulate the control again")
+    # every simulation of a run is a verdict's, and the run writes the
+    # trajectory of the verdict it reports
+    simulated, solved = [], []
 
-    monkeypatch.setattr("fracheat.scenario.simulate", no_simulate)
+    def recording(fn, results):
+        def wrapper(*args, **kwargs):
+            results.append(fn(*args, **kwargs))
+            return results[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(
+        "fracheat.control.simulate", recording(fh.simulate, simulated)
+    )
+    solve = recording(fh.solve_constrained_fixed_time, solved)
+    monkeypatch.setattr("fracheat.control.solve_constrained_fixed_time", solve)
+    monkeypatch.setattr("fracheat.scenario.solve_constrained_fixed_time", solve)
     fixed = json.loads(FAST_FIXED)
+    linf = dict(fixed, constraints={"nonneg_control": False, "nonneg_state": False})
     minimal = dict(
         fixed, horizon_mode={"minimal_time": {"bracket": [0.2, 0.9], "tol": 0.3}}
     )
-    for name, cfg in (("fixed", fixed), ("mt", minimal)):
+    for name, cfg in (("fixed", fixed), ("linf", linf), ("mt", minimal)):
+        simulated.clear()
+        solved.clear()
         cfg["output_dir"] = str(tmp_path / name)
         result = fh.run_scenario(fh.parse_config(json.dumps(cfg)))
         written = np.loadtxt(
             result.output_dir / "trajectory.csv", delimiter=",", skiprows=1
-        )
-        assert written.shape == (31 * 11, 3)
+        )[:, 2].reshape(31, 11)[:, 1:-1]
+        if name == "mt":
+            assert len(simulated) == len(solved) > 2
+            T_hi = result.summary["T_hi"]
+            reported = [o for o in solved if o.feasible and o.trajectory.times[-1] == T_hi]
+            assert np.array_equal(written, reported[-1].trajectory.states)
+        else:
+            # a fixed run simulates its control exactly once
+            assert len(simulated) == 1
+            assert np.array_equal(written, simulated[0].states)
 
 
 def test_emit_plots_scripts_render(tmp_path):
