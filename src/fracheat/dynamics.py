@@ -4,7 +4,9 @@ Marches the semi-discrete system M dz/dt + K z = M (u restricted to the
 control region), with M the lumped mass, by implicit Euler on a uniform
 time grid, with piecewise-constant-in-time controls on right-open cells.
 Also provides the exact modal (Duhamel) solution used as a cross-check
-oracle and target-trajectory generation.
+oracle and target-trajectory generation.  scipy.linalg is imported by
+:func:`simulate`, its one user here, when it first runs, so that importing
+the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .assembly import DiscreteOperator
 from .grid import Grid, nodes_in_interval
@@ -192,14 +193,21 @@ def simulate(
     states[0] = z0
     z = z0
     M = op.mass_lumped
-    factor = cho_factor(M + dt * op.stiffness)
+    from scipy.linalg import cho_factor, get_lapack_funcs
+
+    factor, lower = cho_factor(M + dt * op.stiffness)
+    # the LAPACK triangular solve behind cho_solve, resolved once per call
+    # instead of once per step
+    (potrs,) = get_lapack_funcs(("potrs",), (factor,))
     # the lumped mass is diagonal: scale by it, not by a dense product
     m = np.diag(M)
     for j in range(n_t):
         rhs = m * z
         if u_full is not None:
             rhs = rhs + dt * (m * u_full[:, j])
-        z = cho_solve(factor, rhs, check_finite=False)
+        z, info = potrs(factor, rhs, lower=lower, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
         states[j + 1] = z
 
     states.setflags(write=False)

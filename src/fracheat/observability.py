@@ -8,7 +8,9 @@ lower bounds by evaluating the ratio on witnesses, and exhibits the
 blow-up of C(T) as T decreases.  The witnesses are the near-cancellation
 solves of the exponential Gram system (a ladder of Tikhonov
 regularizations over every leading block of exponents), and the estimate
-is the best of them; it is deterministic.
+is the best of them; it is deterministic.  Each ratio's L1 norm is a
+piecewise Gauss quadrature between the sum's roots, which one vectorized
+bracketed Newton iteration finds; the module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, SolverError
 
 __all__ = [
     "ExponentialSum",
@@ -31,6 +33,18 @@ __all__ = [
 
 # cells of the L1 quadrature behind every estimated ratio
 N_QUAD = 256
+
+# Gauss-Legendre rule on [-1, 1] for each smooth piece of |F|
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
+_GAUSS_X.setflags(write=False)
+_GAUSS_W.setflags(write=False)
+
+# the root iteration stops once a step or a bracket is within
+# 1e-14 + 4 eps |t|, the default tolerance of scipy's bracketing root
+# finders; the cap is far above the steps any sum here takes
+_ROOT_XTOL = 1e-14
+_ROOT_RTOL = 4 * np.finfo(float).eps
+_ROOT_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -110,9 +124,13 @@ class BlowupCurve:
 def l1_norm_exp_sum(es: ExponentialSum, n_quad: int) -> float:
     """L1 norm of an exponential sum on [0, T] by piecewise Gauss quadrature.
 
-    The sum is sampled on n_quad uniform cells; within each cell a sign
-    change is located by root bracketing and the absolute value is
-    integrated with a 10-point Gauss rule on each smooth piece.
+    The sum is sampled on n_quad uniform cells, and every cell whose
+    endpoints have strictly opposite signs holds one root.  All such roots
+    are found together by a bracketed Newton iteration on the closed-form
+    derivative F'(t) = -sum_k c_k mu_k e^(-mu_k t): each cell keeps a
+    bracket with that sign change, and a step leaving it becomes a
+    bisection.  The absolute value is then integrated with a 10-point
+    Gauss rule on each smooth piece.
 
     Parameters
     ----------
@@ -128,9 +146,11 @@ def l1_norm_exp_sum(es: ExponentialSum, n_quad: int) -> float:
     ------
     QuadratureError
         If more sign changes are detected than the K - 1 possible for a
-        sum of K decaying exponentials, or if a sign change seen on the
-        grid vanishes when its cell's endpoints are evaluated one at a
-        time: both happen only to sums that cancel down to roundoff.
+        sum of K decaying exponentials, which happens only to sums that
+        cancel down to roundoff.
+    SolverError
+        If the root iteration has not converged after its step cap; it
+        never returns an unconverged root.
     """
     if n_quad < 64:
         raise ValueError(f"n_quad must be >= 64, got {n_quad}")
@@ -145,23 +165,48 @@ def l1_norm_exp_sum(es: ExponentialSum, n_quad: int) -> float:
             f"detected {change.size} sign changes, more than the K-1={K - 1} "
             "possible for this exponential sum"
         )
-    # imported here so that importing the package leaves scipy.optimize
-    # unloaded for the run paths, which never reach this function
-    from scipy.optimize import brentq
-
-    try:
-        roots = [brentq(es, grid[i], grid[i + 1], xtol=1e-14) for i in change]
-    except ValueError as exc:
-        # brentq evaluates the endpoints one at a time, which can round to
-        # other signs than the vectorized grid evaluation did
-        raise QuadratureError(f"sign change lost to roundoff: {exc}") from exc
+    roots = _sign_change_roots(es, grid, fvals, change)
     edges = np.unique(np.concatenate([grid, roots]))
-    gx, gw = np.polynomial.legendre.leggauss(10)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    t = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
+    t = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
+    w = (half[:, None] * _GAUSS_W[None, :]).ravel()
     return float(w @ np.abs(es(t)))
+
+
+def _sign_change_roots(
+    es: ExponentialSum, grid: np.ndarray, fvals: np.ndarray, change: np.ndarray
+) -> np.ndarray:
+    """Roots of the sum in the grid cells listed in change.
+
+    Each bracket keeps the signs of the one grid evaluation at its ends,
+    so no sign change can be lost to roundoff; the iteration starts from
+    the secant point of those values.
+    """
+    lo, hi = grid[change], grid[change + 1]
+    f_lo, f_hi = fvals[change], fvals[change + 1]
+    s_lo = np.sign(f_lo)
+    t = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    c, mu = es.coefficients, es.exponents
+    for _ in range(_ROOT_STEPS):
+        e = np.exp(-np.multiply.outer(t, mu))
+        f = e @ c
+        # an exact zero closes its bracket on the iterate
+        left = np.sign(f) == s_lo
+        lo = np.where(left | (f == 0.0), t, lo)
+        hi = np.where(left, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_new = t + f / (e @ (c * mu))
+        # NaN (a zero derivative) fails the comparison and bisects too
+        inside = (lo < t_new) & (t_new < hi)
+        t_new = np.where(inside, t_new, 0.5 * (lo + hi))
+        tol = _ROOT_XTOL + _ROOT_RTOL * np.abs(t_new)
+        if ((np.abs(t_new - t) <= tol) | (hi - lo <= tol)).all():
+            return t_new
+        t = t_new
+    raise SolverError(
+        f"sign-change roots not converged in {_ROOT_STEPS} steps on [0, {es.T}]"
+    )
 
 
 def _ratio(c: np.ndarray, mu: np.ndarray, T: float, n_quad: int) -> float:

@@ -6,7 +6,9 @@ spectrum, L1 lower bounds of eigenfunctions over a control region, and
 explicit quasi-eigenfunction profiles built from the half-line eigenpairs
 of the operator.  The half-line profiles involve a completely monotone
 correction term G, the Laplace transform of an explicit density, which is
-evaluated here by nested quadrature.
+evaluated here by nested quadrature.  scipy.linalg is imported by
+:func:`eigendecompose`, its one user here, when it first runs, so that
+importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .assembly import DiscreteOperator
 from .errors import QuadratureError, SolverError
@@ -160,6 +161,8 @@ def eigendecompose(
         k_max = n
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
+    from scipy.linalg import eigh
+
     K = op.stiffness
     M = op.mass_matrix(mass_kind)
     subset = None if k_max == n else [0, k_max - 1]

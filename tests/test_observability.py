@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import fracheat as fh
-from fracheat.observability import N_QUAD, _cancellation_candidates, _ratio
+import fracheat.observability as obs
+from fracheat.observability import (
+    N_QUAD,
+    _cancellation_candidates,
+    _ratio,
+    _sign_change_roots,
+)
 
 
 def anti(c, mu, t):
@@ -53,6 +60,57 @@ def test_l1_norm_with_sign_change():
         anti(c, mu, 3.0) - anti(c, mu, t_star)
     )
     assert fh.l1_norm_exp_sum(es, 128) == pytest.approx(exact, rel=1e-12)
+
+
+def _grid_sign_changes(es, n_quad):
+    grid = np.linspace(0.0, es.T, n_quad + 1)
+    fvals = es(grid)
+    change = np.flatnonzero(np.sign(fvals[:-1]) * np.sign(fvals[1:]) < 0)
+    return grid, fvals, change
+
+
+def test_roots_and_l1_norm_match_mpmath():
+    # a Gram-cancellation witness at K = 5 with the full K - 1 = 4 sign
+    # changes on [0, T], against 50-digit roots and piecewise quadrature
+    mu = fh.lambda_asymptotic(np.arange(1, 6), 0.8)
+    T = 0.5
+    c = _cancellation_candidates(mu, T)[-1]
+    es = fh.ExponentialSum(c, mu, T)
+    grid, fvals, change = _grid_sign_changes(es, N_QUAD)
+    assert change.size == 4
+    roots = _sign_change_roots(es, grid, fvals, change)
+    with mpmath.workdps(50):
+        terms = [(mpmath.mpf(ck), mpmath.mpf(mk)) for ck, mk in zip(c, mu)]
+
+        def F(t):
+            return mpmath.fsum(ck * mpmath.exp(-mk * t) for ck, mk in terms)
+
+        ref = [
+            mpmath.findroot(F, (grid[i], grid[i + 1]), solver="anderson")
+            for i in change
+        ]
+        edges = [mpmath.mpf(0)] + ref + [mpmath.mpf(T)]
+        exact = mpmath.fsum(abs(mpmath.quad(F, [a, b])) for a, b in zip(edges, edges[1:]))
+        errors = [abs(r - mpmath.mpf(x)) for r, x in zip(ref, roots)]
+    assert max(float(e) for e in errors) <= 1e-14
+    assert fh.l1_norm_exp_sum(es, N_QUAD) == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_l1_norm_rejects_more_than_k_minus_1_sign_changes():
+    # three nearly equal exponents: the sum is a second difference that
+    # cancels to roundoff, and the grid sees noise flip its sign
+    es = fh.ExponentialSum([1.0, -2.0, 1.0], [1.0, 1.0 + 1e-13, 1.0 + 2e-13], 1.0)
+    assert _grid_sign_changes(es, N_QUAD)[2].size > 2
+    with pytest.raises(fh.QuadratureError, match="more than the K-1=2"):
+        fh.l1_norm_exp_sum(es, N_QUAD)
+
+
+def test_root_iteration_never_returns_unconverged(monkeypatch):
+    es = fh.ExponentialSum([-0.5, 1.0], [1.0, 2.0], 3.0)
+    assert fh.l1_norm_exp_sum(es, 64) > 0.0
+    monkeypatch.setattr(obs, "_ROOT_STEPS", 1)
+    with pytest.raises(fh.SolverError, match="not converged"):
+        fh.l1_norm_exp_sum(es, 64)
 
 
 def test_l1_norm_quadrature_floor():

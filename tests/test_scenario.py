@@ -245,21 +245,35 @@ def test_emit_plots_scripts_render(tmp_path):
 
 
 def test_scipy_optimize_loads_only_for_the_lp(tmp_path):
-    # scipy.optimize costs a tenth of a second to import; only the
-    # L-infinity LP (and the observability estimate) needs it
+    # scipy.optimize costs a tenth of a second to import and only the
+    # L-infinity LP needs it; scipy.linalg costs more than that and only
+    # the Cholesky factor in simulate and the eigensolve need it, so the
+    # package import and the observability estimate load no scipy at all
     script = """
-import json, sys
+import contextlib, io, json, sys
 import fracheat as fh
 import fracheat.cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+after_import = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fracheat.cli.main(["obs-curve", "--s", "0.8", "--tmin", "0.1",
+                              "--tmax", "1", "--points", "3", "--kmax", "4"])
+after_obs_curve = scipy_modules()
 loaded = ["scipy.optimize" in sys.modules]
 cfg = fh.parse_config(json.dumps({
     "n_x": 8, "n_t": 20, "horizon_mode": {"fixed": 0.9}, "output_dir": sys.argv[1],
 }))
 fh.run_scenario(cfg)
 loaded.append("scipy.optimize" in sys.modules)
+linalg_after_run = "scipy.linalg" in sys.modules
 fh.solve_unconstrained_Linf(fh.build_problem_from_config(cfg), 0.9, 20)
 loaded.append("scipy.optimize" in sys.modules)
-print(json.dumps(loaded))
+print(json.dumps({"loaded": loaded, "after_import": after_import, "code": code,
+                  "after_obs_curve": after_obs_curve,
+                  "linalg_after_run": linalg_after_run}))
 """
     env = dict(os.environ)
     src = str(Path(fh.__file__).resolve().parents[1])
@@ -272,7 +286,12 @@ print(json.dumps(loaded))
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, False, True]
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == [False, False, True]
+    assert out["after_import"] == []
+    assert out["code"] == 0
+    assert out["after_obs_curve"] == []
+    assert out["linalg_after_run"]
 
 
 def test_build_problem_from_config(prob_case1):
