@@ -5,10 +5,14 @@ target is one linear program over the terminal map; its duals give the
 adjoint state and the bang-bang relation.  Nonnegative controls come from
 a fixed-horizon solver (projected gradient with Barzilai-Borwein steps on
 the terminal residual) and a bisection search for the minimal horizon at
-which that problem stays feasible.  Both fixed-horizon solvers return a
-:class:`FixedTimeOutcome`, and one function judges every such control:
-it simulates it and checks the terminal residual and the signs.  Impulse
-diagnostics quantify how concentrated near-minimal-time controls are.
+which that problem stays feasible, with one solve from the zero control
+per probed horizon.  The solver stops early once a nonnegative
+least-squares dual bound proves that no nonnegative control meets the
+tolerance; the outcome's ``basis`` says how each solve ended.  Both
+fixed-horizon solvers return a :class:`FixedTimeOutcome`, and one
+function judges every such control: it simulates it and checks the
+terminal residual and the signs.  Impulse diagnostics quantify how
+concentrated near-minimal-time controls are.
 
 All solvers march with the lumped-mass implicit Euler scheme, and
 gradients are exact discrete adjoints of it.  They run the scheme in the
@@ -66,6 +70,13 @@ __all__ = [
 # states may dip to -EPS_CONS
 EPS_TARGET_FRACTION = 1e-3
 EPS_CONS = 1e-8
+
+# how a constrained solve ended, its FixedTimeOutcome.basis
+BASES = ("tolerance_met", "proved_infeasible", "budget_exhausted", "no_descent")
+# the projected gradient checks its infeasibility bound on the first
+# iteration and every _BOUND_EVERY-th after it; a check costs about a
+# fifth of an iteration at n_x = 20
+_BOUND_EVERY = 25
 
 
 @dataclass(frozen=True)
@@ -126,6 +137,15 @@ class FixedTimeOutcome:
         for the linear program of :func:`solve_unconstrained_Linf`.
     trajectory : Trajectory
         The control's trajectory from :func:`simulate`; the verdict's.
+    basis : str or None
+        How the gradient iteration ended, one of :data:`BASES`:
+        "tolerance_met", "proved_infeasible" (no nonnegative control
+        meets the tolerance; see lower_bound), "budget_exhausted" or
+        "no_descent" (no step accepted, or the step moved nothing).
+        None for the linear program.
+    lower_bound : float or None
+        With basis "proved_infeasible", the bound L > the tolerance that
+        every nonnegative control's terminal residual reaches; else None.
     """
 
     control: ControlField = field(repr=False)
@@ -133,6 +153,8 @@ class FixedTimeOutcome:
     feasible: bool
     iterations: int | None
     trajectory: Trajectory = field(repr=False)
+    basis: str | None = None
+    lower_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -163,13 +185,16 @@ class MinimalTimeReport:
     Attributes
     ----------
     T_lo : float
-        Largest horizon certified infeasible.
+        Largest horizon whose probe was infeasible; bases says whether a
+        bound proved it or the budget ran out.
     T_hi : float
-        Smallest horizon certified feasible.
+        Smallest horizon whose probe was feasible.
     T_min_estimate : float
         Midpoint of the final bracket.
     history : tuple of (T, feasible, residual)
-        All probes in evaluation order.
+        All probes in evaluation order, one per probed horizon.
+    bases : tuple of str
+        Each probe's :attr:`FixedTimeOutcome.basis`, in history's order.
     outcome : FixedTimeOutcome
         The feasible solve at T_hi.
     """
@@ -178,6 +203,7 @@ class MinimalTimeReport:
     T_hi: float
     T_min_estimate: float
     history: tuple[tuple[float, bool, float], ...]
+    bases: tuple[str, ...]
     outcome: FixedTimeOutcome = field(repr=False)
 
 
@@ -339,6 +365,8 @@ def _outcome(
     zhat_T: np.ndarray,
     iterations: int | None,
     signed: bool = False,
+    basis: str | None = None,
+    lower_bound: float | None = None,
 ) -> FixedTimeOutcome:
     """The verdict on a control at horizon T, the only one in the package.
 
@@ -346,7 +374,8 @@ def _outcome(
     target at T: feasible iff the residual is at most EPS_TARGET_FRACTION
     times the target's norm (a residual exactly at that tolerance counts),
     the states are >= -EPS_CONS when nonneg_state is set, and the control
-    is >= -EPS_CONS unless ``signed``.
+    is >= -EPS_CONS unless ``signed``.  basis and lower_bound are the
+    solver's account, passed through.
     """
     traj = simulate(problem.op, problem.z0, control, T, n_t)
     m = np.diag(problem.op.mass_lumped)
@@ -362,6 +391,8 @@ def _outcome(
         feasible=bool(feasible),
         iterations=iterations,
         trajectory=traj,
+        basis=basis,
+        lower_bound=lower_bound,
     )
 
 
@@ -494,11 +525,26 @@ def solve_unconstrained_Linf(
     return _outcome(problem, T, n_t, control, zhat_T, None, signed=True)
 
 
-def _projected_gradient(stepper, z0, zhat_T, u_sup, eps_target, alpha0, max_iter):
-    """The iteration of :func:`solve_constrained_fixed_time` from u_sup;
-    returns (u_sup, steps taken)."""
-    m = stepper.m
+def _projected_gradient(stepper, z0, zhat_T, n_sup, eps_target, alpha0, max_iter):
+    """The iteration of :func:`solve_constrained_fixed_time` from the zero
+    control; returns (u_sup, steps taken, basis, lower bound or None).
+
+    In modal coordinates the residual is q = A u - c, with c the target
+    less the free state, and the gradient is g = A^T q.  With y0 = V^T M 1
+    and a0 = A^T y0 > 0 on every cell, y = -q - delta y0 with
+    delta = max(0, max(-g / a0)) has A^T y <= 0, so every u >= 0 has
+    ||A u - c|| >= <y, c - A u> / ||y|| >= L = <y, c> / ||y||.  The
+    iteration stops once L exceeds the tolerance; the bound only reads g
+    and q, so it leaves the iterates untouched.
+    """
+    m, V = stepper.m, stepper.V
     c_free = stepper.free(z0)
+    c = (m * zhat_T) @ V - c_free
+    y0 = m @ V
+    a0 = stepper.gradient(m)
+    if not (a0 > 0.0).all():
+        # the bound needs a0 > 0 on every cell; go without it
+        a0 = None
 
     def evaluate(u_s):
         """Returns (r^T M r, M r) for the terminal residual r."""
@@ -506,6 +552,14 @@ def _projected_gradient(stepper, z0, zhat_T, u_sup, eps_target, alpha0, max_iter
         mr = m * r
         return float(r @ mr), mr
 
+    def lower_bound(mr, g):
+        """L: no nonnegative control's residual is below it."""
+        delta = max(0.0, float((-g / a0).max()))
+        y = -(mr @ V) - delta * y0
+        norm_y = float(np.linalg.norm(y))
+        return float(y @ c) / norm_y if norm_y > 0.0 else 0.0
+
+    u_sup = np.zeros((n_sup, stepper.E.shape[1]))
     rr, mr = evaluate(u_sup)
     g = stepper.gradient(mr)
     residual = np.sqrt(rr)
@@ -515,10 +569,18 @@ def _projected_gradient(stepper, z0, zhat_T, u_sup, eps_target, alpha0, max_iter
     total_iters = 0
     alpha = alpha0
     prev_u = prev_g = None
+    basis, bound = "budget_exhausted", None
 
     for it in range(max_iter):
         if residual <= eps_target:
+            basis = "tolerance_met"
             break
+        if a0 is not None and it % _BOUND_EVERY == 0:
+            L = lower_bound(mr, g)
+            # the margin covers the roundoff of L itself
+            if L > (1.0 + 1e-9) * eps_target:
+                basis, bound = "proved_infeasible", L
+                break
         # Barzilai-Borwein step, alternating the two step rules
         if prev_u is not None:
             s_vec = u_sup - prev_u
@@ -546,14 +608,18 @@ def _projected_gradient(stepper, z0, zhat_T, u_sup, eps_target, alpha0, max_iter
             step *= 0.5
         total_iters += 1
         if not accepted or not moved.any():
+            basis = "no_descent"
             break
         prev_u, prev_g = u_sup, g
-        u_sup = trial
-        g = stepper.gradient(mr_t)
+        u_sup, mr = trial, mr_t
+        g = stepper.gradient(mr)
         residual = np.sqrt(rr_t)
         history.append(f_t)
+    else:
+        if residual <= eps_target:
+            basis = "tolerance_met"
 
-    return u_sup, total_iters
+    return u_sup, total_iters, basis, bound
 
 
 def solve_constrained_fixed_time(
@@ -561,16 +627,22 @@ def solve_constrained_fixed_time(
     T: float,
     n_t: int,
     max_iter: int = 3000,
-    u0: np.ndarray | None = None,
 ) -> FixedTimeOutcome:
     """Constrained tracking of the target at a fixed horizon.
 
     Minimizes (1/2) ||z(T) - zhat(T)||_M^2 over nonnegative cell controls
-    by projected gradient, with Barzilai-Borwein steps safeguarded by a
-    nonmonotone backtracking line search, on the closed-form terminal map
-    and its adjoint alone: with nonneg_state set, :func:`make_problem`
-    has required z0 >= 0 and a positivity-preserving operator, so no
-    state can turn negative.
+    by projected gradient from the zero control, with Barzilai-Borwein
+    steps safeguarded by a nonmonotone backtracking line search, on the
+    closed-form terminal map and its adjoint alone: with nonneg_state
+    set, :func:`make_problem` has required z0 >= 0 and a
+    positivity-preserving operator, so no state can turn negative.
+
+    The iteration ends when the residual meets the tolerance, when the
+    budget runs out, when no step descends, or when a dual bound proves
+    the tolerance unreachable: the residual q and gradient A^T q give a
+    y with A^T y <= 0, and then ||A u - c|| >= <y, c> / ||y|| for every
+    u >= 0 (checked on iteration 0 and every 25th).  The outcome's
+    ``basis`` names the end.
 
     The verdict rests on the control's trajectory from :func:`simulate`,
     which the outcome carries: see :class:`FixedTimeOutcome`.  Never
@@ -584,36 +656,24 @@ def solve_constrained_fixed_time(
         Horizon and step count.
     max_iter : int
         Gradient iterations.
-    u0 : ndarray, optional
-        Warm-start control values over (support nodes, n_t) cells.
 
     Returns
     -------
     FixedTimeOutcome
     """
     stepper, mask = _support_stepper(problem, T, n_t)
-    n_sup = int(mask.sum())
     zhat_T = problem.target_at(T, n_t).final
     eps_target = EPS_TARGET_FRACTION * _m_norm(zhat_T, stepper.m)
-
-    if u0 is None:
-        u_sup = np.zeros((n_sup, n_t))
-    else:
-        u_sup = np.array(u0, dtype=float)
-        if u_sup.shape != (n_sup, n_t):
-            raise ValueError(
-                f"u0 must have shape ({n_sup}, {n_t}), got {u_sup.shape}"
-            )
-    u_sup = np.maximum(u_sup, 0.0)
-
     alpha0 = 1.0 / (stepper.dt * T * problem.op.grid.h)
     # the iteration's arrays are freed before the verdict's dense simulate
-    u_sup, total_iters = _projected_gradient(
-        stepper, problem.z0, zhat_T, u_sup, eps_target, alpha0, max_iter
+    u_sup, total_iters, basis, bound = _projected_gradient(
+        stepper, problem.z0, zhat_T, int(mask.sum()), eps_target, alpha0, max_iter
     )
 
     control = make_control(problem.op.grid, problem.omega, n_t, values=u_sup)
-    return _outcome(problem, T, n_t, control, zhat_T, total_iters)
+    return _outcome(
+        problem, T, n_t, control, zhat_T, total_iters, basis=basis, lower_bound=bound
+    )
 
 
 def minimal_time_search(
@@ -626,9 +686,9 @@ def minimal_time_search(
     """Bisection for the smallest horizon with a feasible constrained solve.
 
     Validates the bracket with two initial solves (the lower end must be
-    infeasible, the upper end feasible), then bisects, warm-starting each
-    probe from the latest feasible control with its cell grid rescaled to
-    the probed horizon.
+    infeasible, the upper end feasible), then bisects.  Every probed
+    horizon gets one :func:`solve_constrained_fixed_time` call from the
+    zero control, whose verdict is the probe's.
 
     Parameters
     ----------
@@ -658,38 +718,34 @@ def minimal_time_search(
         raise ValueError(f"tol_T must be positive, got {tol_T}")
 
     history: list[tuple[float, bool, float]] = []
+    bases: list[str] = []
 
-    def probe(T, u0):
-        out = solve_constrained_fixed_time(problem, T, n_t, max_iter=max_iter, u0=u0)
-        if not out.feasible and u0 is not None:
-            # a warm start can park the iteration in a worse region than
-            # zero does; declare infeasible only if the cold solve agrees
-            cold = solve_constrained_fixed_time(problem, T, n_t, max_iter=max_iter)
-            if cold.feasible or cold.final_residual < out.final_residual:
-                out = cold
+    def probe(T):
+        out = solve_constrained_fixed_time(problem, T, n_t, max_iter=max_iter)
         history.append((T, out.feasible, out.final_residual))
+        bases.append(out.basis)
         return out
 
-    lo_out = probe(T_lo, None)
+    lo_out = probe(T_lo)
     if lo_out.feasible:
         raise SolverError(
             f"bracket invalid: lower horizon T={T_lo} is already feasible "
             f"(residual {lo_out.final_residual:.3e}); minimal time lies below "
             "the bracket"
         )
-    hi_out = probe(T_hi, None)
+    hi_out = probe(T_hi)
     if not hi_out.feasible:
         raise SolverError(
             f"bracket invalid: upper horizon T={T_hi} is infeasible "
-            f"(residual {hi_out.final_residual:.3e}); enlarge the bracket or "
-            "the iteration budget"
+            f"(residual {hi_out.final_residual:.3e}, {hi_out.basis}); enlarge "
+            "the bracket or the iteration budget"
         )
 
     for _ in range(64):
         if T_hi - T_lo <= tol_T:
             break
         T_mid = 0.5 * (T_lo + T_hi)
-        out = probe(T_mid, hi_out.control.values)
+        out = probe(T_mid)
         if out.feasible:
             T_hi, hi_out = T_mid, out
         else:
@@ -702,6 +758,7 @@ def minimal_time_search(
         T_hi=T_hi,
         T_min_estimate=0.5 * (T_lo + T_hi),
         history=tuple(history),
+        bases=tuple(bases),
         outcome=hi_out,
     )
 

@@ -41,9 +41,12 @@ _GAUSS_W.setflags(write=False)
 
 # the root iteration stops once a step or a bracket is within
 # 1e-14 + 4 eps |t|, the default tolerance of scipy's bracketing root
-# finders; the cap is far above the steps any sum here takes
+# finders; an iterate with |F(t)| <= _ROOT_FTOL * sum_k |c_k| e^(-mu_k t)
+# is within the sum's rounding error of a root; the cap is far above the
+# steps any sum here takes
 _ROOT_XTOL = 1e-14
 _ROOT_RTOL = 4 * np.finfo(float).eps
+_ROOT_FTOL = 4 * np.finfo(float).eps
 _ROOT_STEPS = 100
 
 
@@ -129,7 +132,8 @@ def l1_norm_exp_sum(es: ExponentialSum, n_quad: int) -> float:
     are found together by a bracketed Newton iteration on the closed-form
     derivative F'(t) = -sum_k c_k mu_k e^(-mu_k t): each cell keeps a
     bracket with that sign change, and a step leaving it becomes a
-    bisection.  The absolute value is then integrated with a 10-point
+    bisection, or ends at an iterate within the sum's rounding error of
+    zero.  The absolute value is then integrated with a 10-point
     Gauss rule on each smooth piece.
 
     Parameters
@@ -181,25 +185,30 @@ def _sign_change_roots(
 
     Each bracket keeps the signs of the one grid evaluation at its ends,
     so no sign change can be lost to roundoff; the iteration starts from
-    the secant point of those values.
+    the secant point of those values.  A Newton step that leaves its
+    bracket bisects, unless the iterate's value lies within the sum's
+    rounding error: that iterate is a root as far as the arithmetic can
+    tell, and stays put.  Near a flat root that band is wide, and
+    bisecting through it costs tens of steps.
     """
     lo, hi = grid[change], grid[change + 1]
     f_lo, f_hi = fvals[change], fvals[change + 1]
     s_lo = np.sign(f_lo)
     t = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     c, mu = es.coefficients, es.exponents
+    abs_c = np.abs(c)
     for _ in range(_ROOT_STEPS):
         e = np.exp(-np.multiply.outer(t, mu))
         f = e @ c
-        # an exact zero closes its bracket on the iterate
         left = np.sign(f) == s_lo
-        lo = np.where(left | (f == 0.0), t, lo)
+        lo = np.where(left, t, lo)
         hi = np.where(left, hi, t)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_new = t + f / (e @ (c * mu))
         # NaN (a zero derivative) fails the comparison and bisects too
         inside = (lo < t_new) & (t_new < hi)
-        t_new = np.where(inside, t_new, 0.5 * (lo + hi))
+        flat = np.abs(f) <= _ROOT_FTOL * (e @ abs_c)
+        t_new = np.where(inside, t_new, np.where(flat, t, 0.5 * (lo + hi)))
         tol = _ROOT_XTOL + _ROOT_RTOL * np.abs(t_new)
         if ((np.abs(t_new - t) <= tol) | (hi - lo <= tol)).all():
             return t_new

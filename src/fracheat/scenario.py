@@ -171,6 +171,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         if config.nonneg_control:
             outcome = solve_constrained_fixed_time(problem, T, config.n_t)
             summary["iterations"] = outcome.iterations
+            summary["basis"] = outcome.basis
         else:
             outcome = solve_unconstrained_Linf(problem, T, config.n_t)
         summary["final_residual"] = outcome.final_residual
@@ -189,8 +190,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         summary["T_lo"] = report.T_lo
         summary["T_hi"] = report.T_hi
         summary["history"] = [
-            {"T": probe_T, "feasible": ok, "residual": res}
-            for probe_T, ok, res in report.history
+            {"T": probe_T, "feasible": ok, "residual": res, "basis": basis}
+            for (probe_T, ok, res), basis in zip(report.history, report.bases)
         ]
 
     control, traj = outcome.control, outcome.trajectory

@@ -62,6 +62,16 @@ def prob_case2(op20_unit, cos_profile):
 
 
 @pytest.fixture(scope="session")
+def case1_minimal(prob_case1):
+    return fh.minimal_time_search(prob_case1, (0.7, 0.9), tol_T=0.02, n_t=300)
+
+
+@pytest.fixture(scope="session")
+def case2_at_015(prob_case2):
+    return fh.solve_constrained_fixed_time(prob_case2, 0.15, 100)
+
+
+@pytest.fixture(scope="session")
 def lumped_diag(op20_unit):
     return np.diag(op20_unit.mass_lumped)
 

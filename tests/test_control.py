@@ -6,10 +6,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, nnls
 
 import fracheat as fh
-from fracheat.control import _ModalStepper, _support_stepper
+from fracheat.control import BASES, _ModalStepper, _support_stepper
 
 from conftest import m_norm
 
@@ -301,6 +301,8 @@ def test_constrained_solve_case1_feasible(prob_case1, lumped_diag):
     assert out.final_residual <= 1e-3 * m_norm(zhat_T, lumped_diag)
     assert out.control.values.min() >= 0.0
     assert out.iterations >= 1
+    assert out.basis == "tolerance_met"
+    assert out.lower_bound is None
     traj = fh.simulate(prob_case1.op, prob_case1.z0, out.control, 0.9, 300)
     assert traj.min_value >= -1e-8
 
@@ -314,23 +316,70 @@ def test_constrained_solve_zero_iterations_when_already_on_target(
     out = fh.solve_constrained_fixed_time(prob, 0.5, 40)
     assert out.feasible
     assert out.iterations == 0
+    assert out.basis == "tolerance_met"
     assert not out.control.values.any()
     assert out.final_residual <= 1e-12
 
 
 def test_constrained_solve_budget_exhaustion_reports_infeasible(prob_case1):
-    # far below the minimal horizon the solver must not raise; it reports
-    # the residual it reached
-    out = fh.solve_constrained_fixed_time(prob_case1, 0.3, 60, max_iter=20)
+    # a budget too small for a feasible horizon: the solver must not raise;
+    # it reports the residual it reached (far below the minimal horizon the
+    # dual bound ends the solve before the budget does)
+    out = fh.solve_constrained_fixed_time(prob_case1, 0.8, 60, max_iter=20)
     assert not out.feasible
     assert out.final_residual > 0.0
+    assert out.basis == "budget_exhausted"
+    assert out.iterations == 20
+    assert out.lower_bound is None
 
 
-def test_constrained_solve_warm_start_validation(prob_case1):
-    with pytest.raises(ValueError, match="u0"):
-        fh.solve_constrained_fixed_time(
-            prob_case1, 0.9, 50, u0=np.zeros((3, 7))
-        )
+def _nnls_optimum(problem, T, n_t):
+    """Exact least residual ||A u - c|| over u >= 0, and eps_target."""
+    stepper, _ = _support_stepper(problem, T, n_t)
+    zhat_T = problem.target_at(T, n_t).final
+    c = (stepper.m * zhat_T) @ stepper.V - stepper.free(problem.z0)
+    _, optimum = nnls(stepper.control_matrix(), c)
+    return optimum, 1e-3 * m_norm(zhat_T, stepper.m)
+
+
+@pytest.mark.parametrize(("T", "optimum_eps"), [(0.7, 11.72), (0.65, 123.8)])
+def test_constrained_solve_proves_infeasibility(prob_case1, T, optimum_eps):
+    # the dual bound that ends the solve lies below the exact NNLS optimum,
+    # which lies below the residual of the returned control
+    out = fh.solve_constrained_fixed_time(prob_case1, T, 300)
+    optimum, eps = _nnls_optimum(prob_case1, T, 300)
+    assert out.basis == "proved_infeasible"
+    assert out.iterations < 3000
+    assert not out.feasible
+    assert eps < out.lower_bound <= optimum <= out.final_residual
+    assert optimum / eps == pytest.approx(optimum_eps, rel=1e-3)
+
+
+def test_constrained_solve_budget_bound_where_nnls_reaches_the_target(
+    prob_case2, case2_at_015
+):
+    # case 2 at T = 0.15: the exact optimum is roundoff, so no bound can
+    # fire, and the projected gradient still ends on its budget
+    optimum, eps = _nnls_optimum(prob_case2, 0.15, 100)
+    assert optimum <= 1e-6 * eps
+    assert case2_at_015.basis == "budget_exhausted"
+    assert case2_at_015.iterations == 3000
+    assert not case2_at_015.feasible
+
+
+def test_minimal_time_search_probes_each_horizon_once(case1_minimal):
+    # one cold solve per probed horizon, and a basis for each
+    report = case1_minimal
+    horizons = [T for T, _, _ in report.history]
+    assert len(set(horizons)) == len(horizons)
+    assert len(report.bases) == len(horizons)
+    assert set(report.bases) <= set(BASES)
+    # T = 0.7 is proved infeasible, every feasible probe met the tolerance
+    assert report.bases[0] == "proved_infeasible"
+    for (_, feasible, _), basis in zip(report.history, report.bases):
+        assert feasible == (basis == "tolerance_met")
+    assert report.outcome.basis == "tolerance_met"
+    assert (report.T_hi, True, report.outcome.final_residual) in report.history
 
 
 def test_minimal_time_search_validation(prob_case1):

@@ -113,6 +113,16 @@ def test_root_iteration_never_returns_unconverged(monkeypatch):
         fh.l1_norm_exp_sum(es, 64)
 
 
+def test_root_iteration_does_not_creep_at_flat_roots(monkeypatch):
+    # s = 0.3, K = 12 over 25 horizons holds flat roots whose values sit in
+    # the sum's rounding error; iterating there once took up to 37 steps,
+    # against at most 10 now
+    monkeypatch.setattr(obs, "_ROOT_STEPS", 16)
+    mu = fh.lambda_asymptotic(np.arange(1, 13), 0.3)
+    for T in np.geomspace(4.0, 0.01, 25):
+        assert fh.estimate_observability_constant(mu, T, 12).lower_bound_C > 0.0
+
+
 def test_l1_norm_quadrature_floor():
     es = fh.ExponentialSum([1.0], [1.0], 1.0)
     with pytest.raises(ValueError, match="n_quad"):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import fracheat as fh
+from fracheat.control import BASES
 
 FAST_FIXED = json.dumps(
     {
@@ -50,6 +51,7 @@ def test_fixed_run_summary_content(fixed_run):
     assert s["feasible"] is True
     assert 0.0 <= s["final_residual"]
     assert s["iterations"] >= 1
+    assert s["basis"] == "tolerance_met"
     assert len(s["lambda"]) == 8
     assert s["min_gap"] > 0
     assert s["beta_hat"] > 0
@@ -105,10 +107,18 @@ def test_minimal_time_run_summary(tmp_path, schema):
     assert 0.2 <= s["T_lo"] < s["T_hi"] <= 0.9
     assert s["T_min_estimate"] == pytest.approx(0.5 * (s["T_lo"] + s["T_hi"]))
     assert len(s["history"]) >= 2
+    for probe in s["history"]:
+        assert probe["basis"] in BASES
     assert "final_residual" not in s
     jsonschema.validate(
         json.loads((result.output_dir / "summary.json").read_text()), schema
     )
+
+
+def test_schema_declares_every_basis(schema):
+    assert schema["properties"]["basis"]["enum"] == list(BASES)
+    history_item = schema["properties"]["history"]["items"]
+    assert history_item["properties"]["basis"]["enum"] == list(BASES)
 
 
 def test_minimal_time_requires_nonneg_control(tmp_path):
@@ -252,6 +262,7 @@ def test_scipy_optimize_loads_only_for_the_lp(tmp_path):
     script = """
 import contextlib, io, json, sys
 import fracheat as fh
+from fracheat.control import BASES
 import fracheat.cli
 
 def scipy_modules():
