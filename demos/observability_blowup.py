@@ -27,7 +27,7 @@ T = 0.5
 est = fh.estimate_observability_constant(mu, T, K=8)
 witness = fh.ExponentialSum(est.witness_coeffs, mu, T)
 ratio = float(np.abs(est.witness_coeffs) @ np.exp(-mu * T))
-ratio /= fh.l1_norm_exp_sum(witness, n_quad=256)
+ratio /= fh.l1_norm_exp_sum(witness)
 print(f"\nT = {T}: lower bound C >= {est.lower_bound_C:.6f}")
 print(f"recomputed on the witness: {ratio:.6f}")
 

@@ -14,8 +14,10 @@ spectrum
     Print the leading eigenvalues of the discrete operator as CSV.
 obs-curve
     Print lower bounds of the observability constant over a horizon
-    sweep as CSV.  The estimator is deterministic (the best witness of
-    the Gram-cancellation ladder), so equal arguments print equal output;
+    sweep as CSV.  Each bound is the best witness of the Gram-cancellation
+    ladder, whose L1 norm is taken in closed form between the sum's
+    roots; every horizon's witnesses are evaluated in one batch.  The
+    estimator is deterministic, so equal arguments print equal output;
     ``--nrandom`` and ``--seed`` are still accepted for old command lines
     and have no effect.
 

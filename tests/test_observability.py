@@ -1,4 +1,4 @@
-"""Observability-constant estimator and exponential-sum quadrature."""
+"""Observability-constant estimator and closed-form exponential-sum L1 norms."""
 
 from __future__ import annotations
 
@@ -11,17 +11,60 @@ from hypothesis import given, strategies as st
 
 import fracheat as fh
 import fracheat.observability as obs
-from fracheat.observability import (
-    N_QUAD,
-    _cancellation_candidates,
-    _ratio,
-    _sign_change_roots,
-)
+from fracheat.observability import _cancellation_candidates, _ladder, _ratios, _root_edges
 
 
 def anti(c, mu, t):
     """Antiderivative of sum c_k e^(-mu_k t)."""
     return float(-(c / mu) @ np.exp(-mu * t))
+
+
+def ratio(c, mu, T):
+    """Observability ratio of one witness, as the estimator computes it."""
+    return float(_ratios(np.asarray(c, dtype=float)[None, :], mu, np.array([T]))[0])
+
+
+def ladder_roots(es):
+    """Sign-change roots that the derivative ladder isolates."""
+    edges = _root_edges(es.coefficients[None, :], es.exponents, np.array([es.T]))[0]
+    inner = edges[1:-1]
+    return inner[inner < es.T]
+
+
+def mp_reference(c, mu, T, brackets):
+    """50-digit roots, by bisection in each bracket, and the L1 norm on
+    [0, T] as a sum of piecewise quadratures between them."""
+    with mpmath.workdps(50):
+        terms = [(mpmath.mpf(ck), mpmath.mpf(mk)) for ck, mk in zip(c, mu)]
+
+        def F(t):
+            return mpmath.fsum(ck * mpmath.exp(-mk * t) for ck, mk in terms)
+
+        roots = []
+        for a, b in brackets:
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            positive_at_a = F(a) > 0
+            assert positive_at_a != (F(b) > 0)
+            while b - a > mpmath.mpf(10) ** -45:
+                mid = (a + b) / 2
+                if (F(mid) > 0) == positive_at_a:
+                    a = mid
+                else:
+                    b = mid
+            roots.append(a)
+        edges = [mpmath.mpf(0)] + roots + [mpmath.mpf(T)]
+        norm = mpmath.fsum(abs(mpmath.quad(F, [a, b])) for a, b in zip(edges, edges[1:]))
+        return roots, float(norm)
+
+
+def mp_graded_brackets(c, mu, T):
+    """Sign changes, evaluated in 50 digits, on a grid of 400 cells graded
+    geometrically from T 1e-6 to T, and on [0, T 1e-6]."""
+    with mpmath.workdps(50):
+        grid = [mpmath.mpf(0)] + [T * mpmath.mpf(10) ** (-6 + 6 * i / 400) for i in range(401)]
+        terms = [(mpmath.mpf(ck), mpmath.mpf(mk)) for ck, mk in zip(c, mu)]
+        vals = [mpmath.fsum(ck * mpmath.exp(-mk * t) for ck, mk in terms) for t in grid]
+        return [(a, b) for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]) if fa * fb < 0]
 
 
 def test_exponential_sum_validation():
@@ -45,7 +88,7 @@ def test_l1_norm_single_exponential():
     # integral of c e^(-mu t) over [0, T] is c (1 - e^(-mu T)) / mu
     es = fh.ExponentialSum([3.0], [2.5], 1.7)
     exact = 3.0 * (1.0 - math.exp(-2.5 * 1.7)) / 2.5
-    assert fh.l1_norm_exp_sum(es, 64) == pytest.approx(exact, rel=1e-13)
+    assert fh.l1_norm_exp_sum(es) == pytest.approx(exact, rel=1e-13)
 
 
 def test_l1_norm_with_sign_change():
@@ -59,11 +102,11 @@ def test_l1_norm_with_sign_change():
     exact = abs(anti(c, mu, t_star) - anti(c, mu, 0.0)) + abs(
         anti(c, mu, 3.0) - anti(c, mu, t_star)
     )
-    assert fh.l1_norm_exp_sum(es, 128) == pytest.approx(exact, rel=1e-12)
+    assert fh.l1_norm_exp_sum(es) == pytest.approx(exact, rel=1e-12)
 
 
-def _grid_sign_changes(es, n_quad):
-    grid = np.linspace(0.0, es.T, n_quad + 1)
+def _grid_sign_changes(es, n_cells):
+    grid = np.linspace(0.0, es.T, n_cells + 1)
     fvals = es(grid)
     change = np.flatnonzero(np.sign(fvals[:-1]) * np.sign(fvals[1:]) < 0)
     return grid, fvals, change
@@ -76,57 +119,101 @@ def test_roots_and_l1_norm_match_mpmath():
     T = 0.5
     c = _cancellation_candidates(mu, T)[-1]
     es = fh.ExponentialSum(c, mu, T)
-    grid, fvals, change = _grid_sign_changes(es, N_QUAD)
+    grid, _, change = _grid_sign_changes(es, 256)
     assert change.size == 4
-    roots = _sign_change_roots(es, grid, fvals, change)
-    with mpmath.workdps(50):
-        terms = [(mpmath.mpf(ck), mpmath.mpf(mk)) for ck, mk in zip(c, mu)]
-
-        def F(t):
-            return mpmath.fsum(ck * mpmath.exp(-mk * t) for ck, mk in terms)
-
-        ref = [
-            mpmath.findroot(F, (grid[i], grid[i + 1]), solver="anderson")
-            for i in change
-        ]
-        edges = [mpmath.mpf(0)] + ref + [mpmath.mpf(T)]
-        exact = mpmath.fsum(abs(mpmath.quad(F, [a, b])) for a, b in zip(edges, edges[1:]))
-        errors = [abs(r - mpmath.mpf(x)) for r, x in zip(ref, roots)]
-    assert max(float(e) for e in errors) <= 1e-14
-    assert fh.l1_norm_exp_sum(es, N_QUAD) == pytest.approx(float(exact), rel=1e-13)
+    roots = ladder_roots(es)
+    ref, exact = mp_reference(c, mu, T, zip(grid[change], grid[change + 1]))
+    assert roots.size == 4
+    assert max(float(abs(r - mpmath.mpf(x))) for r, x in zip(ref, roots)) <= 1e-14
+    assert fh.l1_norm_exp_sum(es) == pytest.approx(exact, rel=1e-13)
 
 
-def test_l1_norm_rejects_more_than_k_minus_1_sign_changes():
+def test_l1_norm_finds_roots_that_a_grid_misses():
+    # at s = 0.8, K = 12, T = 4 this padded Gram-ladder witness changes
+    # sign 8 times, twice within the first of 256 uniform cells; a
+    # quadrature on those cells missed both roots and erred by 7.6e-5
+    mu = fh.lambda_asymptotic(np.arange(1, 13), 0.8)
+    T = 4.0
+    c = np.pad(_cancellation_candidates(mu[:9], T)[0], (0, 3))
+    es = fh.ExponentialSum(c, mu, T)
+    assert _grid_sign_changes(es, 256)[2].size == 6
+    ref, exact = mp_reference(c, mu, T, mp_graded_brackets(c, mu, T))
+    roots = ladder_roots(es)
+    assert len(ref) == roots.size == 8
+    # each root within its conditioning, eps sum_k |c_k| e^(-mu_k t) / |F'(t)|
+    for r, x in zip(ref, roots):
+        e = np.exp(-mu * x)
+        cond = np.finfo(float).eps * (np.abs(c) @ e) / abs((c * mu) @ e)
+        assert float(abs(r - mpmath.mpf(x))) <= 4 * cond
+    assert fh.l1_norm_exp_sum(es) == pytest.approx(exact, rel=1e-12)
+
+
+def test_l1_norm_where_every_term_underflows_at_T():
+    # F(t) = e^(-300 t) - 1.01 e^(-310 t) is -0.01 at 0 and crosses zero at
+    # t = ln(1.01) / 10, but both terms round to 0 long before T = 4, so
+    # the sign of F itself is lost there; scaled ladder levels keep it
+    c = np.array([1.0, -1.01])
+    mu = np.array([300.0, 310.0])
+    T = 4.0
+    t_star = math.log(1.01) / 10.0
+    exact = abs(anti(c, mu, t_star) - anti(c, mu, 0.0)) + abs(
+        anti(c, mu, T) - anti(c, mu, t_star)
+    )
+    roots = ladder_roots(fh.ExponentialSum(c, mu, T))
+    assert roots.size == 1 and roots[0] == pytest.approx(t_star, rel=1e-13)
+    assert fh.l1_norm_exp_sum(fh.ExponentialSum(c, mu, T)) == pytest.approx(exact, rel=1e-13)
+
+
+def test_l1_norm_at_large_K():
+    # at s = 0.99, K = 40, T = 1 the most regularized full-length Gram
+    # witness changes sign 11 times; its high ladder levels, e^(-mu_k t)
+    # down to e^(-14000), round to 0 at T, and scaled by 2^900 their
+    # coefficients, products of up to 38 exponent gaps, overflow
+    mu = fh.lambda_asymptotic(np.arange(1, 41), 0.99)
+    T = 1.0
+    c = _cancellation_candidates(mu, T)[-1]
+    es = fh.ExponentialSum(c, mu, T)
+    ref, exact = mp_reference(c, mu, T, mp_graded_brackets(c, mu, T))
+    roots = ladder_roots(es)
+    assert len(ref) == roots.size == 11
+    assert max(float(abs(r - mpmath.mpf(x))) for r, x in zip(ref, roots)) <= 1e-14
+    assert fh.l1_norm_exp_sum(es) == pytest.approx(exact, rel=1e-12)
+    scale = 2.0**900
+    with np.errstate(over="ignore"):
+        assert np.isinf(abs(c[-1]) * scale * np.prod(mu[-1] - mu[:-2]))
+    big = fh.l1_norm_exp_sum(fh.ExponentialSum(scale * c, mu, T))
+    assert big / scale == pytest.approx(exact, rel=1e-12)
+
+
+def test_sum_with_noise_sign_changes_is_a_degenerate_witness():
     # three nearly equal exponents: the sum is a second difference that
-    # cancels to roundoff, and the grid sees noise flip its sign
-    es = fh.ExponentialSum([1.0, -2.0, 1.0], [1.0, 1.0 + 1e-13, 1.0 + 2e-13], 1.0)
-    assert _grid_sign_changes(es, N_QUAD)[2].size > 2
-    with pytest.raises(fh.QuadratureError, match="more than the K-1=2"):
-        fh.l1_norm_exp_sum(es, N_QUAD)
+    # cancels to roundoff, and a uniform grid sees noise flip its sign more
+    # often than the K - 1 = 2 times a sum of 3 exponentials can; the ladder
+    # isolates at most 2 roots, and the rounding guard gives ratio 0
+    mu = np.array([1.0, 1.0 + 1e-13, 1.0 + 2e-13])
+    c = np.array([1.0, -2.0, 1.0])
+    es = fh.ExponentialSum(c, mu, 1.0)
+    assert _grid_sign_changes(es, 256)[2].size > 2
+    assert ladder_roots(es).size <= 2
+    assert ratio(c, mu, 1.0) == 0.0
 
 
 def test_root_iteration_never_returns_unconverged(monkeypatch):
     es = fh.ExponentialSum([-0.5, 1.0], [1.0, 2.0], 3.0)
-    assert fh.l1_norm_exp_sum(es, 64) > 0.0
+    assert fh.l1_norm_exp_sum(es) > 0.0
     monkeypatch.setattr(obs, "_ROOT_STEPS", 1)
     with pytest.raises(fh.SolverError, match="not converged"):
-        fh.l1_norm_exp_sum(es, 64)
+        fh.l1_norm_exp_sum(es)
 
 
 def test_root_iteration_does_not_creep_at_flat_roots(monkeypatch):
     # s = 0.3, K = 12 over 25 horizons holds flat roots whose values sit in
     # the sum's rounding error; iterating there once took up to 37 steps,
-    # against at most 10 now
+    # against at most 13 now
     monkeypatch.setattr(obs, "_ROOT_STEPS", 16)
     mu = fh.lambda_asymptotic(np.arange(1, 13), 0.3)
     for T in np.geomspace(4.0, 0.01, 25):
         assert fh.estimate_observability_constant(mu, T, 12).lower_bound_C > 0.0
-
-
-def test_l1_norm_quadrature_floor():
-    es = fh.ExponentialSum([1.0], [1.0], 1.0)
-    with pytest.raises(ValueError, match="n_quad"):
-        fh.l1_norm_exp_sum(es, 32)
 
 
 def test_estimator_validation():
@@ -157,7 +244,7 @@ def test_estimator_bound_is_certified_by_witness():
     est = fh.estimate_observability_constant(mu, 0.5, 4)
     c = est.witness_coeffs
     numer = float(np.abs(c) @ np.exp(-mu * est.T))
-    denom = fh.l1_norm_exp_sum(fh.ExponentialSum(c, mu, est.T), 256)
+    denom = fh.l1_norm_exp_sum(fh.ExponentialSum(c, mu, est.T))
     assert est.lower_bound_C == pytest.approx(numer / denom, rel=1e-12)
 
 
@@ -179,7 +266,7 @@ def test_estimate_is_the_best_ladder_witness():
     for m in range(1, K + 1):
         for v in _cancellation_candidates(mu[:m], T):
             candidates.append(np.pad(v, (0, K - m)))
-    best = max(_ratio(c, mu[:K], T, N_QUAD) for c in candidates)
+    best = max(ratio(c, mu[:K], T) for c in candidates)
     est = fh.estimate_observability_constant(mu, T, K)
     assert est.lower_bound_C == best
     assert est.lower_bound_C == pytest.approx(6.578, rel=1e-3)
@@ -227,23 +314,40 @@ def test_l1_norm_dominates_plain_integral(coeffs, T):
     mu = 0.5 + np.arange(c.size, dtype=float)
     es = fh.ExponentialSum(c, mu, T)
     plain = abs(float((c / mu) @ (1.0 - np.exp(-mu * T))))
-    assert fh.l1_norm_exp_sum(es, 64) >= plain - 1e-12 * max(plain, 1.0)
+    assert fh.l1_norm_exp_sum(es) >= plain - 1e-12 * max(plain, 1.0)
 
 
 def test_l1_norm_of_a_sum_cancelled_to_roundoff():
-    # the vectorized grid evaluation sees a sign change in a cell whose
-    # endpoints, evaluated one at a time, round to the same sign
-    c = np.array([1.0, 1.0000000000025004, -2.0000000000040004])
+    # e^-t - 2 e^-2t + e^-3t = e^-t (1 - e^-t)^2 is about t^2 <= 1e-24 on
+    # [0, 1e-12], far below the rounding of its unit terms: a uniform grid
+    # sees dozens of noise sign changes
+    c = np.array([1.0, -2.0, 1.0])
     mu = np.array([1.0, 2.0, 3.0])
-    try:
-        norm = fh.l1_norm_exp_sum(fh.ExponentialSum(c, mu, 1e-12), 256)
-    except fh.QuadratureError:
-        pass
-    else:
-        assert np.isfinite(norm) and norm >= 0.0
+    T = 1e-12
+    es = fh.ExponentialSum(c, mu, T)
+    assert _grid_sign_changes(es, 256)[2].size > 2
+    norm = fh.l1_norm_exp_sum(es)
+    assert np.isfinite(norm) and 0.0 <= norm <= 1e-24
     # the estimator treats such a sum as a degenerate witness
-    r = _ratio(c, mu, 1e-12, 256)
-    assert np.isfinite(r) and r >= 0.0
+    assert ratio(c, mu, T) == 0.0
+    est = fh.estimate_observability_constant(mu, T, 3)
+    assert np.isfinite(est.lower_bound_C) and est.lower_bound_C > 0.0
+
+
+def test_witness_alone_reproduces_its_batched_ratio():
+    # the obs-curve sweep evaluates every horizon's ladder in one batch;
+    # each estimate, and each witness's ratio, recomputed alone is the
+    # same float
+    mu = fh.lambda_asymptotic(np.arange(1, 9), 0.8)
+    T_values = np.geomspace(4.0, 0.05, 9)
+    curve = fh.blowup_curve(mu, T_values, 8)
+    for T, C in zip(T_values, curve.C_lower):
+        est = fh.estimate_observability_constant(mu, T, 8)
+        assert est.lower_bound_C == C
+        assert ratio(est.witness_coeffs, mu, T) == C
+        rows = _ladder(mu, T)
+        batched = _ratios(rows, mu, np.full(len(rows), T))
+        assert [ratio(c, mu, T) for c in rows] == list(batched)
 
 
 def test_blowup_curve_to_csv(tmp_path):
