@@ -31,6 +31,14 @@ import numpy as np
 from .errors import QuadratureError
 from .grid import Grid
 
+__all__ = [
+    "DiscreteOperator",
+    "normalization_constant",
+    "assemble_stiffness",
+    "assemble_mass",
+    "build_operator",
+]
+
 S_MIN = 0.01
 S_MAX = 0.99
 
@@ -321,13 +329,6 @@ class DiscreteOperator:
     @property
     def n_dof(self) -> int:
         return self.grid.n_interior
-
-    def mass_matrix(self, kind: str) -> np.ndarray:
-        if kind == "consistent":
-            return self.mass
-        if kind == "lumped":
-            return self.mass_lumped
-        raise ValueError(f"mass kind must be 'consistent' or 'lumped', got {kind!r}")
 
     @cached_property
     def positivity_preserving(self) -> bool:

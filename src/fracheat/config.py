@@ -10,9 +10,10 @@ Accepted keys::
 
     case_preset     "case1" | "case2"
     s               fractional order, in [0.01, 0.99]
-    n_x             number of mesh cells on (-1, 1), >= 2
+    n_x             number of mesh cells on (-1, 1), >= 4
     n_t             number of time steps, >= 1
-    omega           [a, b] control region, -1 < a < b < 1
+    omega           [a, b] control region, -1 < a < b < 1, holding at
+                    least one interior node of the n_x grid
     normalization   "unit" | "symbol"
     z0_amplitude    initial datum amplitude: z0 = A cos(pi x / 2), >= 0
                     when constraints.nonneg_state is true
@@ -35,6 +36,7 @@ from dataclasses import dataclass, replace
 
 from .assembly import S_MAX, S_MIN
 from .errors import ConfigError
+from .grid import build_grid, nodes_in_interval
 
 __all__ = [
     "HorizonMode",
@@ -229,13 +231,15 @@ def _check_bool(path: str, value) -> bool:
     return bool(value)
 
 
-def _check_omega(path: str, value) -> tuple[float, float]:
+def _check_omega(path: str, value, n_x: int) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         _fail(path, f"expected a pair [a, b], got {value!r}")
     a = _check_number(f"{path}[0]", value[0])
     b = _check_number(f"{path}[1]", value[1])
     if not (-1.0 < a < b < 1.0):
         _fail(path, f"must satisfy -1 < a < b < 1, got [{a}, {b}]")
+    if not nodes_in_interval(build_grid(n_x), (a, b)).any():
+        _fail(path, f"[{a}, {b}] holds no interior node of the n_x = {n_x} grid")
     return (a, b)
 
 
@@ -336,9 +340,11 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
             merged[key] = value
 
     s = _check_number("s", merged["s"], minimum=S_MIN, maximum=S_MAX)
-    n_x = _check_int("n_x", merged["n_x"], minimum=2)
+    # the summary's gap statistics need three eigenvalues, so three
+    # interior nodes
+    n_x = _check_int("n_x", merged["n_x"], minimum=4)
     n_t = _check_int("n_t", merged["n_t"], minimum=1)
-    omega = _check_omega("omega", merged["omega"])
+    omega = _check_omega("omega", merged["omega"], n_x)
     normalization = merged["normalization"]
     if normalization not in ("unit", "symbol"):
         _fail("normalization", f"expected 'unit' or 'symbol', got {normalization!r}")

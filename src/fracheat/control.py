@@ -681,7 +681,6 @@ def minimal_time_search(
     T_bracket: tuple[float, float],
     tol_T: float,
     n_t: int,
-    max_iter: int = 3000,
 ) -> MinimalTimeReport:
     """Bisection for the smallest horizon with a feasible constrained solve.
 
@@ -699,8 +698,6 @@ def minimal_time_search(
         Stop when T_hi - T_lo <= tol_T.
     n_t : int
         Time steps used at every horizon.
-    max_iter : int
-        Forwarded to the fixed-horizon solver.
 
     Returns
     -------
@@ -721,7 +718,7 @@ def minimal_time_search(
     bases: list[str] = []
 
     def probe(T):
-        out = solve_constrained_fixed_time(problem, T, n_t, max_iter=max_iter)
+        out = solve_constrained_fixed_time(problem, T, n_t)
         history.append((T, out.feasible, out.final_residual))
         bases.append(out.basis)
         return out
@@ -738,7 +735,7 @@ def minimal_time_search(
         raise SolverError(
             f"bracket invalid: upper horizon T={T_hi} is infeasible "
             f"(residual {hi_out.final_residual:.3e}, {hi_out.basis}); enlarge "
-            "the bracket or the iteration budget"
+            "the bracket"
         )
 
     for _ in range(64):

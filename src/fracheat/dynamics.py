@@ -67,14 +67,11 @@ class ControlField:
     values : ndarray, shape (n_support, n_t)
         Rows follow the interior nodes inside omega, columns the time
         cells [t_j, t_{j+1}).
-    omega : tuple
-        Control region.
     support_mask : ndarray of bool, shape (n_interior,)
         True for interior nodes inside omega.
     """
 
     values: np.ndarray = field(repr=False)
-    omega: tuple[float, float]
     support_mask: np.ndarray = field(repr=False)
 
     @property
@@ -121,7 +118,7 @@ def make_control(
             raise ValueError(
                 f"control values must have shape ({n_sup}, {n_t}), got {vals.shape}"
             )
-    return ControlField(values=vals, omega=(float(omega[0]), float(omega[1])), support_mask=mask)
+    return ControlField(values=vals, support_mask=mask)
 
 
 def _time_grid(T: float, n_t: int) -> np.ndarray:

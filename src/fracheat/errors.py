@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "FracheatError",
+    "ConfigError",
+    "QuadratureError",
+    "SolverError",
+]
+
 
 class FracheatError(Exception):
     """Base class for errors raised by this package."""

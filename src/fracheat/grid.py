@@ -6,6 +6,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = [
+    "Grid",
+    "build_grid",
+    "nodes_in_interval",
+    "trapezoid_weights",
+]
+
 
 @dataclass(frozen=True)
 class Grid:

@@ -40,7 +40,7 @@ from .control import (
 from .dynamics import make_control, trajectory_to_csv
 from .errors import ConfigError
 from .grid import build_grid
-from .spectral import eigendecompose, spectral_report
+from .spectral import eigendecompose, gap_statistics, l1_lower_bound
 
 __all__ = [
     "ScenarioResult",
@@ -156,14 +156,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     k_max = min(8, op.n_dof)
     basis = eigendecompose(op, k_max=k_max)
-    spec = spectral_report(basis, config.omega)
 
     summary: dict = {
         "resolved_config": config.to_dict(),
         "seed": config.seed,
-        "lambda": spec["eigenvalues"],
-        "min_gap": spec["min_gap"],
-        "beta_hat": spec["beta_hat"],
+        "lambda": basis.eigenvalues.tolist(),
+        "min_gap": gap_statistics(basis).min_gap,
+        "beta_hat": l1_lower_bound(basis, config.omega),
     }
 
     if config.horizon.kind == "fixed":
@@ -226,8 +225,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(summary=summary, output_dir=outdir, files=tuple(files))
 
 
-_PLOT_STATE = '''\
-"""Render the state evolution from trajectory.csv as a space-time map."""
+# one space-time heatmap script per CSV artifact
+_PLOT_HEATMAP = '''\
+"""Render {what} from {csv_name} as a space-time {kind}."""
 import csv
 import os
 import sys
@@ -238,50 +238,21 @@ import matplotlib.pyplot as plt
 import numpy as np
 
 here = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(os.path.abspath(__file__))
-rows = list(csv.DictReader(open(os.path.join(here, "trajectory.csv"))))
+rows = list(csv.DictReader(open(os.path.join(here, "{csv_name}"))))
 t = np.array([float(r["t"]) for r in rows])
 x = np.array([float(r["x"]) for r in rows])
-z = np.array([float(r["z"]) for r in rows])
+{col} = np.array([float(r["{col}"]) for r in rows])
 ts, xs = np.unique(t), np.unique(x)
-grid = z.reshape(len(ts), len(xs))
+grid = {col}.reshape(len(ts), len(xs))
 fig, ax = plt.subplots(figsize=(7, 4))
-pc = ax.pcolormesh(ts, xs, grid.T, shading="nearest", cmap="viridis")
-fig.colorbar(pc, ax=ax, label="z(t, x)")
+pc = ax.pcolormesh(ts, xs, grid.T, shading="nearest", cmap="{cmap}")
+fig.colorbar(pc, ax=ax, label="{col}(t, x)")
 ax.set_xlabel("t")
 ax.set_ylabel("x")
-ax.set_title("controlled state evolution")
+ax.set_title("{title}")
 fig.tight_layout()
-fig.savefig(os.path.join(here, "state_evolution.png"), dpi=150)
-print("wrote state_evolution.png")
-'''
-
-_PLOT_CONTROL = '''\
-"""Render the control from control.csv as a space-time heatmap."""
-import csv
-import os
-import sys
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(os.path.abspath(__file__))
-rows = list(csv.DictReader(open(os.path.join(here, "control.csv"))))
-t = np.array([float(r["t"]) for r in rows])
-x = np.array([float(r["x"]) for r in rows])
-u = np.array([float(r["u"]) for r in rows])
-ts, xs = np.unique(t), np.unique(x)
-grid = u.reshape(len(ts), len(xs))
-fig, ax = plt.subplots(figsize=(7, 4))
-pc = ax.pcolormesh(ts, xs, grid.T, shading="nearest", cmap="magma")
-fig.colorbar(pc, ax=ax, label="u(t, x)")
-ax.set_xlabel("t")
-ax.set_ylabel("x")
-ax.set_title("control heatmap")
-fig.tight_layout()
-fig.savefig(os.path.join(here, "control_heatmap.png"), dpi=150)
-print("wrote control_heatmap.png")
+fig.savefig(os.path.join(here, "{stem}.png"), dpi=150)
+print("wrote {stem}.png")
 '''
 
 _PLOT_IMPULSE = '''\
@@ -315,9 +286,16 @@ print("wrote impulse_map.png")
 '''
 
 
+# the fields of _PLOT_HEATMAP for the state and the control
+_HEATMAPS = (
+    dict(stem="state_evolution", what="the state evolution", kind="map",
+         csv_name="trajectory.csv", col="z", cmap="viridis", title="controlled state evolution"),
+    dict(stem="control_heatmap", what="the control", kind="heatmap",
+         csv_name="control.csv", col="u", cmap="magma", title="control heatmap"),
+)
+
+
 def _plot_scripts() -> dict[str, str]:
-    return {
-        "plot_state_evolution.py": _PLOT_STATE,
-        "plot_control_heatmap.py": _PLOT_CONTROL,
-        "plot_impulse_map.py": _PLOT_IMPULSE,
-    }
+    scripts = {f"plot_{h['stem']}.py": _PLOT_HEATMAP.format(**h) for h in _HEATMAPS}
+    scripts["plot_impulse_map.py"] = _PLOT_IMPULSE
+    return scripts

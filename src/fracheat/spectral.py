@@ -32,10 +32,10 @@ __all__ = [
     "l1_lower_bound",
     "q_profile",
     "mu_value",
+    "lambda_asymptotic",
     "gamma_density",
     "G_transform",
     "quasi_eigenfunction",
-    "spectral_report",
 ]
 
 # Fraction of the computed spectrum treated as resolved; the top of a P1
@@ -153,6 +153,8 @@ def eigendecompose(
 
     Raises
     ------
+    ValueError
+        If k_max is out of range or mass_kind is unknown.
     SolverError
         If any retained pair has relative residual above 1e-8.
     """
@@ -161,10 +163,12 @@ def eigendecompose(
         k_max = n
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
+    if mass_kind not in ("consistent", "lumped"):
+        raise ValueError(f"mass kind must be 'consistent' or 'lumped', got {mass_kind!r}")
     from scipy.linalg import eigh
 
     K = op.stiffness
-    M = op.mass_matrix(mass_kind)
+    M = op.mass_lumped if mass_kind == "lumped" else op.mass
     subset = None if k_max == n else [0, k_max - 1]
     if mass_kind == "lumped":
         # Diagonal mass: reduce to a standard symmetric problem directly.
@@ -539,19 +543,3 @@ def quasi_eigenfunction(k: int, op: DiscreteOperator) -> QuasiEigenfunction:
         residual_norm=float(np.abs(resid).max()),
     )
 
-
-def spectral_report(basis: SpectralBasis, omega: tuple[float, float]) -> dict:
-    """JSON-ready summary of a spectral basis.
-
-    Returns a dict with keys s, n_x, eigenvalues, min_gap, partial_sums,
-    beta_hat (the L1 lower bound over omega).
-    """
-    report = gap_statistics(basis)
-    return {
-        "s": basis.s,
-        "n_x": basis.grid.n_x,
-        "eigenvalues": [float(v) for v in basis.eigenvalues],
-        "min_gap": report.min_gap,
-        "partial_sums": [float(v) for v in report.partial_sums],
-        "beta_hat": l1_lower_bound(basis, omega),
-    }

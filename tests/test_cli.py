@@ -84,6 +84,19 @@ def test_run_config_error_exits_2(tmp_path, capsys):
     }
 
 
+def test_run_rejects_a_mesh_too_coarse_for_the_summary(tmp_path, capsys):
+    # the summary's gap statistics need three eigenvalues, and the control
+    # region needs a node: both are config errors, not internal ones
+    for extra, field in (({"n_x": 3}, "n_x"), ({"n_x": 4, "omega": [0.1, 0.2]}, "omega")):
+        path = write_config(tmp_path, extra)
+        assert main(["run", "--config", str(path)]) == 2
+        record = stderr_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"{field}:")
+    path = write_config(tmp_path, {"n_x": 4})
+    assert main(["run", "--config", str(path)]) == 0
+
+
 def test_run_state_constraint_needs_positivity_preserving_operator(
     tmp_path, capsys
 ):

@@ -103,6 +103,7 @@ def test_unknown_keys_rejected():
         ('{"s": "big"}', "s"),
         ('{"s": true}', "s"),
         ('{"n_x": 1}', "n_x"),
+        ('{"n_x": 3}', "n_x"),
         ('{"n_x": 2.5}', "n_x"),
         ('{"n_t": 0}', "n_t"),
         ('{"omega": [0.5]}', "omega"),
@@ -136,6 +137,13 @@ def test_unknown_keys_rejected():
 def test_field_errors_name_the_path(snippet, path):
     with pytest.raises(fh.ConfigError, match=path.replace("[", r"\[")):
         fh.parse_config(snippet)
+
+
+def test_omega_must_hold_a_grid_node():
+    # the interior nodes of the n_x = 4 grid are -0.5, 0 and 0.5
+    with pytest.raises(fh.ConfigError, match=r"^omega: \[0.1, 0.2\] holds no interior node"):
+        fh.parse_config('{"n_x": 4, "omega": [0.1, 0.2]}')
+    assert fh.parse_config('{"n_x": 4, "omega": [0.1, 0.5]}').omega == (0.1, 0.5)
 
 
 def test_negative_amplitude_parses_without_state_constraint():

@@ -396,9 +396,7 @@ def test_minimal_time_search_rejects_feasible_lower_end(prob_case1):
 
 def test_minimal_time_search_rejects_infeasible_upper_end(prob_case1):
     with pytest.raises(fh.SolverError, match="infeasible"):
-        fh.minimal_time_search(
-            prob_case1, (0.45, 0.5), 0.05, 100, max_iter=150
-        )
+        fh.minimal_time_search(prob_case1, (0.45, 0.5), 0.05, 100)
 
 
 def test_impulse_analysis_uniform_and_single_cell(grid20):

@@ -116,9 +116,11 @@ def test_minimal_time_run_summary(tmp_path, schema):
 
 
 def test_schema_declares_every_basis(schema):
-    assert schema["properties"]["basis"]["enum"] == list(BASES)
+    assert schema["definitions"]["basis"]["enum"] == list(BASES)
+    ref = {"$ref": "#/definitions/basis"}
+    assert schema["properties"]["basis"] == ref
     history_item = schema["properties"]["history"]["items"]
-    assert history_item["properties"]["basis"]["enum"] == list(BASES)
+    assert history_item["properties"]["basis"] == ref
 
 
 def test_minimal_time_requires_nonneg_control(tmp_path):
@@ -252,6 +254,20 @@ def test_emit_plots_scripts_render(tmp_path):
         "impulse_map.png",
         "state_evolution.png",
     ]
+
+
+def test_emit_plots_scripts_compile(tmp_path):
+    # runs without matplotlib, unlike the render test above
+    cfg = {**json.loads(FAST_FIXED), "emit_plots": True, "output_dir": str(tmp_path)}
+    result = fh.run_scenario(fh.parse_config(json.dumps(cfg)))
+    scripts = sorted(f for f in result.files if f.endswith(".py"))
+    assert scripts == [
+        "plot_control_heatmap.py",
+        "plot_impulse_map.py",
+        "plot_state_evolution.py",
+    ]
+    for script in scripts:
+        compile((result.output_dir / script).read_text(), script, "exec")
 
 
 def test_scipy_optimize_loads_only_for_the_lp(tmp_path):

@@ -49,6 +49,11 @@ def test_frozen_unit_eigenvalues(basis20):
     assert basis20.eigenvalues == pytest.approx(FROZEN_LAMBDA_UNIT, rel=1e-12)
 
 
+def test_eigendecompose_rejects_unknown_mass_kind(op20_unit):
+    with pytest.raises(ValueError, match="mass kind"):
+        fh.eigendecompose(op20_unit, mass_kind="weird")
+
+
 def test_eigenvectors_mass_orthonormal(basis20, op20_unit):
     V = basis20.eigenvectors
     G = V.T @ op20_unit.mass @ V
@@ -106,15 +111,6 @@ def test_l1_lower_bound_frozen(basis20):
     assert beta > 0
     # monotone in the observation window
     assert fh.l1_lower_bound(basis20, (-0.5, 0.9)) >= beta
-
-
-def test_spectral_report_keys(basis20):
-    rep = fh.spectral_report(basis20, (-0.3, 0.8))
-    assert rep["s"] == 0.8
-    assert rep["n_x"] == 20
-    assert rep["eigenvalues"] == pytest.approx(FROZEN_LAMBDA_UNIT)
-    assert rep["beta_hat"] == pytest.approx(0.68055518652950397)
-    assert rep["min_gap"] == pytest.approx(15.161178300178467)
 
 
 def test_mu_value_and_lambda_asymptotic():
