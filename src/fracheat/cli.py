@@ -32,8 +32,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
-from .assembly import S_MAX, S_MIN
+from .assembly import NORMALIZATIONS, S_MAX, S_MIN
 from .errors import ConfigError, SolverError
 
 __all__ = ["build_parser", "main"]
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--kmax", type=int, default=8, help="eigenvalues to print")
     p_spec.add_argument(
         "--normalization",
-        choices=("unit", "symbol"),
+        choices=NORMALIZATIONS,
         default="unit",
         help="operator normalization (default unit)",
     )
@@ -106,7 +107,7 @@ def _cmd_run(args) -> int:
     config = parse_config(text)
     env_dir = os.environ.get("FRACHEAT_OUTPUT_DIR")
     if env_dir:
-        config = config.with_output_dir(env_dir)
+        config = replace(config, output_dir=env_dir)
     if args.seed is not None:
         config = config.with_seed(args.seed)
 

@@ -32,9 +32,9 @@ Accepted keys::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-from .assembly import S_MAX, S_MIN
+from .assembly import NORMALIZATIONS, S_MAX, S_MIN
 from .errors import ConfigError
 from .grid import build_grid, nodes_in_interval
 
@@ -170,30 +170,11 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         """Fully explicit JSON-ready form, echoed into the summary."""
-        return {
-            "case_preset": self.case_preset,
-            "s": self.s,
-            "n_x": self.n_x,
-            "n_t": self.n_t,
-            "omega": list(self.omega),
-            "normalization": self.normalization,
-            "z0_amplitude": self.z0_amplitude,
-            "zhat0_amplitude": self.zhat0_amplitude,
-            "uhat": self.uhat,
-            "nu": self.nu,
-            "horizon_mode": self.horizon.to_dict(),
-            "constraints": {
-                "nonneg_control": self.nonneg_control,
-                "nonneg_state": self.nonneg_state,
-            },
-            "output_dir": self.output_dir,
-            "emit_plots": self.emit_plots,
-            "seed": self.seed,
-        }
-
-    def with_output_dir(self, path: str) -> "ScenarioConfig":
-        """Copy with a different output directory."""
-        return replace(self, output_dir=str(path))
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["omega"] = list(self.omega)
+        out["horizon_mode"] = out.pop("horizon").to_dict()
+        out["constraints"] = {key: out.pop(key) for key in ("nonneg_control", "nonneg_state")}
+        return out
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         """Copy with a different seed."""
@@ -346,8 +327,8 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
     n_t = _check_int("n_t", merged["n_t"], minimum=1)
     omega = _check_omega("omega", merged["omega"], n_x)
     normalization = merged["normalization"]
-    if normalization not in ("unit", "symbol"):
-        _fail("normalization", f"expected 'unit' or 'symbol', got {normalization!r}")
+    if normalization not in NORMALIZATIONS:
+        _fail("normalization", f"expected one of {NORMALIZATIONS}, got {normalization!r}")
     z0_amp = _check_number("z0_amplitude", merged["z0_amplitude"])
     zhat0_amp = _check_number("zhat0_amplitude", merged["zhat0_amplitude"], minimum=1e-300)
     uhat = _check_number("uhat", merged["uhat"], minimum=0.0)

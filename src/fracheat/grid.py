@@ -80,6 +80,16 @@ def build_grid(n_x: int) -> Grid:
     return grid
 
 
+def _in_closed_interval(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
+    """Mask over all nodes, domain endpoints included, of [lo, hi] widened by 1e-12."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (-1.0 <= lo < hi <= 1.0):
+        raise ValueError(f"interval must satisfy -1 <= lo < hi <= 1, got ({lo}, {hi})")
+    x = grid.nodes
+    tol = 1e-12
+    return (x >= lo - tol) & (x <= hi + tol)
+
+
 def nodes_in_interval(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
     """Interior-DOF mask of nodes lying in the closed interval.
 
@@ -97,12 +107,7 @@ def nodes_in_interval(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
     -------
     ndarray of bool, shape (n_interior,)
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (-1.0 <= lo < hi <= 1.0):
-        raise ValueError(f"interval must satisfy -1 <= lo < hi <= 1, got ({lo}, {hi})")
-    x = grid.interior_nodes
-    tol = 1e-12
-    return (x >= lo - tol) & (x <= hi + tol)
+    return _in_closed_interval(grid, interval)[grid.interior]
 
 
 def trapezoid_weights(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
@@ -127,13 +132,10 @@ def trapezoid_weights(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
     -------
     ndarray, shape (n_interior,)
     """
-    mask = nodes_in_interval(grid, interval)
+    in_closed = _in_closed_interval(grid, interval)
+    mask = in_closed[grid.interior]
     if not mask.any():
         raise ValueError(f"interval {interval!r} contains no interior nodes")
-    lo, hi = float(interval[0]), float(interval[1])
-    tol = 1e-12
-    x = grid.nodes
-    in_closed = (x >= lo - tol) & (x <= hi + tol)
     left_in = in_closed[:-2]
     right_in = in_closed[2:]
     w = 0.5 * grid.h * mask * (left_in.astype(float) + right_in.astype(float))

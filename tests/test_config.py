@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 import fracheat as fh
+import fracheat.config
+from fracheat.cli import main
 
 
 def test_empty_object_resolves_to_defaults():
@@ -154,42 +157,41 @@ def test_negative_amplitude_parses_without_state_constraint():
 
 
 def test_to_dict_round_trip():
-    cfg = fh.parse_config(
-        '{"case_preset": "case2", "seed": 7, "nu": 0.3, "emit_plots": true}'
-    )
-    echoed = json.dumps(cfg.to_dict())
-    again = fh.parse_config(echoed)
-    assert again == cfg
-    assert sorted(cfg.to_dict()) == sorted(
-        [
-            "case_preset",
-            "s",
-            "n_x",
-            "n_t",
-            "omega",
-            "normalization",
-            "z0_amplitude",
-            "zhat0_amplitude",
-            "uhat",
-            "nu",
-            "horizon_mode",
-            "constraints",
-            "output_dir",
-            "emit_plots",
-            "seed",
-        ]
-    )
+    for text in (
+        '{"case_preset": "case2", "seed": 7, "nu": 0.3, "emit_plots": true}',
+        "{}",
+        '{"case_preset": "case1"}',
+        '{"case_preset": "case2"}',
+    ):
+        cfg = fh.parse_config(text)
+        echoed = cfg.to_dict()
+        assert fh.parse_config(json.dumps(echoed)) == cfg
+        # the echo spells out every key the parser accepts, and no other
+        assert set(echoed) == fracheat.config._KNOWN_KEYS
 
 
-def test_with_output_dir_and_seed():
+def test_with_output_dir_and_seed(tmp_path, capsys, monkeypatch):
     cfg = fh.parse_config("{}")
-    cfg2 = cfg.with_output_dir("elsewhere").with_seed(9)
+    cfg2 = replace(cfg, output_dir="elsewhere").with_seed(9)
     assert cfg2.output_dir == "elsewhere"
     assert cfg2.seed == 9
     # the original is unchanged
     assert cfg.output_dir == "fracheat-out" and cfg.seed == 42
     with pytest.raises(fh.ConfigError, match="seed"):
         cfg.with_seed(-3)
+    # FRACHEAT_OUTPUT_DIR overrides the config's output_dir on the command line
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "n_x": 8, "n_t": 20, "horizon_mode": {"fixed": 0.9},
+        "output_dir": str(tmp_path / "configured"),
+    }))
+    env_dir = tmp_path / "from-env"
+    monkeypatch.setenv("FRACHEAT_OUTPUT_DIR", str(env_dir))
+    assert main(["run", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    summary = json.loads((env_dir / "summary.json").read_text())
+    assert summary["resolved_config"]["output_dir"] == str(env_dir)
+    assert not (tmp_path / "configured").exists()
 
 
 def test_horizon_mode_forms():

@@ -69,16 +69,32 @@ def test_trapezoid_weights_aligned_interior_interval_exact():
     st.integers(min_value=4, max_value=80),
     st.floats(min_value=-0.95, max_value=0.4),
     st.floats(min_value=0.05, max_value=0.5),
+    st.sampled_from(["free", "nodes", "left_domain_end", "right_domain_end"]),
 )
-def test_trapezoid_weights_measure_subinterval(n_x, a, length):
+def test_trapezoid_weights_measure_subinterval(n_x, a, length, ends):
     b = min(a + length, 0.95)
     g = fh.build_grid(n_x)
-    assume(fh.nodes_in_interval(g, (a, b)).any())
+    if ends == "nodes":
+        # -1 + i h lands on node i up to roundoff
+        a, b = (min(-1.0 + round((v + 1.0) / g.h) * g.h, 1.0) for v in (a, b))
+    elif ends == "left_domain_end":
+        a = -1.0
+    elif ends == "right_domain_end":
+        b = 1.0
+    assume(a < b)
+    mask = fh.nodes_in_interval(g, (a, b))
+    assume(mask.any())
     w = fh.trapezoid_weights(g, (a, b))
     assert w.shape == (g.n_interior,)
     assert np.all(w >= 0)
     # nodal trapezoid rule integrates the constant 1 up to cut cells
     assert abs(w.sum() - (b - a)) <= 2 * g.h
+    # the weights live on the mask; a free-ended interval may also hold a
+    # lone node with no neighbour in it, which gets no weight
+    if ends == "free":
+        assert not w[~mask].any()
+    else:
+        assert np.array_equal(w > 0, mask)
 
 
 def test_trapezoid_weights_monotone_in_interval():

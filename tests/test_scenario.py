@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -36,7 +37,7 @@ def schema():
 @pytest.fixture(scope="module")
 def fixed_run(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("fixed")
-    cfg = fh.parse_config(FAST_FIXED).with_output_dir(str(outdir))
+    cfg = replace(fh.parse_config(FAST_FIXED), output_dir=str(outdir))
     return fh.run_scenario(cfg)
 
 
@@ -78,7 +79,7 @@ def test_fixed_run_csv_shapes(fixed_run):
 
 def test_deterministic_summary_bytes(tmp_path):
     outdir = tmp_path / "run"
-    cfg = fh.parse_config(FAST_FIXED).with_output_dir(str(outdir))
+    cfg = replace(fh.parse_config(FAST_FIXED), output_dir=str(outdir))
     fh.run_scenario(cfg)
     first = (outdir / "summary.json").read_bytes()
     shutil.copy(outdir / "summary.json", tmp_path / "first.json")
@@ -271,10 +272,11 @@ def test_emit_plots_scripts_compile(tmp_path):
 
 
 def test_scipy_optimize_loads_only_for_the_lp(tmp_path):
-    # scipy.optimize costs a tenth of a second to import and only the
-    # L-infinity LP needs it; scipy.linalg costs more than that and only
-    # the Cholesky factor in simulate and the eigensolve need it, so the
-    # package import and the observability estimate load no scipy at all
+    # scipy.optimize costs about 0.2 s to import in a fresh process that
+    # has scipy.linalg loaded, and only the L-infinity LP needs it;
+    # scipy.linalg costs more than that and only the Cholesky factor in
+    # simulate and the eigensolve need it, so the package import and the
+    # observability estimate load no scipy at all
     script = """
 import contextlib, io, json, sys
 import fracheat as fh
@@ -334,6 +336,6 @@ def test_build_problem_from_config(prob_case1):
 def test_unwritable_output_dir_raises_oserror(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
-    cfg = fh.parse_config(FAST_FIXED).with_output_dir(str(blocker / "out"))
+    cfg = replace(fh.parse_config(FAST_FIXED), output_dir=str(blocker / "out"))
     with pytest.raises(OSError):
         fh.run_scenario(cfg)
