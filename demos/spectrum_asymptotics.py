@@ -49,7 +49,7 @@ for order in (0.8, 0.4):
 # measure it on the window |x| <= 0.9
 q = fh.quasi_eigenfunction(1, op)
 v = q.values[grid.interior]
-m = np.diag(op.mass_lumped)
+m = op.mass_lumped_diag
 resid = np.abs(op.stiffness @ v / m - q.mu_k ** (2 * s) * v)
 window = np.abs(grid.nodes[grid.interior]) <= 0.9
 print(

@@ -283,16 +283,20 @@ def assemble_stiffness(grid: Grid, s: float, normalization: str = "symbol") -> n
 
 
 def assemble_mass(grid: Grid, lumped: bool = False) -> np.ndarray:
-    """Assemble the P1 mass matrix over interior DOFs.
+    """Assemble the dense P1 mass matrix over interior DOFs.
 
     The consistent matrix is tridiagonal with diagonal 2h/3 and
     off-diagonal h/6; row-sum lumping collapses it to the diagonal h.
+    :class:`DiscreteOperator` stores neither: it keeps the lumped
+    diagonal and builds these dense matrices only when one is read.  The
+    consistent matrix is laid out in Fortran order, the layout LAPACK
+    works in, so a generalized eigensolve can overwrite it in place.
     """
     n_i = grid.n_interior
     h = grid.h
     if lumped:
         return np.diag(np.full(n_i, h))
-    M = np.zeros((n_i, n_i))
+    M = np.zeros((n_i, n_i), order="F")
     idx = np.arange(n_i)
     M[idx, idx] = 2.0 * h / 3.0
     M[idx[:-1], idx[:-1] + 1] = h / 6.0
@@ -304,6 +308,13 @@ def assemble_mass(grid: Grid, lumped: bool = False) -> np.ndarray:
 class DiscreteOperator:
     """Discrete fractional Laplacian with its mass matrices.
 
+    The stiffness is the one dense n x n array the operator stores.  The
+    lumped mass is stored as its diagonal, which every solver reads.  The
+    dense mass matrices are built from the grid on each read of
+    :attr:`mass` and :attr:`mass_lumped`; in the package only the
+    consistent eigensolve reads one, and LAPACK overwrites it there.
+    :meth:`mass_times` applies the consistent mass without building it.
+
     Attributes
     ----------
     grid : Grid
@@ -314,8 +325,10 @@ class DiscreteOperator:
         reference regardless of which normalization the stiffness uses).
     normalization : str
         "symbol" or "unit"; see :func:`assemble_stiffness`.
-    stiffness, mass, mass_lumped : ndarray
-        Matrices over interior DOFs.
+    stiffness : ndarray, shape (n_interior, n_interior)
+        Stiffness matrix over interior DOFs.
+    mass_lumped_diag : ndarray, shape (n_interior,)
+        Read-only diagonal of the lumped mass, h at every interior DOF.
     """
 
     grid: Grid
@@ -323,12 +336,29 @@ class DiscreteOperator:
     c_s: float
     normalization: str
     stiffness: np.ndarray = field(repr=False)
-    mass: np.ndarray = field(repr=False)
-    mass_lumped: np.ndarray = field(repr=False)
+    mass_lumped_diag: np.ndarray = field(repr=False)
 
     @property
     def n_dof(self) -> int:
         return self.grid.n_interior
+
+    @property
+    def mass(self) -> np.ndarray:
+        """Dense consistent mass matrix, built on each read."""
+        return assemble_mass(self.grid, lumped=False)
+
+    @property
+    def mass_lumped(self) -> np.ndarray:
+        """Dense lumped mass matrix, built on each read."""
+        return assemble_mass(self.grid, lumped=True)
+
+    def mass_times(self, X: np.ndarray) -> np.ndarray:
+        """Consistent mass times X, a new array, from the mass's three diagonals."""
+        h = self.grid.h
+        out = (2.0 * h / 3.0) * X
+        out[:-1] += (h / 6.0) * X[1:]
+        out[1:] += (h / 6.0) * X[:-1]
+        return out
 
     @cached_property
     def positivity_preserving(self) -> bool:
@@ -358,14 +388,15 @@ class DiscreteOperator:
 
 
 def build_operator(grid: Grid, s: float, normalization: str = "symbol") -> DiscreteOperator:
-    """Assemble stiffness and mass matrices into a :class:`DiscreteOperator`."""
+    """Assemble a :class:`DiscreteOperator`: its stiffness and lumped mass diagonal."""
     s = _require_s(s)
+    mass_lumped_diag = np.full(grid.n_interior, grid.h)
+    mass_lumped_diag.setflags(write=False)
     return DiscreteOperator(
         grid=grid,
         s=s,
         c_s=normalization_constant(s),
         normalization=normalization,
         stiffness=assemble_stiffness(grid, s, normalization),
-        mass=assemble_mass(grid, lumped=False),
-        mass_lumped=assemble_mass(grid, lumped=True),
+        mass_lumped_diag=mass_lumped_diag,
     )

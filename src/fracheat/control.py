@@ -284,7 +284,7 @@ class _ModalStepper:
     def __init__(self, op: DiscreteOperator, T: float, n_t: int, support: slice):
         basis = op.lumped_basis
         self.dt = T / n_t
-        self.m = np.diag(op.mass_lumped)
+        self.m = op.mass_lumped_diag
         self.V = basis.eigenvectors
         self.d = 1.0 / (1.0 + self.dt * basis.eigenvalues)
         # E[k, j] = d_k^(n_t - j), flushed below 1e-150 so that no product
@@ -378,7 +378,7 @@ def _outcome(
     solver's account, passed through.
     """
     traj = simulate(problem.op, problem.z0, control, T, n_t)
-    m = np.diag(problem.op.mass_lumped)
+    m = problem.op.mass_lumped_diag
     residual = _m_norm(traj.final - zhat_T, m)
     feasible = residual <= EPS_TARGET_FRACTION * _m_norm(zhat_T, m)
     if problem.nonneg_state:

@@ -189,15 +189,18 @@ def simulate(
     states = np.empty((n_t + 1, n))
     states[0] = z0
     z = z0
-    M = op.mass_lumped
+    # the lumped mass is diagonal: scale by it, not by a dense product
+    m = op.mass_lumped_diag
     from scipy.linalg import cho_factor, get_lapack_funcs
 
-    factor, lower = cho_factor(M + dt * op.stiffness)
+    # M + dt K, built once in LAPACK's column-major layout, which the
+    # Cholesky factor then overwrites instead of copying
+    factor = np.multiply(dt, op.stiffness, order="F")
+    factor[np.diag_indices(n)] += m
+    factor, lower = cho_factor(factor, overwrite_a=True)
     # the LAPACK triangular solve behind cho_solve, resolved once per call
     # instead of once per step
     (potrs,) = get_lapack_funcs(("potrs",), (factor,))
-    # the lumped mass is diagonal: scale by it, not by a dense product
-    m = np.diag(M)
     for j in range(n_t):
         rhs = m * z
         if u_full is not None:

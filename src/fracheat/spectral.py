@@ -168,22 +168,29 @@ def eigendecompose(
     from scipy.linalg import eigh
 
     K = op.stiffness
-    M = op.mass_lumped if mass_kind == "lumped" else op.mass
     subset = None if k_max == n else [0, k_max - 1]
+    # Each dense matrix LAPACK needs is built once, in its column-major
+    # layout, and overwritten in place.  K itself is passed as is: it is
+    # symmetric only up to roundoff, so its transpose is not the same input.
     if mass_kind == "lumped":
         # Diagonal mass: reduce to a standard symmetric problem directly.
-        d = 1.0 / np.sqrt(np.diag(M))
-        lam, V = eigh(d[:, None] * K * d[None, :], subset_by_index=subset)
-        V = d[:, None] * V
+        m = op.mass_lumped_diag
+        d = 1.0 / np.sqrt(m)
+        A = np.multiply(d[:, None], K, order="F")
+        A *= d
+        lam, V = eigh(A, subset_by_index=subset, overwrite_a=True)
+        del A
+        # exactly k_max pairs, stored in C order
+        V = np.multiply(d[:, None], V, order="C")
     else:
-        lam, V = eigh(K, M, subset_by_index=subset)
-    # eigh returned exactly k_max pairs; the copy stores V in C order
-    V = V.copy()
+        lam, V = eigh(K, op.mass, subset_by_index=subset, overwrite_b=True)
+        # eigh returned exactly k_max pairs; the copy stores V in C order
+        V = V.copy()
     flip = V[np.abs(V[: (n + 1) // 2]).argmax(axis=0), np.arange(k_max)] < 0.0
     V[:, flip] *= -1.0
 
     # the residual M V diag(lam) - K V, built in the storage of M V
-    resid = np.diag(M)[:, None] * V if mass_kind == "lumped" else M @ V
+    resid = m[:, None] * V if mass_kind == "lumped" else op.mass_times(V)
     scale = lam * np.linalg.norm(resid, axis=0)
     resid *= lam[None, :]
     resid -= K @ V
@@ -532,7 +539,7 @@ def quasi_eigenfunction(k: int, op: DiscreteOperator) -> QuasiEigenfunction:
     values[-1] = 0.0
 
     K_sym = op.stiffness if op.normalization == "symbol" else op.stiffness * op.c_s
-    m_l = np.diag(op.mass_lumped)
+    m_l = op.mass_lumped_diag
     v_int = values[grid.interior]
     resid = (K_sym @ v_int) / m_l - mu ** (2.0 * s) * v_int
     values.setflags(write=False)

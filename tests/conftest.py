@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -30,6 +32,11 @@ def op20_unit(grid20):
 @pytest.fixture(scope="session")
 def op20_symbol(grid20):
     return fh.build_operator(grid20, s=0.8, normalization="symbol")
+
+
+@pytest.fixture(scope="session")
+def op400_symbol():
+    return fh.build_operator(fh.build_grid(400), s=0.8, normalization="symbol")
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +85,15 @@ def lumped_diag(op20_unit):
 
 def m_norm(v, m):
     return float(np.sqrt(v @ (m * v)))
+
+
+def traced(fn):
+    """Call fn under tracemalloc: its result, and the bytes it left held
+    and at most held at once, counting only what the call allocated."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak

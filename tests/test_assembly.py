@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fracheat as fh
+from conftest import traced
 
 # (s, n_x, |i-j|) -> E(psi_i, psi_j); regenerate with the oracle script
 FROZEN_STIFFNESS = {
@@ -103,7 +104,17 @@ def test_build_operator_bundles_consistently(op20_symbol):
     assert op20_symbol.n_dof == g.n_interior
     assert np.allclose(op20_symbol.mass, fh.assemble_mass(g))
     assert np.allclose(op20_symbol.mass_lumped, fh.assemble_mass(g, lumped=True))
+    assert np.array_equal(op20_symbol.mass_lumped_diag, np.diag(op20_symbol.mass_lumped))
+    X = np.random.default_rng(0).standard_normal((op20_symbol.n_dof, 3))
+    assert np.allclose(op20_symbol.mass_times(X), op20_symbol.mass @ X, rtol=1e-14)
     assert op20_symbol.s == 0.8
+
+
+def test_operator_holds_one_dense_matrix():
+    # the masses are stored by their structure: only the stiffness is n x n
+    fh.build_operator(fh.build_grid(8), s=0.8)  # fills the quadrature caches
+    op, held, _ = traced(lambda: fh.build_operator(fh.build_grid(400), s=0.8))
+    assert held <= 1.1 * 8.0 * op.n_dof ** 2
 
 
 def test_build_operator_rejects_bad_s():

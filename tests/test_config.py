@@ -142,11 +142,23 @@ def test_field_errors_name_the_path(snippet, path):
         fh.parse_config(snippet)
 
 
-def test_omega_must_hold_a_grid_node():
+def test_omega_must_hold_a_grid_node(tmp_path, capsys):
     # the interior nodes of the n_x = 4 grid are -0.5, 0 and 0.5
     with pytest.raises(fh.ConfigError, match=r"^omega: \[0.1, 0.2\] holds no interior node"):
         fh.parse_config('{"n_x": 4, "omega": [0.1, 0.2]}')
-    assert fh.parse_config('{"n_x": 4, "omega": [0.1, 0.5]}').omega == (0.1, 0.5)
+    # a lone node without a neighbour in omega gets zero trapezoid weight,
+    # so every integral over omega, beta_hat included, would read 0
+    for lone in ('{"n_x": 4, "omega": [0.1, 0.5]}',
+                 '{"n_x": 4, "n_t": 20, "omega": [0.1, 0.55], "horizon_mode": {"fixed": 0.9}}'):
+        with pytest.raises(fh.ConfigError, match=r"^omega: .* no neighbour"):
+            fh.parse_config(lone)
+    config_path = tmp_path / "lone.json"
+    config_path.write_text(lone)
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "omega" in capsys.readouterr().err
+    assert fh.parse_config('{"n_x": 4, "omega": [0.0, 0.5]}').omega == (0.0, 0.5)
+    # the presets' and the benchmark's omega
+    assert fh.parse_config('{"n_x": 20, "omega": [-0.3, 0.8]}').omega == (-0.3, 0.8)
 
 
 def test_negative_amplitude_parses_without_state_constraint():

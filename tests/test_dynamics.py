@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fracheat as fh
+from conftest import traced
 
 
 def modal_reference(op, z0, control, T):
@@ -42,6 +43,16 @@ def test_simulate_validation(op20_unit, cos_profile):
     ctrl = fh.make_control(op20_unit.grid, (-0.3, 0.8), n_t=10, values=u_inf)
     with pytest.raises(ValueError, match="infs or NaNs"):
         fh.simulate(op20_unit, cos_profile, ctrl, T=1.0, n_t=10)
+
+
+def test_simulate_peak_memory(op20_unit, op400_symbol):
+    # M + dt K is built once, in the layout its Cholesky factor overwrites
+    fh.simulate(op20_unit, np.ones(op20_unit.n_dof), None, 0.9, 1)
+    g = op400_symbol.grid
+    z0 = np.cos(np.pi * g.interior_nodes / 2.0)
+    control = fh.make_control(g, (-0.3, 0.8), 50, values=0.2)
+    _, _, peak = traced(lambda: fh.simulate(op400_symbol, z0, control, 0.9, 50))
+    assert peak <= 1.5 * 8.0 * op400_symbol.n_dof ** 2
 
 
 def test_trajectory_shape_and_times(op20_unit, cos_profile):

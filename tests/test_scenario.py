@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import fracheat as fh
+from fracheat.assembly import NORMALIZATIONS
 from fracheat.control import BASES
 
 FAST_FIXED = json.dumps(
@@ -122,6 +123,13 @@ def test_schema_declares_every_basis(schema):
     assert schema["properties"]["basis"] == ref
     history_item = schema["properties"]["history"]["items"]
     assert history_item["properties"]["basis"] == ref
+
+
+def test_schema_declares_every_normalization(schema):
+    # a normalization added to the code must reach the schema, or its
+    # summaries would fail validation
+    config = schema["properties"]["resolved_config"]["properties"]
+    assert set(config["normalization"]["enum"]) == set(NORMALIZATIONS)
 
 
 def test_minimal_time_requires_nonneg_control(tmp_path):

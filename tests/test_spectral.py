@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import fracheat as fh
+from conftest import traced
 
 # unit-normalized eigenvalues, s = 0.8, n_x = 20, consistent mass
 FROZEN_LAMBDA_UNIT = [
@@ -83,6 +84,19 @@ def test_partial_eigensolve_matches_full(op200_unit, mass_kind):
     assert part.k_max == 8
     assert part.eigenvalues == pytest.approx(full.eigenvalues[:8], rel=1e-12)
     assert np.abs(part.eigenvectors - full.eigenvectors[:, :8]).max() <= 1e-9
+
+
+def test_eigensolve_peak_memory(op20_unit, op400_symbol):
+    # LAPACK overwrites the one dense matrix built for it: M for the
+    # consistent solve, D K D for the lumped one; K is copied only where it
+    # is LAPACK's input
+    fh.eigendecompose(op20_unit, k_max=3)  # imports scipy.linalg untraced
+    n2 = 8.0 * op400_symbol.n_dof ** 2
+    for mass_kind, bound in (("consistent", 2.2), ("lumped", 1.25)):
+        _, _, peak = traced(
+            lambda: fh.eigendecompose(op400_symbol, k_max=8, mass_kind=mass_kind)
+        )
+        assert peak <= bound * n2, mass_kind
 
 
 def test_lumped_basis_is_the_full_solve(op200_unit):
@@ -182,12 +196,6 @@ def test_q_profile_ramp_shape():
     assert np.all(q[x <= -1.0 / 3.0] == 0.0)
     assert np.all(q[x >= 1.0 / 3.0] == 1.0)
     assert np.all(np.diff(q) >= 0)
-
-
-@pytest.fixture(scope="module")
-def op400_symbol():
-    g = fh.build_grid(400)
-    return fh.build_operator(g, s=0.8, normalization="symbol")
 
 
 def test_quasi_eigenfunction_structure(op400_symbol):
