@@ -320,11 +320,9 @@ class DiscreteOperator:
     grid : Grid
     s : float
         Fractional order.
-    c_s : float
-        Fourier-symbol normalization constant for this ``s`` (stored for
-        reference regardless of which normalization the stiffness uses).
     normalization : str
-        "symbol" or "unit"; see :func:`assemble_stiffness`.
+        "symbol" or "unit"; see :func:`assemble_stiffness`.  A "unit"
+        stiffness times :func:`normalization_constant` is the "symbol" one.
     stiffness : ndarray, shape (n_interior, n_interior)
         Stiffness matrix over interior DOFs.
     mass_lumped_diag : ndarray, shape (n_interior,)
@@ -333,7 +331,6 @@ class DiscreteOperator:
 
     grid: Grid
     s: float
-    c_s: float
     normalization: str
     stiffness: np.ndarray = field(repr=False)
     mass_lumped_diag: np.ndarray = field(repr=False)
@@ -395,7 +392,6 @@ def build_operator(grid: Grid, s: float, normalization: str = "symbol") -> Discr
     return DiscreteOperator(
         grid=grid,
         s=s,
-        c_s=normalization_constant(s),
         normalization=normalization,
         stiffness=assemble_stiffness(grid, s, normalization),
         mass_lumped_diag=mass_lumped_diag,

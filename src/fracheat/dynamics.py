@@ -251,8 +251,7 @@ def duhamel_spectral(
     if control_coeffs is not None and t > 0:
         u = np.asarray(control_coeffs, dtype=float)
         n_t = u.shape[0]
-        edges = np.arange(n_t + 1) * (t / n_t)
-        edges[-1] = t
+        edges = _time_grid(t, n_t)
         # integral of e^{-lam (t - tau)} over [t_j, t_{j+1}]
         w = (
             np.exp(-lam[None, :] * (t - edges[1:, None]))

@@ -5,8 +5,10 @@ used throughout the package: gap and summability statistics of the
 spectrum, L1 lower bounds of eigenfunctions over a control region, and
 explicit quasi-eigenfunction profiles built from the half-line eigenpairs
 of the operator.  The half-line profiles involve a completely monotone
-correction term G, the Laplace transform of an explicit density, which is
-evaluated here by nested quadrature.  scipy.linalg is imported by
+correction term G, the Laplace transform of an explicit density that is
+itself the exponential of an integral (Kwasnicki, J. Funct. Anal. 262,
+2012).  One trapezoid rule in log variables evaluates both integrals to
+roundoff.  scipy.linalg is imported by
 :func:`eigendecompose`, its one user here, when it first runs, so that
 importing the package loads no scipy.
 """
@@ -14,11 +16,10 @@ importing the package loads no scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .assembly import DiscreteOperator
+from .assembly import DiscreteOperator, normalization_constant
 from .errors import QuadratureError, SolverError
 from .grid import Grid, trapezoid_weights
 
@@ -314,69 +315,27 @@ def lambda_asymptotic(k, s: float):
 def _g_log_ratio(t: np.ndarray, s: float) -> np.ndarray:
     """log((1 - u^(2s)) / (1 - u^2)) at u = e^t, stable for all t.
 
-    The ratio has a removable singularity at t = 0 with value s; for large
-    positive t it behaves as (2s - 2) t.
+    The ratio has a removable singularity at t = 0 with value s.  The map
+    u -> 1/u gives g(t) = (2s - 2) t + g(-t), so only g at -|t| is
+    evaluated, where expm1 keeps full relative accuracy; -|t| is capped at
+    -1e-200, where the ratio is s to roundoff.
     """
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    neg = t < -1e-12
-    pos = t > 1e-12
-    mid = ~(neg | pos)
-    tn = t[neg]
-    out[neg] = np.log(np.expm1(2.0 * s * tn) / np.expm1(2.0 * tn))
-    tp = t[pos]
-    out[pos] = (
-        2.0 * s * tp
-        + np.log1p(-np.exp(-2.0 * s * tp))
-        - 2.0 * tp
-        - np.log1p(-np.exp(-2.0 * tp))
-    )
-    out[mid] = np.log(s)
-    return out
+    a = np.minimum(-np.abs(t), -1e-200)
+    g_neg = np.log(np.expm1(2.0 * s * a) / np.expm1(2.0 * a))
+    return g_neg + (2.0 * s - 2.0) * np.maximum(t, 0.0)
 
 
-@lru_cache(maxsize=32)
-def _gamma_quadrature(s: float, t_hi_key: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gauss panels in t = log(u) for the inner integral of the density.
-
-    Returns (t nodes, weights premultiplied by the g factor, t_hi).  Panels
-    of unit width cover [t_lo, t_hi]; t_lo is where |g| drops below 1e-12
-    on the left and t_hi is at least where the non-logarithmic remainder
-    of g drops below 1e-8 on the right, beyond which an analytic tail in
-    closed form takes over.
-    """
-    t_lo = -6.0 * np.log(10.0) / s - 5.0
-    t_hi = max(np.log(50.0), 4.0 * np.log(10.0) / s, float(t_hi_key))
-    n_panels = int(np.ceil(t_hi - t_lo))
-    edges = np.linspace(t_lo, t_hi, n_panels + 1)
-    gx, gw = np.polynomial.legendre.leggauss(8)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    t = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    return t, w * _g_log_ratio(t, s), t_hi
-
-
-def _log_tail_integral(w: np.ndarray) -> np.ndarray:
-    """Integral of log(v) / (1 + v^2) over (w, infinity) for w >= 2."""
-    out = np.empty_like(w)
-    small = w < 1e6
-    ws = w[small]
-    acc = np.zeros_like(ws)
-    lw = np.log(ws)
-    wp = ws.copy()
-    sign = 1.0
-    # Alternating series in w^-(2n+1); remainder below 1e-12 for w >= 2
-    # and no overflow up to the 1e6 cutoff.
-    for n in range(16):
-        q = 2 * n + 1
-        acc += sign * (lw / q + 1.0 / q**2) / wp
-        wp *= ws * ws
-        sign = -sign
-    out[small] = acc
-    wl = w[~small]
-    out[~small] = (np.log(wl) + 1.0) / wl
-    return out
+# One trapezoid rule of step h serves both integrals below.  In their log
+# variables both integrands are analytic in the strip |Im| < pi/2 and decay
+# exponentially, so the rule's error falls like exp(-pi^2 / h), about 1e-17.
+_TRAP_STEP = 0.25
+# nodes tau in [-36, 36] of the density's inner integral, with their
+# weights h sech(tau) / 2
+_TAU = _TRAP_STEP * np.arange(-144, 145)
+_TAU_WEIGHTS = _TRAP_STEP / (2.0 * np.cosh(_TAU))
+# left end x = log(y) of the Laplace integral, where its integrand is below e^-40
+_X_LO = -40.0
 
 
 def gamma_density(y, s: float):
@@ -385,9 +344,13 @@ def gamma_density(y, s: float):
     gamma(y) = sqrt(4s) sin(s pi) y^(2s) / (2 pi (1 + y^(4s)
     - 2 y^(2s) cos(s pi))) * exp(I(y) / pi), where I(y) integrates
     log((1 - r^(2s) y^(2s)) / (1 - r^2 y^2)) / (1 + r^2) over r > 0.  The
-    integrand's singularity at r = 1/y is removable and the integral is
-    evaluated on log-spaced Gauss panels with an analytic logarithmic
-    tail.  gamma is nonnegative, vanishes at 0, and decays at infinity.
+    integrand's singularity at r = 1/y is removable.  With r = e^tau,
+    I(y) is the integral of g(log y + tau) sech(tau) / 2 over the real
+    line, g the log ratio, and the trapezoid rule of step 1/4 on
+    tau in [-36, 36] evaluates it.  The prefactor is evaluated as
+    sqrt(4s) sin(s pi) / (2 pi ((y^-s - y^s)^2 + 4 sin^2(s pi / 2))),
+    which neither cancels at small s nor overflows at large y.  gamma is
+    nonnegative, vanishes at 0, and decays at infinity.
 
     Parameters
     ----------
@@ -407,28 +370,18 @@ def gamma_density(y, s: float):
     pos = y_arr > 0.0
     if pos.any():
         yp = y_arr[pos]
-        t_hi_key = int(np.ceil(np.log(max(20.0 * yp.max(), 40.0)))) + 1
-        t, wg, t_hi = _gamma_quadrature(s, t_hi_key)
+        log_y = np.log(yp)
         inner = np.empty_like(yp)
-        for a in range(0, yp.size, 128):
-            yb = yp[a : a + 128, None]
-            r = yb * np.exp(-t[None, :])
-            inner[a : a + 128] = (r / (1.0 + r * r)) @ wg
-        # Beyond u = e^(t_hi) the integrand is (2s - 2) log(u) times the
-        # kernel, up to a remainder below 1e-8; integrate that tail exactly.
-        B = np.exp(t_hi)
-        wq = B / yp
-        tail = (2.0 * s - 2.0) * (
-            np.log(yp) * (np.pi / 2.0 - np.arctan(wq)) + _log_tail_integral(wq)
-        )
-        z = yp**(2.0 * s)
+        for a in range(0, yp.size, 256):
+            t = log_y[a : a + 256, None] + _TAU
+            inner[a : a + 256] = _g_log_ratio(t, s) @ _TAU_WEIGHTS
+        w = yp**s
         pref = (
             np.sqrt(4.0 * s)
             * np.sin(s * np.pi)
-            * z
-            / (2.0 * np.pi * (1.0 + z * z - 2.0 * z * np.cos(s * np.pi)))
+            / (2.0 * np.pi * ((1.0 / w - w) ** 2 + 4.0 * np.sin(s * np.pi / 2.0) ** 2))
         )
-        vals = pref * np.exp((inner + tail) / np.pi)
+        vals = pref * np.exp(inner / np.pi)
         if not np.isfinite(vals).all():
             bad = yp[~np.isfinite(vals)]
             raise QuadratureError(
@@ -438,30 +391,15 @@ def gamma_density(y, s: float):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=None)
-def _laplace_panels() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights on (0, 60] for scaled Laplace integrals.
-
-    Panels are geometrically refined toward 0 to absorb the y^(2s) cusp of
-    the density; at the right end the exponential factor is below 1e-26,
-    well past the 1e-12 relative truncation target.
-    """
-    edges = np.concatenate(([0.0], 60.0 * 2.0 ** -np.arange(42, -1, -1, dtype=float)))
-    gx, gw = np.polynomial.legendre.leggauss(8)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    tau = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
-    return tau, w
-
-
 def G_transform(xi, s: float):
     """Laplace transform of :func:`gamma_density` at xi > 0.
 
     Completely monotone, hence positive and decreasing, with decay
-    O(xi^(-1-2s)).  The integral is evaluated on the scaled grid
-    y = tau / xi with tau in (0, 60], which truncates the integrand below
-    1e-12 of its peak.
+    O(xi^(-1-2s)).  With y = e^x, G(xi) is the integral of
+    gamma(e^x) e^(x - xi e^x) over the real line.  The trapezoid rule of
+    step 1/4 evaluates it on one grid x = -40 + j/4 that all xi share,
+    up to log(40 / min xi), where e^(-xi y) is below e^-40; one matrix
+    product against gamma on that grid gives every G(xi).
 
     Parameters
     ----------
@@ -477,15 +415,10 @@ def G_transform(xi, s: float):
     xi_arr = np.asarray(xi, dtype=float)
     if (xi_arr <= 0).any():
         raise ValueError("xi must be positive")
-    tau, w = _laplace_panels()
-    ew = w * np.exp(-tau)
-    flat = xi_arr.ravel()
-    out = np.empty_like(flat)
-    for a in range(0, flat.size, 64):
-        xb = flat[a : a + 64, None]
-        yb = tau[None, :] / xb
-        out[a : a + 64] = (gamma_density(yb, s) * ew) / xb @ np.ones(tau.size)
-    out = out.reshape(xi_arr.shape)
+    # min over no points is inf, and G(inf) = 0 needs only the first node
+    x_hi = max(_X_LO, np.log(40.0) - np.log(xi_arr.min(initial=np.inf)))
+    y = np.exp(_X_LO + _TRAP_STEP * np.arange(int(np.ceil((x_hi - _X_LO) / _TRAP_STEP)) + 1))
+    out = np.exp(-xi_arr[..., None] * y) @ (_TRAP_STEP * y * gamma_density(y, s))
     return out if out.ndim else float(out)
 
 
@@ -538,10 +471,11 @@ def quasi_eigenfunction(k: int, op: DiscreteOperator) -> QuasiEigenfunction:
     values[0] = 0.0
     values[-1] = 0.0
 
-    K_sym = op.stiffness if op.normalization == "symbol" else op.stiffness * op.c_s
-    m_l = op.mass_lumped_diag
     v_int = values[grid.interior]
-    resid = (K_sym @ v_int) / m_l - mu ** (2.0 * s) * v_int
+    Kv = op.stiffness @ v_int
+    if op.normalization != "symbol":
+        Kv *= normalization_constant(s)
+    resid = Kv / op.mass_lumped_diag - mu ** (2.0 * s) * v_int
     values.setflags(write=False)
     return QuasiEigenfunction(
         k=int(k),

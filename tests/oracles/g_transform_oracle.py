@@ -1,10 +1,10 @@
 """High-precision oracle for the density gamma and its Laplace transform G.
 
-Evaluates the printed formulas directly with mpmath nested quadrature,
-independent of the package's panel quadrature: the inner integral in r is
-split at the removable singularity r = 1/y, and the Laplace integral is
-split at the density's knee.  Values printed here are frozen into the
-spectral tests.
+Evaluates the printed formulas directly with mpmath nested quadrature at
+30 significant digits, independent of the package's trapezoid rule: the
+inner integral in r is split at the removable singularity r = 1/y, and the
+Laplace integral is split at the density's knee.  Every value printed here
+is frozen into the spectral tests.
 
 Checks the analytic mass identity: the total integral of gamma equals
 sin((1-s) pi / 4), which is the xi -> 0 limit of G.
@@ -58,10 +58,16 @@ if __name__ == "__main__":
         print(f"s={float(s)}: integral of gamma = {mp.nstr(mass, 12)}, "
               f"sin((1-s)pi/4) = {mp.nstr(target, 12)}, diff = {mp.nstr(abs(mass-target), 3)}")
     print()
-    for (y, s) in [("0.5", "0.8"), ("2.0", "0.8"), ("1.0", "0.5"), ("0.05", "0.3")]:
+    for (y, s) in [
+        ("0.5", "0.8"), ("2.0", "0.8"), ("1.0", "0.5"), ("0.05", "0.3"),
+        ("1.0", "0.01"), ("0.3", "0.05"),
+    ]:
         v = gamma_oracle(mp.mpf(y), mp.mpf(s))
         print(f"gamma({y}, s={s}) = {mp.nstr(v, 17)}")
     print()
-    for (xi, s) in [("1", "0.8"), ("5", "0.8"), ("10", "0.5"), ("2", "0.3"), ("0.05", "0.8")]:
+    for (xi, s) in [
+        ("1", "0.8"), ("5", "0.8"), ("10", "0.5"), ("2", "0.3"), ("0.05", "0.8"),
+        ("1", "0.01"), ("0.05", "0.99"),
+    ]:
         v = G_oracle(mp.mpf(xi), mp.mpf(s))
         print(f"G({xi}, s={s}) = {mp.nstr(v, 17)}")

@@ -25,12 +25,14 @@ FROZEN_LAMBDA_UNIT = [
 ]
 
 # gamma_density / G_transform values frozen from tests/oracles/
-# g_transform_oracle.py (mpmath, 40-digit working precision)
+# g_transform_oracle.py (mpmath, 30-digit working precision)
 FROZEN_GAMMA = {
     (0.5, 0.8): 0.030243065669621736,
     (2.0, 0.8): 0.026328117854490876,
     (1.0, 0.5): 0.070700802465071781,
     (0.05, 0.3): 0.024212783683936022,
+    (1.0, 0.01): 0.085835337151094443,
+    (0.3, 0.05): 0.087232564179726524,
 }
 FROZEN_G = {
     (1.0, 0.8): 0.024307758149195393,
@@ -38,6 +40,8 @@ FROZEN_G = {
     (10.0, 0.5): 0.001828907039754192,
     (2.0, 0.3): 0.030473497020083976,
     (0.05, 0.8): 0.11733971716118192,
+    (1.0, 0.01): 0.073184830514546517,
+    (0.05, 0.99): 0.0063459837400954944,
 }
 
 
@@ -153,12 +157,28 @@ def test_asymptotic_law_tracks_discrete_spectrum():
 
 @pytest.mark.parametrize(("y", "s"), sorted(FROZEN_GAMMA))
 def test_gamma_density_matches_oracle(y, s):
-    assert fh.gamma_density(y, s) == pytest.approx(FROZEN_GAMMA[(y, s)], rel=1e-9)
+    assert fh.gamma_density(y, s) == pytest.approx(FROZEN_GAMMA[(y, s)], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(("xi", "s"), sorted(FROZEN_G))
 def test_g_transform_matches_oracle(xi, s):
-    assert fh.G_transform(xi, s) == pytest.approx(FROZEN_G[(xi, s)], rel=1e-8)
+    assert fh.G_transform(xi, s) == pytest.approx(FROZEN_G[(xi, s)], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.5, 0.99])
+def test_g_transform_batch_matches_pointwise(s):
+    # a batch shares one grid, sized by its smallest xi; each single call
+    # sizes its own, and the two agree to roundoff
+    xi = np.geomspace(1e-3, 1e3, 60)
+    pointwise = np.array([fh.G_transform(x, s) for x in xi])
+    assert fh.G_transform(xi, s) == pytest.approx(pointwise, rel=1e-13, abs=0.0)
+
+
+def test_g_transform_empty_and_infinite_xi():
+    empty = fh.G_transform(np.array([]), 0.8)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    assert fh.G_transform(np.inf, 0.8) == 0.0
+    assert fh.G_transform(np.array([1.0, np.inf]), 0.8)[1] == 0.0
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
@@ -167,6 +187,13 @@ def test_gamma_total_mass_identity(s):
     total, err = quad(lambda y: fh.gamma_density(y, s), 0.0, np.inf, limit=200)
     assert err < 1e-9
     assert total == pytest.approx(math.sin((1.0 - s) * math.pi / 4.0), rel=1e-7)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.99])
+def test_g_transform_tends_to_gamma_mass(s):
+    # G(xi) -> sin((1 - s) pi / 4) as xi -> 0, the gap shrinking like xi^s
+    mass = math.sin((1.0 - s) * math.pi / 4.0)
+    assert fh.G_transform(1e-60, s) == pytest.approx(mass, rel=1e-12, abs=0.0)
 
 
 def test_g_transform_positive_decreasing():
@@ -248,6 +275,21 @@ def test_quasi_eigenfunction_interior_residual_decays(op400_symbol):
     assert r1 == pytest.approx(0.0622197, rel=1e-4)
     assert r4 == pytest.approx(0.0128129, rel=1e-4)
     assert r4 < r1
+
+
+def test_quasi_eigenfunction_at_smallest_s():
+    op = fh.build_operator(fh.build_grid(40), s=0.01, normalization="symbol")
+    q = fh.quasi_eigenfunction(1, op)
+    assert np.isfinite(q.values).all()
+    assert np.isfinite(q.residual_norm)
+
+
+def test_quasi_eigenfunction_residual_ignores_normalization():
+    # the residual is taken against the symbol-normalized operator either way
+    g = fh.build_grid(40)
+    r_sym = fh.quasi_eigenfunction(1, fh.build_operator(g, 0.8, "symbol")).residual_norm
+    r_unit = fh.quasi_eigenfunction(1, fh.build_operator(g, 0.8, "unit")).residual_norm
+    assert r_unit == pytest.approx(r_sym, rel=1e-12, abs=0.0)
 
 
 def test_quasi_eigenfunction_validation(op400_symbol):
