@@ -5,8 +5,8 @@ Observability cost blow-up as the horizon shrinks
 Estimates certified lower bounds on the observability constant of the
 fractional heat semigroup from the modal exponents alone, shows the
 witness coefficients that achieve the bound, and sweeps the horizon to
-expose the exponential blow-up as T -> 0.  Writes the swept curve to
-blowup_curve.csv in the current directory.
+expose the exponential blow-up as T -> 0.  Writes the swept curve
+(T, C_lower, C_envelope) to blowup_curve.csv in the current directory.
 """
 
 import numpy as np

@@ -162,14 +162,14 @@ def _tail_power_integrals(t0: float, t1: float, s: float) -> np.ndarray:
     return out
 
 
-def _exterior_tail_block(t0: float, h: float, s: float, near_first: bool) -> np.ndarray:
+def _exterior_tail_block(t0: float, h: float, s: float) -> np.ndarray:
     """2x2 block of int psi_a psi_b t^{-2s} dt over one element.
 
     ``t`` is the distance to one endpoint of (-1, 1); the element occupies
-    [t0, t0 + h] in that variable.  ``near_first`` selects whether local
-    node 0 is the node closer to the boundary (t = t0) or the farther one.
-    Entries pairing a boundary node (t0 = 0) with a divergent moment are
-    produced as inf; callers drop boundary rows/columns.
+    [t0, t0 + h] in that variable, and local node 0 is the node closer to
+    that endpoint (t = t0).  Entries pairing a boundary node (t0 = 0) with
+    a divergent moment are produced as inf; callers drop boundary
+    rows/columns.
     """
     t1 = t0 + h
     mom = _tail_power_integrals(t0, t1, s)
@@ -187,8 +187,6 @@ def _exterior_tail_block(t0: float, h: float, s: float, near_first: bool) -> np.
             if c[k] != 0.0:
                 val += c[k] * mom[k]
         block[a, b] = block[b, a] = val / (h * h)
-    if not near_first:
-        block = block[::-1, ::-1]
     return block
 
 
@@ -262,10 +260,12 @@ def assemble_stiffness(grid: Grid, s: float, normalization: str = "symbol") -> n
     full *= 0.5
 
     # Exterior term: kappa * int u v rho with both tails, element by element.
+    # The right tail of element e is the left tail of element n - 1 - e with
+    # its local nodes swapped.
     inv2s = 1.0 / (2.0 * s)
+    tails = [_exterior_tail_block(e * h, h, s) for e in range(n)]
     for e in range(n):
-        left = _exterior_tail_block(e * h, h, s, near_first=True)
-        right = _exterior_tail_block((n - 1 - e) * h, h, s, near_first=False)
+        left, right = tails[e], tails[n - 1 - e][::-1, ::-1]
         for a in range(2):
             ga = e + a
             if ga == 0 or ga == n:

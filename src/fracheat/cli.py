@@ -6,20 +6,22 @@ run
     Execute a scenario described by a JSON config file and write its
     artifacts (trajectory.csv, control.csv, summary.json) to the
     configured output directory.  ``FRACHEAT_OUTPUT_DIR`` overrides the
-    config's ``output_dir``; ``--seed`` overrides its seed; ``--threads``
-    bounds the numerical libraries' internal parallelism (default 1).
-    The console launcher :mod:`fracheat_cli` applies that bound, before
-    numpy is first imported; :func:`main` itself only accepts the flag.
+    config's ``output_dir``; ``--threads`` bounds the numerical
+    libraries' internal parallelism (default 1).  The console launcher
+    :mod:`fracheat_cli` applies that bound, before numpy is first
+    imported; :func:`main` itself only accepts the flag.
 spectrum
     Print the leading eigenvalues of the discrete operator as CSV.
 obs-curve
     Print lower bounds of the observability constant over a horizon
-    sweep as CSV.  Each bound is the best witness of the Gram-cancellation
-    ladder, whose L1 norm is taken in closed form between the sum's
-    roots; every horizon's witnesses are evaluated in one batch.  The
-    estimator is deterministic, so equal arguments print equal output;
-    ``--nrandom`` and ``--seed`` are still accepted for old command lines
-    and have no effect.
+    sweep, with their running envelope, as the CSV table that
+    :func:`~fracheat.observability.blowup_curve_to_csv` writes.  Each
+    bound is the best witness of the Gram-cancellation ladder, whose L1
+    norm is taken in closed form between the sum's roots; every
+    horizon's witnesses are evaluated in one batch.  The estimator is
+    deterministic, so equal arguments print equal output; ``--nrandom``
+    and ``--seed`` are still accepted for old command lines and have no
+    effect.
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 I/O error, 1 unexpected internal error.  Every failure writes a JSON
@@ -59,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--threads", type=int, default=1, help="internal parallelism bound (default 1)"
     )
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p_spec = sub.add_parser("spectrum", help="print leading eigenvalues as CSV")
     p_spec.add_argument("--s", type=float, required=True, help="fractional order")
@@ -108,8 +109,6 @@ def _cmd_run(args) -> int:
     env_dir = os.environ.get("FRACHEAT_OUTPUT_DIR")
     if env_dir:
         config = replace(config, output_dir=env_dir)
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
 
     from .scenario import run_scenario
 
@@ -158,16 +157,14 @@ def _cmd_obs_curve(args) -> int:
 
     import numpy as np
 
-    from .observability import blowup_curve
+    from .observability import blowup_curve, blowup_curve_to_csv
     from .spectral import lambda_asymptotic
 
     ks = np.arange(1, args.kmax + 1)
     mu = lambda_asymptotic(ks, args.s)
     T_values = np.geomspace(args.tmax, args.tmin, args.points)
     curve = blowup_curve(mu, T_values, K=args.kmax)
-    print("T,C_lower,C_envelope")
-    for T, c, env in zip(curve.T_values, curve.C_lower, curve.C_envelope):
-        print(f"{T:.17g},{c:.17g},{env:.17g}")
+    blowup_curve_to_csv(curve, sys.stdout)
     return EXIT_OK
 
 

@@ -19,20 +19,25 @@ Accepted keys::
                     when constraints.nonneg_state is true
     zhat0_amplitude target initial amplitude, > 0
     uhat            constant target control level, >= 0
-    nu              > 0 or null; recorded in the summary only
+    nu              > 0 or null; recorded only (see below)
     horizon_mode    {"fixed": T} or
                     {"minimal_time": {"bracket": [lo, hi], "tol": t}}
     constraints     {"nonneg_control": bool, "nonneg_state": bool}; the
                     state constraint needs s of about 0.24 or more
     output_dir      directory receiving the result files
     emit_plots      also write plot scripts
-    seed            >= 0; recorded in the summary only
+    seed            >= 0; recorded only (see below)
+
+``nu`` and ``seed`` change no result: they are validated and echoed into
+the summary's resolved config, and nothing else reads them.  They are
+still accepted because existing configs, the benchmark's among them, set
+them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .assembly import NORMALIZATIONS, S_MAX, S_MIN
 from .errors import ConfigError
@@ -175,10 +180,6 @@ class ScenarioConfig:
         out["horizon_mode"] = out.pop("horizon").to_dict()
         out["constraints"] = {key: out.pop(key) for key in ("nonneg_control", "nonneg_state")}
         return out
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        """Copy with a different seed."""
-        return replace(self, seed=_check_int("seed", seed, minimum=0))
 
 
 def _fail(path: str, message: str) -> None:

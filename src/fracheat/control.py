@@ -159,15 +159,14 @@ class FixedTimeOutcome:
 
 @dataclass(frozen=True)
 class AtomicityReport:
-    """Mass-concentration diagnostics of a nonnegative control.
+    """Mass-concentration diagnostics of a control's magnitude |u|.
 
     Attributes
     ----------
     total_mass : float
-        Sum of u * dt * dx over all (node, step) cells.
+        Sum of |u| * dt * dx over all (node, step) cells.
     active_cell_fraction : float
-        Fraction of cells whose mass exceeds threshold times the largest
-        cell mass.
+        Fraction of cells whose mass exceeds 1% of the largest cell mass.
     top_impulses : tuple of (x, t, mass)
         The up-to-10 heaviest cells, positions at node coordinates and
         cell midpoints in time.
@@ -450,7 +449,7 @@ def unconstrained_dual_details(
     zhat_T = stepper.terminal(problem.zhat0, np.full((n_sup, n_t), problem.uhat))
     c = (m * (zhat_T - stepper.terminal(problem.z0, None))) @ V
     if not c.any():
-        zero = make_control(problem.op.grid, problem.omega, n_t)
+        zero = make_control(problem.op.grid, problem.omega, n_t, values=0.0)
         return zero, np.zeros((n, n_t)), 0.0
 
     # imported here, as it loads all of scipy.optimize, which no other
@@ -760,44 +759,30 @@ def minimal_time_search(
     )
 
 
-def impulse_analysis(
-    control: ControlField,
-    dt: float,
-    dx: float,
-    threshold: float,
-) -> AtomicityReport:
-    """Mass-concentration report of a nonnegative control.
+def impulse_analysis(control: ControlField, dt: float, dx: float) -> AtomicityReport:
+    """Mass-concentration report of a control's magnitude |u|.
 
-    Each (node, step) cell carries mass u * dt * dx; the report gives the
-    total, the fraction of cells above threshold times the peak mass, and
+    Each (node, step) cell carries mass |u| * dt * dx, so a signed control
+    is measured by its magnitude.  The report gives the total, the
+    fraction of cells whose mass exceeds 1% of the peak cell mass, and
     the ten heaviest cells located at node coordinates and time-cell
-    midpoints.  Entries down to -EPS_CONS count as zero.
+    midpoints.
 
     Parameters
     ----------
     control : ControlField
     dt, dx : float
         Cell sizes of the control grid.
-    threshold : float
-        Relative activity threshold in (0, 1).
 
     Returns
     -------
     AtomicityReport
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    vals = control.values
-    if vals.min() < -EPS_CONS:
-        raise ValueError(
-            f"control has negative entries down to {vals.min():.3e}, "
-            "impulse analysis expects a nonnegative control"
-        )
-    mass = np.maximum(vals, 0.0) * dt * dx
+    mass = np.abs(control.values) * dt * dx
     total = float(mass.sum())
     peak = mass.max() if mass.size else 0.0
     if peak > 0.0:
-        active = float((mass > threshold * peak).sum() / mass.size)
+        active = float((mass > 0.01 * peak).sum() / mass.size)
     else:
         active = 0.0
 

@@ -89,7 +89,7 @@ def make_control(
     grid: Grid,
     omega: tuple[float, float],
     n_t: int,
-    values: np.ndarray | None = None,
+    values: np.ndarray | float,
 ) -> ControlField:
     """Build a ControlField on the nodes of omega.
 
@@ -100,24 +100,21 @@ def make_control(
         Control region; must contain at least one interior node.
     n_t : int
         Number of time cells.
-    values : ndarray, optional
-        Either shape (n_support, n_t), a scalar (constant control), or
-        None (zero control).
+    values : ndarray or float
+        Either shape (n_support, n_t), or a scalar (constant control;
+        0.0 gives the zero control).
     """
     mask = nodes_in_interval(grid, omega)
     n_sup = int(mask.sum())
     if n_sup == 0:
         raise ValueError(f"control region {omega!r} contains no interior nodes")
-    if values is None:
-        vals = np.zeros((n_sup, n_t))
-    else:
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim == 0:
-            vals = np.full((n_sup, n_t), float(vals))
-        if vals.shape != (n_sup, n_t):
-            raise ValueError(
-                f"control values must have shape ({n_sup}, {n_t}), got {vals.shape}"
-            )
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 0:
+        vals = np.full((n_sup, n_t), float(vals))
+    if vals.shape != (n_sup, n_t):
+        raise ValueError(
+            f"control values must have shape ({n_sup}, {n_t}), got {vals.shape}"
+        )
     return ControlField(values=vals, support_mask=mask)
 
 

@@ -449,8 +449,10 @@ def blowup_curve(mu: np.ndarray, T_list, K: int) -> BlowupCurve:
 
 
 def blowup_curve_to_csv(curve: BlowupCurve, path) -> None:
-    """Write a blow-up curve as CSV with header T,C_lower,slope_fit."""
-    data = np.column_stack(
-        [curve.T_values, curve.C_lower, np.full_like(curve.T_values, curve.slope_fit)]
-    )
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header="T,C_lower,slope_fit", comments="")
+    """Write a blow-up curve as CSV with header T,C_lower,C_envelope.
+
+    ``path`` is a file name or an open text file; every value is written
+    with 17 significant digits, so it reads back exactly.
+    """
+    data = np.column_stack([curve.T_values, curve.C_lower, curve.C_envelope])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header="T,C_lower,C_envelope", comments="")

@@ -37,7 +37,7 @@ from .control import (
     solve_constrained_fixed_time,
     solve_unconstrained_Linf,
 )
-from .dynamics import make_control, trajectory_to_csv
+from .dynamics import trajectory_to_csv
 from .errors import ConfigError
 from .grid import build_grid
 from .spectral import eigendecompose, gap_statistics, l1_lower_bound
@@ -159,7 +159,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     summary: dict = {
         "resolved_config": config.to_dict(),
-        "seed": config.seed,
         "lambda": basis.eigenvalues.tolist(),
         "min_gap": gap_statistics(basis).min_gap,
         "beta_hat": l1_lower_bound(basis, config.omega),
@@ -195,12 +194,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     control, traj = outcome.control, outcome.trajectory
     summary["feasible"] = outcome.feasible
-    # signed controls (unconstrained solver) are analyzed through |u|
-    magnitude = make_control(
-        grid, config.omega, config.n_t, values=np.abs(control.values)
-    )
     summary["atomicity"] = _atomicity_dict(
-        impulse_analysis(magnitude, dt=T / config.n_t, dx=grid.h, threshold=0.01)
+        impulse_analysis(control, dt=T / config.n_t, dx=grid.h)
     )
 
     files: list[str] = []

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+def pytest_report_header(config):
+    """The thread variables and the threads each loaded OpenBLAS uses: one
+    test passes at two BLAS threads and fails at one."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "envinfo.py"
+    spec = importlib.util.spec_from_file_location("_bench_envinfo", path)
+    envinfo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(envinfo)
+    env = " ".join(f"{var}={os.environ.get(var)}" for var in envinfo.THREAD_VARS)
+    return [f"thread env: {env}", f"blas runtime: {envinfo.blas_runtime()}"]
 
 
 @pytest.fixture(scope="session")

@@ -136,12 +136,17 @@ def test_run_solver_error_exits_3(tmp_path, capsys):
 
 
 def test_run_seed_override(tmp_path, capsys):
+    # a run takes its seed from the config only: --seed is a usage error
     path = write_config(tmp_path, {"seed": 1})
-    assert main(["run", "--config", str(path), "--seed", "7"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(path), "--seed", "7"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["run", "--config", str(path)]) == 0
     line = json.loads(capsys.readouterr().out.strip())
     summary = json.loads(open(line["summary_json"]).read())
-    assert summary["seed"] == 7
-    assert summary["resolved_config"]["seed"] == 7
+    assert "seed" not in summary
+    assert summary["resolved_config"]["seed"] == 1
 
 
 def test_run_env_output_dir_override(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -182,15 +181,7 @@ def test_to_dict_round_trip():
         assert set(echoed) == fracheat.config._KNOWN_KEYS
 
 
-def test_with_output_dir_and_seed(tmp_path, capsys, monkeypatch):
-    cfg = fh.parse_config("{}")
-    cfg2 = replace(cfg, output_dir="elsewhere").with_seed(9)
-    assert cfg2.output_dir == "elsewhere"
-    assert cfg2.seed == 9
-    # the original is unchanged
-    assert cfg.output_dir == "fracheat-out" and cfg.seed == 42
-    with pytest.raises(fh.ConfigError, match="seed"):
-        cfg.with_seed(-3)
+def test_env_output_dir_is_echoed_in_the_summary(tmp_path, capsys, monkeypatch):
     # FRACHEAT_OUTPUT_DIR overrides the config's output_dir on the command line
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({

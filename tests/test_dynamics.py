@@ -30,7 +30,7 @@ def test_simulate_validation(op20_unit, cos_profile):
         fh.simulate(op20_unit, cos_profile, None, T=1.0, n_t=0)
     with pytest.raises(ValueError, match="shape"):
         fh.simulate(op20_unit, cos_profile[:-1], None, T=1.0, n_t=10)
-    ctrl = fh.make_control(op20_unit.grid, (-0.3, 0.8), n_t=20)
+    ctrl = fh.make_control(op20_unit.grid, (-0.3, 0.8), n_t=20, values=0.0)
     with pytest.raises(ValueError, match="time cells"):
         fh.simulate(op20_unit, cos_profile, ctrl, T=1.0, n_t=10)
     # the march solves without checking, so NaN and inf are caught up front
@@ -131,11 +131,11 @@ def test_duhamel_spectral_constant_control(op20_unit):
     lam = basis.eigenvalues
     u = np.ones((8, 4)) * 0.7
     out = fh.duhamel_spectral(basis, np.zeros(4), u, 0.9)
-    assert out == pytest.approx(0.7 * (1.0 - np.exp(-lam * 0.9)) / lam, rel=1e-12)
+    assert out == pytest.approx(0.7 * (1.0 - np.exp(-lam * 0.9)) / lam, rel=1e-12, abs=0.0)
 
 
 def test_make_control_variants(grid20):
-    zero = fh.make_control(grid20, (-0.3, 0.8), 5)
+    zero = fh.make_control(grid20, (-0.3, 0.8), 5, values=0.0)
     assert zero.values.shape == (12, 5)
     assert not zero.values.any()
     const = fh.make_control(grid20, (-0.3, 0.8), 5, values=2.5)
@@ -147,7 +147,7 @@ def test_make_control_variants(grid20):
     with pytest.raises(ValueError, match="shape"):
         fh.make_control(grid20, (-0.3, 0.8), 5, values=np.ones((3, 5)))
     with pytest.raises(ValueError, match="no interior nodes"):
-        fh.make_control(grid20, (0.51, 0.54), 5)
+        fh.make_control(grid20, (0.51, 0.54), 5, values=0.0)
 
 
 def test_generate_target_trajectory(op20_unit, cos_profile):

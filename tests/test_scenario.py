@@ -57,7 +57,7 @@ def test_fixed_run_summary_content(fixed_run):
     assert len(s["lambda"]) == 8
     assert s["min_gap"] > 0
     assert s["beta_hat"] > 0
-    assert s["seed"] == 42
+    assert "seed" not in s and s["resolved_config"]["seed"] == 42
     assert s["resolved_config"]["n_x"] == 10
     assert "T_min_estimate" not in s
     # the echoed config reparses to the one that produced the run
