@@ -276,7 +276,14 @@ def assemble_stiffness(grid: Grid, s: float, normalization: str = "symbol") -> n
                     continue
                 full[ga, gb] += inv2s * (left[a, b] + right[a, b])
 
-    A = full[1:n, 1:n].copy()
+    # Move the interior rows in place to the front of the buffer: interior
+    # row i moves from (i + 1) (n + 1) + 1 back to i (n - 1), which clears
+    # every row still to move, and the matrix is a view of that prefix.
+    n_i = n - 1
+    for i in range(n_i):
+        start = (i + 1) * (n + 1) + 1
+        flat[i * n_i : (i + 1) * n_i] = flat[start : start + n_i]
+    A = flat[: n_i * n_i].reshape(n_i, n_i)
     if normalization == "symbol":
         A *= normalization_constant(s)
     return A

@@ -13,8 +13,9 @@ run
 spectrum
     Print the leading eigenvalues of the discrete operator as CSV.
 obs-curve
-    Print lower bounds of the observability constant over a horizon
-    sweep, with their running envelope, as the CSV table that
+    Print lower bounds of the observability constant over a sweep of
+    ``--points`` (at least 2) geometrically spaced horizons, with their
+    running envelope, as the CSV table that
     :func:`~fracheat.observability.blowup_curve_to_csv` writes.  Each
     bound is the best witness of the Gram-cancellation ladder, whose L1
     norm is taken in closed form between the sum's roots; every
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument("--s", type=float, required=True, help="fractional order")
     p_obs.add_argument("--tmin", type=float, required=True, help="smallest horizon")
     p_obs.add_argument("--tmax", type=float, required=True, help="largest horizon")
-    p_obs.add_argument("--points", type=int, default=9, help="horizons in the sweep")
+    p_obs.add_argument("--points", type=int, default=9, help="horizons in the sweep, at least 2")
     p_obs.add_argument("--kmax", type=int, default=8, help="exponents used")
     p_obs.add_argument(
         "--nrandom", type=int, default=200, help="no effect; the estimator is deterministic"
@@ -150,8 +151,8 @@ def _cmd_obs_curve(args) -> int:
         raise ConfigError(
             f"tmin/tmax: need 0 < tmin < tmax, got {args.tmin}, {args.tmax}"
         )
-    if args.points < 3:
-        raise ConfigError(f"points: must be >= 3, got {args.points}")
+    if args.points < 2:
+        raise ConfigError(f"points: must be >= 2, got {args.points}")
     if args.kmax < 1:
         raise ConfigError(f"kmax: must be >= 1, got {args.kmax}")
 

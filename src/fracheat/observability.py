@@ -3,12 +3,13 @@
 For a finite exponential sum F(t) = sum_k c_k e^(-mu_k t) the observability
 ratio (sum_k |c_k| e^(-mu_k T)) / ||F||_{L1(0,T)} is bounded above by a
 constant C(T) depending only on the exponents.  The true constant is a
-supremum over coefficient vectors and out of reach; this module certifies
-lower bounds by evaluating the ratio on witnesses, and exhibits the
-blow-up of C(T) as T decreases.  The witnesses are the near-cancellation
-solves of the exponential Gram system (a ladder of Tikhonov
-regularizations over every leading block of exponents), and the estimate
-is the best of them; it is deterministic.
+supremum over coefficient vectors and out of reach; :func:`blowup_curve`
+certifies lower bounds over a list of horizons by evaluating the ratio on
+witnesses, which it returns, and so exhibits the blow-up of C(T) as T
+decreases.  The witnesses are the near-cancellation solves of the
+exponential Gram system (a ladder of Tikhonov regularizations over every
+leading block of exponents), and each bound is the best of them; it is
+deterministic.
 
 Every L1 norm is exact up to rounding.  The derivative of e^(mu_1 t) F is
 e^(mu_1 t) times a sum of the K - 1 other exponentials, so by Rolle's
@@ -26,21 +27,13 @@ evaluated together as one batch of rows; the module runs on numpy alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverError
 
-__all__ = [
-    "ExponentialSum",
-    "ObservabilityEstimate",
-    "BlowupCurve",
-    "l1_norm_exp_sum",
-    "estimate_observability_constant",
-    "blowup_curve",
-    "blowup_curve_to_csv",
-]
+__all__ = ["BlowupCurve", "l1_norm_exp_sum", "blowup_curve", "blowup_curve_to_csv"]
 
 # the root iteration stops once a step or a bracket is within
 # 1e-14 + 4 eps |t|, the default tolerance of scipy's bracketing root
@@ -59,81 +52,30 @@ _NOISE_ULPS = 64
 
 
 @dataclass(frozen=True)
-class ExponentialSum:
-    """Finite sum of decaying exponentials on a horizon.
-
-    Attributes
-    ----------
-    coefficients : ndarray, shape (K,)
-    exponents : ndarray, shape (K,)
-        Strictly increasing positive rates.
-    T : float
-        Positive horizon.
-    """
-
-    coefficients: np.ndarray = field(repr=False)
-    exponents: np.ndarray = field(repr=False)
-    T: float
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        mu = np.atleast_1d(np.asarray(self.exponents, dtype=float))
-        if c.shape != mu.shape or c.ndim != 1:
-            raise ValueError("coefficients and exponents must be 1-D of equal length")
-        if (mu <= 0).any() or (np.diff(mu) <= 0).any():
-            raise ValueError("exponents must be positive and strictly increasing")
-        if self.T <= 0:
-            raise ValueError(f"horizon must be positive, got {self.T}")
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "exponents", mu)
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.exp(-np.multiply.outer(t, self.exponents)) @ self.coefficients
-
-
-@dataclass(frozen=True)
-class ObservabilityEstimate:
-    """Certified lower bound of the observability constant at horizon T.
-
-    Attributes
-    ----------
-    T : float
-    lower_bound_C : float
-        Best ratio found; equals the ratio recomputed on witness_coeffs.
-    witness_coeffs : ndarray
-        Coefficient vector achieving the bound.
-    """
-
-    T: float
-    lower_bound_C: float
-    witness_coeffs: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class BlowupCurve:
-    """Estimates of the observability constant across horizons.
+    """Lower bounds of the observability constant across horizons.
 
     Attributes
     ----------
-    T_values : ndarray
+    T_values : ndarray, shape (n,)
         Horizons in the order supplied (decreasing).
-    C_lower : ndarray
-        Raw estimator output per horizon.
-    C_envelope : ndarray
+    C_lower : ndarray, shape (n,)
+        Best ratio per horizon; each equals the ratio recomputed on its
+        witness.
+    C_envelope : ndarray, shape (n,)
         Running maxima toward small T, nonincreasing in T.
-    slope_fit : float
-        Slope of log C against 1/T fitted on the three smallest horizons.
+    witnesses : ndarray, shape (n, K)
+        Row i holds the coefficients that achieve C_lower[i].
     """
 
-    T_values: np.ndarray = field(repr=False)
-    C_lower: np.ndarray = field(repr=False)
-    C_envelope: np.ndarray = field(repr=False)
-    slope_fit: float
+    T_values: np.ndarray
+    C_lower: np.ndarray
+    C_envelope: np.ndarray
+    witnesses: np.ndarray
 
 
-def l1_norm_exp_sum(es: ExponentialSum) -> float:
-    """L1 norm of an exponential sum on [0, T], exact up to rounding.
+def l1_norm_exp_sum(coefficients, exponents, T: float) -> float:
+    """L1 norm of sum_k c_k e^(-mu_k t) on [0, T], exact up to rounding.
 
     The sign-change roots come from the derivative ladder (see
     :func:`_root_edges`), and between consecutive roots the integral of
@@ -141,7 +83,11 @@ def l1_norm_exp_sum(es: ExponentialSum) -> float:
 
     Parameters
     ----------
-    es : ExponentialSum
+    coefficients : array_like, shape (K,)
+    exponents : array_like, shape (K,)
+        Positive strictly increasing rates.
+    T : float
+        Finite positive horizon.
 
     Returns
     -------
@@ -149,11 +95,18 @@ def l1_norm_exp_sum(es: ExponentialSum) -> float:
 
     Raises
     ------
+    ValueError
+        On unequal lengths, bad exponents or a bad horizon.
     SolverError
         If the root iteration has not converged after its step cap; it
         never returns an unconverged root.
     """
-    return float(_l1_norms(es.coefficients[None, :], es.exponents, np.array([es.T]))[0])
+    c = np.atleast_1d(np.asarray(coefficients, dtype=float))
+    mu = np.atleast_1d(np.asarray(exponents, dtype=float))
+    if c.shape != mu.shape or c.ndim != 1:
+        raise ValueError("coefficients and exponents must be 1-D of equal length")
+    mu = _leading_exponents(mu, mu.size)
+    return float(_l1_norms(c[None, :], mu, _horizons([T]))[0])
 
 
 def _root_edges(C: np.ndarray, mu: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -328,13 +281,13 @@ def _ladder(mu: np.ndarray, T: float) -> np.ndarray:
     return np.array(rows)
 
 
-def _best_witnesses(mu: np.ndarray, T_values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Best ratio and its witness at each horizon, all rows in one batch.
+def _best_witnesses(mu: np.ndarray, T_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best ratio and its witness row at each horizon, all rows in one batch.
 
     One batch runs the root iteration's Python loop once for every
-    horizon; calling the estimator per horizon made the 9-horizon,
-    K = 8 obs-curve sweep about 50 ms slower end to end (0.32 against
-    0.27 s, on 2 cores with one BLAS thread).  Rows do not
+    horizon; evaluating each horizon's ladder on its own made the
+    9-horizon, K = 8 obs-curve sweep about 50 ms slower end to end (0.32
+    against 0.27 s, on 2 cores with one BLAS thread).  Rows do not
     interact, so each result equals the one computed alone.  The argmax
     takes the lowest index on ties.
     """
@@ -345,7 +298,7 @@ def _best_witnesses(mu: np.ndarray, T_values: np.ndarray) -> tuple[np.ndarray, l
     best = [int(np.argmax(r)) for r in per_T]
     return (
         np.array([r[b] for r, b in zip(per_T, best)]),
-        [rows[b] for rows, b in zip(ladders, best)],
+        np.array([rows[b] for rows, b in zip(ladders, best)]),
     )
 
 
@@ -354,25 +307,38 @@ def _leading_exponents(mu: np.ndarray, K: int) -> np.ndarray:
     if K < 1 or K > mu.size:
         raise ValueError(f"K must lie in [1, {mu.size}], got {K}")
     mu = mu[:K]
-    if (mu <= 0).any() or (np.diff(mu) <= 0).any():
+    # written so that NaN fails too
+    if not ((mu > 0).all() and (np.diff(mu) > 0).all()):
         raise ValueError("exponents must be positive and strictly increasing")
     return mu
 
 
-def estimate_observability_constant(
-    mu: np.ndarray, T: float, K: int
-) -> ObservabilityEstimate:
-    """Best observability ratio over the Gram-cancellation ladder.
+def _horizons(T_list) -> np.ndarray:
+    T = np.atleast_1d(np.asarray(T_list, dtype=float))
+    if T.ndim != 1 or T.size == 0:
+        raise ValueError("need a nonempty 1-D list of horizons")
+    if not (np.isfinite(T) & (T > 0)).all():
+        raise ValueError(f"horizons must be finite and positive, got {T}")
+    if (np.diff(T) >= 0).any():
+        raise ValueError("horizons must be strictly decreasing")
+    return T
 
-    Maximizes (sum |c_k| e^(-mu_k T)) / ||sum c_k e^(-mu_k t)||_{L1(0,T)}
-    over the near-cancellation solves of the exponential Gram system of
-    the leading m exponents, for every m = 1..K, each zero-padded to
-    length K, with the L1 norm in closed form between the sum's roots.
-    A witness whose computed norm is within its own rounding error of
-    zero counts with ratio 0.  The estimate is deterministic, and equals
-    the one :func:`blowup_curve` finds at T.  The candidate set for K
-    contains the padded set for every smaller K, so the estimate is
-    nondecreasing in K.
+
+def blowup_curve(mu: np.ndarray, T_list, K: int) -> BlowupCurve:
+    """Observability lower bounds, and their witnesses, over horizons.
+
+    At each horizon T, maximizes (sum |c_k| e^(-mu_k T)) /
+    ||sum c_k e^(-mu_k t)||_{L1(0,T)} over the near-cancellation solves of
+    the exponential Gram system of the leading m exponents, for every
+    m = 1..K, each zero-padded to length K, with the L1 norm in closed
+    form between the sum's roots.  A witness whose computed norm is
+    within its own rounding error of zero counts with ratio 0.  Every
+    horizon's witnesses are evaluated in one batch, and since rows do not
+    interact each bound equals the one computed for its horizon alone.
+    The nonincreasing envelope is the running maximum toward small T.
+    The bounds are deterministic, and the candidate set for K contains
+    the padded set for every smaller K, so each bound is nondecreasing
+    in K.
 
     Single-mode vectors, alternating-sign geometric profiles, random
     draws and the zero-padded prefixes of every candidate are not tried:
@@ -380,72 +346,29 @@ def estimate_observability_constant(
     sufficient-time scan and the blow-up demo, none of them ever gave the
     answer at K >= 3, and they cost most of the time.  Nor is the best
     candidate refined by a local search: coordinate ascent changed no
-    estimate at K >= 4 on those inputs, raised some at K <= 3 by at most
+    bound at K >= 4 on those inputs, raised some at K <= 3 by at most
     2.2%, and took more than half the time.
 
     Parameters
     ----------
     mu : ndarray
         Positive strictly increasing exponents, at least K of them.
-    T : float
-        Positive horizon.
+    T_list : sequence of float
+        Nonempty, strictly decreasing, finite positive horizons.
     K : int
         Truncation: number of leading exponents to use.
 
     Returns
     -------
-    ObservabilityEstimate
-    """
-    mu = _leading_exponents(mu, K)
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    ratios, witnesses = _best_witnesses(mu, np.array([T], dtype=float))
-    best_c = witnesses[0]
-    best_c.setflags(write=False)
-    return ObservabilityEstimate(
-        T=float(T), lower_bound_C=float(ratios[0]), witness_coeffs=best_c
-    )
-
-
-def blowup_curve(mu: np.ndarray, T_list, K: int) -> BlowupCurve:
-    """Observability lower bounds over a decreasing list of horizons.
-
-    Takes the estimate of :func:`estimate_observability_constant` at each
-    horizon, with every horizon's witnesses in one batch, forms the
-    nonincreasing envelope by running maxima toward small T, and fits the
-    slope of log C against 1/T on the three smallest horizons (a positive
-    slope reflects the blow-up as T decreases).  The estimator is
-    deterministic, so equal inputs give equal curves.
-
-    Parameters
-    ----------
-    mu : ndarray
-        Exponents passed to the estimator.
-    T_list : sequence of float
-        Strictly decreasing positive horizons, at least three.
-    K : int
-        Exponents the estimator uses.
-
-    Returns
-    -------
     BlowupCurve
     """
-    T_arr = np.asarray(T_list, dtype=float)
-    if (T_arr <= 0).any():
-        raise ValueError("all horizons must be positive")
-    if T_arr.size < 3:
-        raise ValueError("need at least three horizons for the slope fit")
-    if (np.diff(T_arr) >= 0).any():
-        raise ValueError("horizons must be strictly decreasing")
-    C = _best_witnesses(_leading_exponents(mu, K), T_arr)[0]
-    env = np.maximum.accumulate(C)
-    small = np.argsort(T_arr)[:3]
-    slope = float(np.polyfit(1.0 / T_arr[small], np.log(C[small]), 1)[0])
-    C.setflags(write=False)
-    env.setflags(write=False)
-    T_out = T_arr.copy()
-    T_out.setflags(write=False)
-    return BlowupCurve(T_values=T_out, C_lower=C, C_envelope=env, slope_fit=slope)
+    mu = _leading_exponents(mu, K)
+    T = _horizons(T_list).copy()
+    C, witnesses = _best_witnesses(mu, T)
+    curve = BlowupCurve(T, C, np.maximum.accumulate(C), witnesses)
+    for a in (curve.T_values, curve.C_lower, curve.C_envelope, curve.witnesses):
+        a.setflags(write=False)
+    return curve
 
 
 def blowup_curve_to_csv(curve: BlowupCurve, path) -> None:

@@ -43,6 +43,9 @@ __all__ = [
 # spectrum tracks the grid scale rather than the operator.
 RESOLVED_FRACTION = 0.8
 
+# Columns per block of the eigenpair residual check.
+_RESIDUAL_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class SpectralBasis:
@@ -190,12 +193,16 @@ def eigendecompose(
     flip = V[np.abs(V[: (n + 1) // 2]).argmax(axis=0), np.arange(k_max)] < 0.0
     V[:, flip] *= -1.0
 
-    # the residual M V diag(lam) - K V, built in the storage of M V
-    resid = m[:, None] * V if mass_kind == "lumped" else op.mass_times(V)
-    scale = lam * np.linalg.norm(resid, axis=0)
-    resid *= lam[None, :]
-    resid -= K @ V
-    rel = np.linalg.norm(resid, axis=0) / scale
+    # the residual M V diag(lam) - K V, built in the storage of M V one
+    # block of columns at a time, so no second n x n array is held beside V
+    rel = np.empty(k_max)
+    for j in range(0, k_max, _RESIDUAL_BLOCK):
+        b = slice(j, j + _RESIDUAL_BLOCK)
+        resid = m[:, None] * V[:, b] if mass_kind == "lumped" else op.mass_times(V[:, b])
+        scale = lam[b] * np.linalg.norm(resid, axis=0)
+        resid *= lam[None, b]
+        resid -= K @ V[:, b]
+        rel[b] = np.linalg.norm(resid, axis=0) / scale
     if rel.max() > 1e-8:
         worst = int(rel.argmax())
         raise SolverError(

@@ -251,10 +251,8 @@ def test_criterion_08_gradient_checks(prob_case1):
 @pytest.fixture(scope="module")
 def observability_constants():
     mu = fh.lambda_asymptotic(np.arange(1, 9), 0.8)
-    return {
-        T: fh.estimate_observability_constant(mu, T, 8).lower_bound_C
-        for T in (0.05, 1.0, 2.0, 4.0)
-    }
+    curve = fh.blowup_curve(mu, [4.0, 2.0, 1.0, 0.05], 8)
+    return dict(zip(curve.T_values.tolist(), curve.C_lower.tolist()))
 
 
 def test_criterion_09_blowup(observability_constants):

@@ -222,19 +222,48 @@ def test_obs_curve_output(capsys):
 
 def test_obs_curve_ignores_seed(capsys):
     # --seed is accepted but has no effect: the estimator is deterministic,
-    # down to the last digit and also at K = 2
+    # down to the last digit and also at K = 2 and the fewest points, 2
     outputs = []
     for seed in ("0", "7"):
         argv = ["obs-curve", "--s", "0.8", "--tmin", "0.4", "--tmax", "2.5"]
-        argv += ["--points", "3", "--kmax", "2", "--seed", seed]
+        argv += ["--points", "2", "--kmax", "2", "--seed", seed]
         assert main(argv) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+    assert len(outputs[0].strip().splitlines()) == 3
 
 
 def test_obs_curve_validation_exit_2(capsys):
     assert main(["obs-curve", "--s", "0.8", "--tmin", "1.0", "--tmax", "0.5"]) == 2
     stderr_record(capsys)
+    assert main(["obs-curve", "--s", "0.8", "--tmin", "0.5", "--tmax", "1.0", "--points", "1"]) == 2
+    assert "points" in stderr_record(capsys)["message"]
+
+
+# T, C_lower, C_envelope of the benchmark's obs-curve sweep
+FROZEN_OBS_CURVE = [
+    (4, 0.0056739227953241482, 0.0056739227953241482),
+    (2.3129899350864838, 0.11358756212418017, 0.11358756212418017),
+    (1.337480609952844, 0.91856463556633894, 0.91856463556633894),
+    (0.77339479729856475, 10.389713315937309, 10.389713315937309),
+    (0.44721359549995787, 333.50568223788679, 333.50568223788679),
+    (0.25860013630631012, 23871.762001418261, 23871.762001418261),
+    (0.14953487812212202, 2425390.0355831045, 2425390.0355831045),
+    (0.086468167010213079, 257700580.81627959, 257700580.81627959),
+    (0.050000000000000003, 20564212682.573116, 20564212682.573116),
+]
+
+
+def test_obs_curve_benchmark_sweep_is_frozen(capsys):
+    argv = ["obs-curve", "--s", "0.8", "--tmin", "0.05", "--tmax", "4", "--points", "9"]
+    argv += ["--kmax", "8", "--nrandom", "200", "--seed", "1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "T,C_lower,C_envelope"
+    data = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
+    assert len(data) == len(FROZEN_OBS_CURVE) == 9
+    for row, frozen in zip(data, FROZEN_OBS_CURVE):
+        assert row == pytest.approx(frozen, rel=1e-12, abs=0.0)
 
 
 def test_argparse_usage_errors():

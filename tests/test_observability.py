@@ -1,4 +1,4 @@
-"""Observability-constant estimator and closed-form exponential-sum L1 norms."""
+"""Observability lower bounds (blowup_curve) and closed-form exponential-sum L1 norms."""
 
 from __future__ import annotations
 
@@ -20,15 +20,15 @@ def anti(c, mu, t):
 
 
 def ratio(c, mu, T):
-    """Observability ratio of one witness, as the estimator computes it."""
+    """Observability ratio of one witness, as blowup_curve computes it."""
     return float(_ratios(np.asarray(c, dtype=float)[None, :], mu, np.array([T]))[0])
 
 
-def ladder_roots(es):
+def ladder_roots(c, mu, T):
     """Sign-change roots that the derivative ladder isolates."""
-    edges = _root_edges(es.coefficients[None, :], es.exponents, np.array([es.T]))[0]
+    edges = _root_edges(np.asarray(c, dtype=float)[None, :], mu, np.array([T]))[0]
     inner = edges[1:-1]
-    return inner[inner < es.T]
+    return inner[inner < T]
 
 
 def mp_reference(c, mu, T, brackets):
@@ -67,28 +67,34 @@ def mp_graded_brackets(c, mu, T):
         return [(a, b) for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]) if fa * fb < 0]
 
 
-def test_exponential_sum_validation():
+def test_l1_norm_validation():
     with pytest.raises(ValueError, match="equal length"):
-        fh.ExponentialSum([1.0, 2.0], [1.0], 1.0)
+        fh.l1_norm_exp_sum([1.0, 2.0], [1.0], 1.0)
     with pytest.raises(ValueError, match="increasing"):
-        fh.ExponentialSum([1.0, 2.0], [2.0, 1.0], 1.0)
+        fh.l1_norm_exp_sum([1.0, 2.0], [2.0, 1.0], 1.0)
     with pytest.raises(ValueError, match="increasing"):
-        fh.ExponentialSum([1.0], [-1.0], 1.0)
+        fh.l1_norm_exp_sum([1.0], [-1.0], 1.0)
     with pytest.raises(ValueError, match="horizon"):
-        fh.ExponentialSum([1.0], [1.0], 0.0)
+        fh.l1_norm_exp_sum([1.0], [1.0], 0.0)
 
 
-def test_exponential_sum_evaluation():
-    es = fh.ExponentialSum([2.0, -1.0], [1.0, 3.0], 2.0)
-    t = np.array([0.0, 0.5, 1.0])
-    assert es(t) == pytest.approx(2.0 * np.exp(-t) - np.exp(-3.0 * t))
+def test_non_finite_horizons_are_rejected():
+    # NaN or inf once gave C = 0, a NaN slope or a NaN norm, or died in a
+    # LAPACK call of the slope fit
+    mu = fh.lambda_asymptotic(np.arange(1, 5), 0.8)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fh.blowup_curve(mu, [2.0, bad, 0.5], 4)
+        with pytest.raises(ValueError, match="finite"):
+            fh.blowup_curve(mu, [bad], 4)
+        with pytest.raises(ValueError, match="finite"):
+            fh.l1_norm_exp_sum([2.0, -1.0], [1.0, 3.0], bad)
 
 
 def test_l1_norm_single_exponential():
     # integral of c e^(-mu t) over [0, T] is c (1 - e^(-mu T)) / mu
-    es = fh.ExponentialSum([3.0], [2.5], 1.7)
     exact = 3.0 * (1.0 - math.exp(-2.5 * 1.7)) / 2.5
-    assert fh.l1_norm_exp_sum(es) == pytest.approx(exact, rel=1e-13)
+    assert fh.l1_norm_exp_sum([3.0], [2.5], 1.7) == pytest.approx(exact, rel=1e-13)
 
 
 def test_l1_norm_with_sign_change():
@@ -96,18 +102,17 @@ def test_l1_norm_with_sign_change():
     # analytic antiderivative there
     c = np.array([1.0, -0.5])
     mu = np.array([2.0, 1.0])
-    # constructor requires increasing exponents
-    es = fh.ExponentialSum(c[::-1], mu[::-1], 3.0)
     t_star = math.log(2.0)
     exact = abs(anti(c, mu, t_star) - anti(c, mu, 0.0)) + abs(
         anti(c, mu, 3.0) - anti(c, mu, t_star)
     )
-    assert fh.l1_norm_exp_sum(es) == pytest.approx(exact, rel=1e-12)
+    # the exponents must increase
+    assert fh.l1_norm_exp_sum(c[::-1], mu[::-1], 3.0) == pytest.approx(exact, rel=1e-12)
 
 
-def _grid_sign_changes(es, n_cells):
-    grid = np.linspace(0.0, es.T, n_cells + 1)
-    fvals = es(grid)
+def _grid_sign_changes(c, mu, T, n_cells):
+    grid = np.linspace(0.0, T, n_cells + 1)
+    fvals = np.exp(-np.multiply.outer(grid, mu)) @ c
     change = np.flatnonzero(np.sign(fvals[:-1]) * np.sign(fvals[1:]) < 0)
     return grid, fvals, change
 
@@ -118,14 +123,13 @@ def test_roots_and_l1_norm_match_mpmath():
     mu = fh.lambda_asymptotic(np.arange(1, 6), 0.8)
     T = 0.5
     c = _cancellation_candidates(mu, T)[-1]
-    es = fh.ExponentialSum(c, mu, T)
-    grid, _, change = _grid_sign_changes(es, 256)
+    grid, _, change = _grid_sign_changes(c, mu, T, 256)
     assert change.size == 4
-    roots = ladder_roots(es)
+    roots = ladder_roots(c, mu, T)
     ref, exact = mp_reference(c, mu, T, zip(grid[change], grid[change + 1]))
     assert roots.size == 4
     assert max(float(abs(r - mpmath.mpf(x))) for r, x in zip(ref, roots)) <= 1e-14
-    assert fh.l1_norm_exp_sum(es) == pytest.approx(exact, rel=1e-13)
+    assert fh.l1_norm_exp_sum(c, mu, T) == pytest.approx(exact, rel=1e-13)
 
 
 def test_l1_norm_finds_roots_that_a_grid_misses():
@@ -135,17 +139,16 @@ def test_l1_norm_finds_roots_that_a_grid_misses():
     mu = fh.lambda_asymptotic(np.arange(1, 13), 0.8)
     T = 4.0
     c = np.pad(_cancellation_candidates(mu[:9], T)[0], (0, 3))
-    es = fh.ExponentialSum(c, mu, T)
-    assert _grid_sign_changes(es, 256)[2].size == 6
+    assert _grid_sign_changes(c, mu, T, 256)[2].size == 6
     ref, exact = mp_reference(c, mu, T, mp_graded_brackets(c, mu, T))
-    roots = ladder_roots(es)
+    roots = ladder_roots(c, mu, T)
     assert len(ref) == roots.size == 8
     # each root within its conditioning, eps sum_k |c_k| e^(-mu_k t) / |F'(t)|
     for r, x in zip(ref, roots):
         e = np.exp(-mu * x)
         cond = np.finfo(float).eps * (np.abs(c) @ e) / abs((c * mu) @ e)
         assert float(abs(r - mpmath.mpf(x))) <= 4 * cond
-    assert fh.l1_norm_exp_sum(es) == pytest.approx(exact, rel=1e-12)
+    assert fh.l1_norm_exp_sum(c, mu, T) == pytest.approx(exact, rel=1e-12)
 
 
 def test_l1_norm_where_every_term_underflows_at_T():
@@ -159,9 +162,9 @@ def test_l1_norm_where_every_term_underflows_at_T():
     exact = abs(anti(c, mu, t_star) - anti(c, mu, 0.0)) + abs(
         anti(c, mu, T) - anti(c, mu, t_star)
     )
-    roots = ladder_roots(fh.ExponentialSum(c, mu, T))
+    roots = ladder_roots(c, mu, T)
     assert roots.size == 1 and roots[0] == pytest.approx(t_star, rel=1e-13, abs=0.0)
-    assert fh.l1_norm_exp_sum(fh.ExponentialSum(c, mu, T)) == pytest.approx(exact, rel=1e-13, abs=0.0)
+    assert fh.l1_norm_exp_sum(c, mu, T) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_l1_norm_at_large_K():
@@ -172,16 +175,15 @@ def test_l1_norm_at_large_K():
     mu = fh.lambda_asymptotic(np.arange(1, 41), 0.99)
     T = 1.0
     c = _cancellation_candidates(mu, T)[-1]
-    es = fh.ExponentialSum(c, mu, T)
     ref, exact = mp_reference(c, mu, T, mp_graded_brackets(c, mu, T))
-    roots = ladder_roots(es)
+    roots = ladder_roots(c, mu, T)
     assert len(ref) == roots.size == 11
     assert max(float(abs(r - mpmath.mpf(x))) for r, x in zip(ref, roots)) <= 1e-14
-    assert fh.l1_norm_exp_sum(es) == pytest.approx(exact, rel=1e-12)
+    assert fh.l1_norm_exp_sum(c, mu, T) == pytest.approx(exact, rel=1e-12)
     scale = 2.0**900
     with np.errstate(over="ignore"):
         assert np.isinf(abs(c[-1]) * scale * np.prod(mu[-1] - mu[:-2]))
-    big = fh.l1_norm_exp_sum(fh.ExponentialSum(scale * c, mu, T))
+    big = fh.l1_norm_exp_sum(scale * c, mu, T)
     assert big / scale == pytest.approx(exact, rel=1e-12)
 
 
@@ -192,18 +194,17 @@ def test_sum_with_noise_sign_changes_is_a_degenerate_witness():
     # isolates at most 2 roots, and the rounding guard gives ratio 0
     mu = np.array([1.0, 1.0 + 1e-13, 1.0 + 2e-13])
     c = np.array([1.0, -2.0, 1.0])
-    es = fh.ExponentialSum(c, mu, 1.0)
-    assert _grid_sign_changes(es, 256)[2].size > 2
-    assert ladder_roots(es).size <= 2
+    assert _grid_sign_changes(c, mu, 1.0, 256)[2].size > 2
+    assert ladder_roots(c, mu, 1.0).size <= 2
     assert ratio(c, mu, 1.0) == 0.0
 
 
 def test_root_iteration_never_returns_unconverged(monkeypatch):
-    es = fh.ExponentialSum([-0.5, 1.0], [1.0, 2.0], 3.0)
-    assert fh.l1_norm_exp_sum(es) > 0.0
+    sum_args = ([-0.5, 1.0], [1.0, 2.0], 3.0)
+    assert fh.l1_norm_exp_sum(*sum_args) > 0.0
     monkeypatch.setattr(obs, "_ROOT_STEPS", 1)
     with pytest.raises(fh.SolverError, match="not converged"):
-        fh.l1_norm_exp_sum(es)
+        fh.l1_norm_exp_sum(*sum_args)
 
 
 def test_root_iteration_does_not_creep_at_flat_roots(monkeypatch):
@@ -212,20 +213,21 @@ def test_root_iteration_does_not_creep_at_flat_roots(monkeypatch):
     # against at most 13 now
     monkeypatch.setattr(obs, "_ROOT_STEPS", 16)
     mu = fh.lambda_asymptotic(np.arange(1, 13), 0.3)
-    for T in np.geomspace(4.0, 0.01, 25):
-        assert fh.estimate_observability_constant(mu, T, 12).lower_bound_C > 0.0
+    assert (fh.blowup_curve(mu, np.geomspace(4.0, 0.01, 25), 12).C_lower > 0.0).all()
 
 
 def test_estimator_validation():
     mu = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="K"):
-        fh.estimate_observability_constant(mu, 1.0, 0)
+        fh.blowup_curve(mu, [1.0], 0)
     with pytest.raises(ValueError, match="K"):
-        fh.estimate_observability_constant(mu, 1.0, 4)
-    with pytest.raises(ValueError, match="T"):
-        fh.estimate_observability_constant(mu, -1.0, 2)
+        fh.blowup_curve(mu, [1.0], 4)
+    with pytest.raises(ValueError, match="positive"):
+        fh.blowup_curve(mu, [-1.0], 2)
     with pytest.raises(ValueError, match="increasing"):
-        fh.estimate_observability_constant(np.array([2.0, 1.0]), 1.0, 2)
+        fh.blowup_curve(np.array([2.0, 1.0]), [1.0], 2)
+    with pytest.raises(ValueError, match="increasing"):
+        fh.blowup_curve(np.array([1.0, math.nan]), [1.0], 2)
 
 
 def test_estimator_single_mode_closed_form():
@@ -233,28 +235,28 @@ def test_estimator_single_mode_closed_form():
     # yields mu e^(-mu T) / (1 - e^(-mu T))
     mu = np.array([1.8])
     T = 0.7
-    est = fh.estimate_observability_constant(mu, T, 1)
+    curve = fh.blowup_curve(mu, [T], 1)
     exact = 1.8 * math.exp(-1.8 * T) / (1.0 - math.exp(-1.8 * T))
-    assert est.lower_bound_C == pytest.approx(exact, rel=1e-10)
-    assert est.T == T
+    assert curve.C_lower[0] == pytest.approx(exact, rel=1e-10)
+    assert list(curve.T_values) == [T]
 
 
 def test_estimator_bound_is_certified_by_witness():
     mu = fh.lambda_asymptotic(np.arange(1, 5), 0.8)
-    est = fh.estimate_observability_constant(mu, 0.5, 4)
-    c = est.witness_coeffs
-    numer = float(np.abs(c) @ np.exp(-mu * est.T))
-    denom = fh.l1_norm_exp_sum(fh.ExponentialSum(c, mu, est.T))
-    assert est.lower_bound_C == pytest.approx(numer / denom, rel=1e-12)
+    curve = fh.blowup_curve(mu, [2.0, 0.5, 0.1], 4)
+    assert curve.witnesses.shape == (3, 4)
+    for T, C, c in zip(curve.T_values, curve.C_lower, curve.witnesses):
+        numer = float(np.abs(c) @ np.exp(-mu * T))
+        assert C == pytest.approx(numer / fh.l1_norm_exp_sum(c, mu, T), rel=1e-12)
 
 
 def test_estimator_nondecreasing_in_K():
     mu = fh.lambda_asymptotic(np.arange(1, 9), 0.8)
     prev = 0.0
     for K in range(1, 9):
-        est = fh.estimate_observability_constant(mu, 0.4, K)
-        assert est.lower_bound_C >= prev - 1e-12
-        prev = est.lower_bound_C
+        C = fh.blowup_curve(mu, [0.4], K).C_lower[0]
+        assert C >= prev - 1e-12
+        prev = C
 
 
 def test_estimate_is_the_best_ladder_witness():
@@ -267,23 +269,27 @@ def test_estimate_is_the_best_ladder_witness():
         for v in _cancellation_candidates(mu[:m], T):
             candidates.append(np.pad(v, (0, K - m)))
     best = max(ratio(c, mu[:K], T) for c in candidates)
-    est = fh.estimate_observability_constant(mu, T, K)
-    assert est.lower_bound_C == best
-    assert est.lower_bound_C == pytest.approx(6.578, rel=1e-3)
+    C = fh.blowup_curve(mu, [T], K).C_lower[0]
+    assert C == best
+    assert C == pytest.approx(6.578, rel=1e-3)
 
 
 def test_estimator_at_underflowing_horizon():
     # at T = 1e-20 every Gram entry (1 - e^(-2 mu T)) / (2 mu) rounds to 0;
     # e_1 still gives the ratio e^(-mu_1 T) / T, about 1e20
     mu = np.array([1.0, 2.0, 3.0])
-    est = fh.estimate_observability_constant(mu, 1e-20, 3)
-    assert est.lower_bound_C >= 0.5e20 and np.isfinite(est.lower_bound_C)
+    C = fh.blowup_curve(mu, [1e-20], 3).C_lower[0]
+    assert C >= 0.5e20 and np.isfinite(C)
 
 
 def test_blowup_curve_validation():
     mu = np.array([1.0, 2.0])
-    with pytest.raises(ValueError, match="three"):
-        fh.blowup_curve(mu, [1.0, 0.5], 2)
+    with pytest.raises(ValueError, match="nonempty"):
+        fh.blowup_curve(mu, [], 2)
+    with pytest.raises(ValueError, match="nonempty"):
+        fh.blowup_curve(mu, [[1.0, 0.5]], 2)
+    with pytest.raises(ValueError, match="decreasing"):
+        fh.blowup_curve(mu, [1.0, 1.0], 2)
     with pytest.raises(ValueError, match="decreasing"):
         fh.blowup_curve(mu, [0.5, 1.0, 2.0], 2)
     with pytest.raises(ValueError, match="positive"):
@@ -297,8 +303,9 @@ def test_blowup_curve_envelope_and_slope():
     # the envelope is the running max toward small horizons
     assert np.all(np.diff(curve.C_envelope) >= 0)
     assert np.all(curve.C_envelope >= curve.C_lower)
-    # constants blow up as T decreases: positive slope of log C vs 1/T
-    assert curve.slope_fit > 0
+    # constants blow up as T decreases: positive slope of log C vs 1/T on
+    # the three smallest horizons
+    assert np.polyfit(1.0 / curve.T_values[-3:], np.log(curve.C_lower[-3:]), 1)[0] > 0
     assert curve.C_envelope[-1] > 10 * curve.C_envelope[0]
 
 
@@ -312,9 +319,8 @@ def test_l1_norm_dominates_plain_integral(coeffs, T):
     if not np.abs(c).max() > 0:
         c[0] = 1.0
     mu = 0.5 + np.arange(c.size, dtype=float)
-    es = fh.ExponentialSum(c, mu, T)
     plain = abs(float((c / mu) @ (1.0 - np.exp(-mu * T))))
-    assert fh.l1_norm_exp_sum(es) >= plain - 1e-12 * max(plain, 1.0)
+    assert fh.l1_norm_exp_sum(c, mu, T) >= plain - 1e-12 * max(plain, 1.0)
 
 
 def test_l1_norm_of_a_sum_cancelled_to_roundoff():
@@ -324,27 +330,27 @@ def test_l1_norm_of_a_sum_cancelled_to_roundoff():
     c = np.array([1.0, -2.0, 1.0])
     mu = np.array([1.0, 2.0, 3.0])
     T = 1e-12
-    es = fh.ExponentialSum(c, mu, T)
-    assert _grid_sign_changes(es, 256)[2].size > 2
-    norm = fh.l1_norm_exp_sum(es)
+    assert _grid_sign_changes(c, mu, T, 256)[2].size > 2
+    norm = fh.l1_norm_exp_sum(c, mu, T)
     assert np.isfinite(norm) and 0.0 <= norm <= 1e-24
     # the estimator treats such a sum as a degenerate witness
     assert ratio(c, mu, T) == 0.0
-    est = fh.estimate_observability_constant(mu, T, 3)
-    assert np.isfinite(est.lower_bound_C) and est.lower_bound_C > 0.0
+    C = fh.blowup_curve(mu, [T], 3).C_lower[0]
+    assert np.isfinite(C) and C > 0.0
 
 
 def test_witness_alone_reproduces_its_batched_ratio():
     # the obs-curve sweep evaluates every horizon's ladder in one batch;
-    # each estimate, and each witness's ratio, recomputed alone is the
-    # same float
+    # each bound and witness, and each witness's ratio, recomputed alone
+    # is the same float
     mu = fh.lambda_asymptotic(np.arange(1, 9), 0.8)
     T_values = np.geomspace(4.0, 0.05, 9)
     curve = fh.blowup_curve(mu, T_values, 8)
-    for T, C in zip(T_values, curve.C_lower):
-        est = fh.estimate_observability_constant(mu, T, 8)
-        assert est.lower_bound_C == C
-        assert ratio(est.witness_coeffs, mu, T) == C
+    for T, C, w in zip(T_values, curve.C_lower, curve.witnesses):
+        alone = fh.blowup_curve(mu, [T], 8)
+        assert alone.C_lower[0] == C
+        assert np.array_equal(alone.witnesses[0], w)
+        assert ratio(w, mu, T) == C
         rows = _ladder(mu, T)
         batched = _ratios(rows, mu, np.full(len(rows), T))
         assert [ratio(c, mu, T) for c in rows] == list(batched)

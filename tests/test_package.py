@@ -26,7 +26,6 @@ FROZEN_ALL = [
     "ControlField",
     "ControlProblem",
     "DiscreteOperator",
-    "ExponentialSum",
     "FixedTimeOutcome",
     "FracheatError",
     "G_transform",
@@ -34,7 +33,6 @@ FROZEN_ALL = [
     "Grid",
     "HorizonMode",
     "MinimalTimeReport",
-    "ObservabilityEstimate",
     "QuadratureError",
     "QuasiEigenfunction",
     "ScenarioConfig",
@@ -53,7 +51,6 @@ FROZEN_ALL = [
     "control_to_csv",
     "duhamel_spectral",
     "eigendecompose",
-    "estimate_observability_constant",
     "flattening_ratio",
     "gamma_density",
     "gap_statistics",
