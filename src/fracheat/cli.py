@@ -7,7 +7,7 @@ run
     artifacts (trajectory.csv, control.csv, summary.json) to the
     configured output directory.  ``FRACHEAT_OUTPUT_DIR`` overrides the
     config's ``output_dir``; ``--threads`` bounds the numerical
-    libraries' internal parallelism (default 1).  The console launcher
+    libraries' internal parallelism (default 1, at least 1).  The console launcher
     :mod:`fracheat_cli` applies that bound, before numpy is first
     imported; :func:`main` itself only accepts the flag.
 spectrum
@@ -24,6 +24,11 @@ obs-curve
     and ``--seed`` are still accepted for old command lines and have no
     effect.
 
+Flags are checked with the config's field checkers, so ``--s`` obeys the
+rule of the config's ``s`` and fails with the same message, and every
+number must be finite.  A rejected flag exits 2 with a message that
+starts with the flag's name.
+
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 I/O error, 1 unexpected internal error.  Every failure writes a JSON
 error record to stderr.
@@ -38,6 +43,7 @@ import sys
 from dataclasses import replace
 
 from .assembly import NORMALIZATIONS, S_MAX, S_MIN
+from .config import _check_int, _check_number, _fail, parse_config
 from .errors import ConfigError, SolverError
 
 __all__ = ["build_parser", "main"]
@@ -91,21 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_s(s: float) -> float:
-    if not (S_MIN <= s <= S_MAX):
-        raise ConfigError(f"s: must be in [{S_MIN}, {S_MAX}], got {s}")
-    return s
-
-
 def _cmd_run(args) -> int:
+    _check_int("threads", args.threads, minimum=1)
     try:
         with open(args.config, "rb") as f:
             text = f.read()
     except OSError as exc:
         raise OSError(f"cannot read config file {args.config!r}: {exc}") from exc
-
-    from .config import parse_config
-
     config = parse_config(text)
     env_dir = os.environ.get("FRACHEAT_OUTPUT_DIR")
     if env_dir:
@@ -126,11 +124,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _check_s(args.s)
-    if args.nx < 2:
-        raise ConfigError(f"nx: must be >= 2, got {args.nx}")
-    if args.kmax < 1:
-        raise ConfigError(f"kmax: must be >= 1, got {args.kmax}")
+    _check_number("s", args.s, minimum=S_MIN, maximum=S_MAX)
+    _check_int("nx", args.nx, minimum=2)
+    _check_int("kmax", args.kmax, minimum=1)
 
     from .assembly import build_operator
     from .grid import build_grid
@@ -146,15 +142,12 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_obs_curve(args) -> int:
-    _check_s(args.s)
-    if not (0 < args.tmin < args.tmax):
-        raise ConfigError(
-            f"tmin/tmax: need 0 < tmin < tmax, got {args.tmin}, {args.tmax}"
-        )
-    if args.points < 2:
-        raise ConfigError(f"points: must be >= 2, got {args.points}")
-    if args.kmax < 1:
-        raise ConfigError(f"kmax: must be >= 1, got {args.kmax}")
+    _check_number("s", args.s, minimum=S_MIN, maximum=S_MAX)
+    tmin = _check_number("tmin", args.tmin, minimum=1e-12)
+    if _check_number("tmax", args.tmax) <= tmin:
+        _fail("tmax", f"must be > tmin = {tmin}, got {args.tmax}")
+    _check_int("points", args.points, minimum=2)
+    _check_int("kmax", args.kmax, minimum=1)
 
     import numpy as np
 

@@ -2,9 +2,11 @@
 
 A scenario is described by a JSON object.  Every field is optional; a
 ``case_preset`` fills in the fields of one of the two shipped case
-studies, and explicit fields always win over the preset.  The resolved
-configuration is fully explicit and is echoed verbatim into the emitted
-summary so a run can be reproduced from its artifacts alone.
+studies, and explicit fields always win over the preset.  A
+``minimal_time`` body without a bracket or tol takes them from the
+preset's, else from [0.7, 0.9] and 0.02.  Every number must be finite.
+The resolved configuration is fully explicit and is echoed verbatim into
+the emitted summary so a run can be reproduced from its artifacts alone.
 
 Accepted keys::
 
@@ -37,6 +39,7 @@ them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .assembly import NORMALIZATIONS, S_MAX, S_MIN
@@ -47,7 +50,6 @@ __all__ = [
     "HorizonMode",
     "ScenarioConfig",
     "parse_config",
-    "preset_fields",
 ]
 
 _DEFAULTS: dict = {
@@ -85,28 +87,10 @@ _PRESETS: dict[str, dict] = {
     },
 }
 
+# the bracket and tol of a minimal_time body that sets neither, without a preset
+_MINIMAL_TIME = {"bracket": [0.7, 0.9], "tol": 0.02}
+
 _KNOWN_KEYS = frozenset(_DEFAULTS)
-
-
-def preset_fields(name: str) -> dict:
-    """Fields a preset fills in where the user left them unset.
-
-    Parameters
-    ----------
-    name : str
-        "case1" or "case2".
-
-    Returns
-    -------
-    dict
-        A copy of the preset's field overrides.
-    """
-    if name not in _PRESETS:
-        raise ConfigError(
-            f"case_preset: unknown preset {name!r}, expected one of "
-            f"{sorted(_PRESETS)}"
-        )
-    return json.loads(json.dumps(_PRESETS[name]))
 
 
 @dataclass(frozen=True)
@@ -129,17 +113,6 @@ class HorizonMode:
     T: float | None = None
     bracket: tuple[float, float] | None = None
     tol: float | None = None
-
-    @classmethod
-    def fixed(cls, T: float) -> "HorizonMode":
-        """Fixed-horizon mode at time T."""
-        return cls(kind="fixed", T=float(T))
-
-    @classmethod
-    def minimal_time(cls, bracket: tuple[float, float], tol: float) -> "HorizonMode":
-        """Minimal-time mode bisecting the given bracket down to tol."""
-        lo, hi = float(bracket[0]), float(bracket[1])
-        return cls(kind="minimal_time", bracket=(lo, hi), tol=float(tol))
 
     def to_dict(self) -> dict:
         """JSON-ready form mirroring the accepted config syntax."""
@@ -190,8 +163,8 @@ def _check_number(path: str, value, minimum=None, maximum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
     v = float(value)
-    if v != v:
-        _fail(path, "must not be NaN")
+    if not math.isfinite(v):
+        _fail(path, f"must be finite, got {value}")
     if minimum is not None and v < minimum:
         _fail(path, f"must be >= {minimum}, got {value}")
     if maximum is not None and v > maximum:
@@ -234,11 +207,7 @@ def _check_omega(path: str, value, n_x: int) -> tuple[float, float]:
     return (a, b)
 
 
-def _parse_horizon(
-    value,
-    default_bracket: tuple[float, float] = (0.7, 0.9),
-    default_tol: float = 0.02,
-) -> HorizonMode:
+def _parse_horizon(value) -> HorizonMode:
     if not isinstance(value, dict) or len(value) != 1:
         _fail(
             "horizon_mode",
@@ -247,22 +216,22 @@ def _parse_horizon(
         )
     (key, body), = value.items()
     if key == "fixed":
-        return HorizonMode.fixed(_check_number("horizon_mode.fixed", body, minimum=1e-12))
+        return HorizonMode("fixed", T=_check_number("horizon_mode.fixed", body, minimum=1e-12))
     if key == "minimal_time":
         if not isinstance(body, dict):
             _fail("horizon_mode.minimal_time", f"expected an object, got {body!r}")
         extra = set(body) - {"bracket", "tol"}
         if extra:
             _fail("horizon_mode.minimal_time", f"unknown keys {sorted(extra)}")
-        bracket = body.get("bracket", list(default_bracket))
+        bracket = body["bracket"]
         if not isinstance(bracket, (list, tuple)) or len(bracket) != 2:
             _fail("horizon_mode.minimal_time.bracket", f"expected [lo, hi], got {bracket!r}")
         lo = _check_number("horizon_mode.minimal_time.bracket[0]", bracket[0], minimum=1e-12)
         hi = _check_number("horizon_mode.minimal_time.bracket[1]", bracket[1])
         if hi <= lo:
             _fail("horizon_mode.minimal_time.bracket", f"needs lo < hi, got [{lo}, {hi}]")
-        tol = _check_number("horizon_mode.minimal_time.tol", body.get("tol", default_tol), minimum=1e-12)
-        return HorizonMode.minimal_time((lo, hi), tol)
+        tol = _check_number("horizon_mode.minimal_time.tol", body["tol"], minimum=1e-12)
+        return HorizonMode("minimal_time", bracket=(lo, hi), tol=tol)
     _fail("horizon_mode", f"unknown mode {key!r}, expected 'fixed' or 'minimal_time'")
 
 
@@ -281,10 +250,12 @@ def _parse_constraints(value) -> tuple[bool, bool]:
 def parse_config(text: bytes | str) -> ScenarioConfig:
     """Parse and validate a JSON scenario configuration.
 
-    Resolution order for every field: explicit value, then the preset's
-    value when ``case_preset`` is given, then the built-in default.  The
-    built-in defaults reproduce the first case study's discretization
-    with a fixed horizon of 0.9.
+    Explicit fields are merged over the preset's when ``case_preset`` is
+    given, and those over the built-in defaults; an explicit
+    ``minimal_time`` body is merged over the preset's one the same way.
+    Every check runs on the merged result.  The built-in defaults
+    reproduce the first case study's discretization with a fixed horizon
+    of 0.9.
 
     Parameters
     ----------
@@ -318,17 +289,14 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
 
-    merged = dict(_DEFAULTS)
     preset = raw.get("case_preset")
-    if preset is not None:
-        if not isinstance(preset, str):
-            _fail("case_preset", f"expected a string, got {type(preset).__name__}")
-        merged.update(preset_fields(preset))
-        merged["case_preset"] = preset
-    # explicit fields win over the preset
-    for key, value in raw.items():
-        if key != "case_preset":
-            merged[key] = value
+    if preset not in (None, *_PRESETS):
+        _fail("case_preset", f"expected null or one of {sorted(_PRESETS)}, got {preset!r}")
+    merged = {**_DEFAULTS, **_PRESETS.get(preset, {}), **raw}
+    mode = merged["horizon_mode"]
+    if isinstance(mode, dict) and isinstance(mode.get("minimal_time"), dict):
+        base = _PRESETS[preset]["horizon_mode"]["minimal_time"] if preset else _MINIMAL_TIME
+        mode = {**mode, "minimal_time": {**base, **mode["minimal_time"]}}
 
     s = _check_number("s", merged["s"], minimum=S_MIN, maximum=S_MAX)
     # the summary's gap statistics need three eigenvalues, so three
@@ -345,19 +313,7 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
     nu = merged["nu"]
     if nu is not None:
         nu = _check_number("nu", nu, minimum=1e-300)
-    # a user horizon_mode without bracket/tol inherits them from the
-    # preset's (or default's) minimal_time settings
-    base_raw = _DEFAULTS["horizon_mode"]
-    if preset is not None and "horizon_mode" in _PRESETS[preset]:
-        base_raw = _PRESETS[preset]["horizon_mode"]
-    base = _parse_horizon(base_raw)
-    if "horizon_mode" in raw:
-        if base.kind == "minimal_time":
-            horizon = _parse_horizon(raw["horizon_mode"], base.bracket, base.tol)
-        else:
-            horizon = _parse_horizon(raw["horizon_mode"])
-    else:
-        horizon = base
+    horizon = _parse_horizon(mode)
     nonneg_control, nonneg_state = _parse_constraints(merged["constraints"])
     if nonneg_state and z0_amp < 0:
         # z0 is the first state of every trajectory, so no control can

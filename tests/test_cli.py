@@ -82,6 +82,11 @@ def test_run_config_error_exits_2(tmp_path, capsys):
         "message": "s: must be <= 0.99, got 3.0",
         "exit_code": 2,
     }
+    # --threads bounds BLAS, so a bound below one is a usage error too
+    good = write_config(tmp_path)
+    for threads in ("0", "-3"):
+        assert main(["run", "--config", str(good), "--threads", threads]) == 2
+        assert stderr_record(capsys)["message"].startswith("threads:")
 
 
 def test_run_rejects_a_mesh_too_coarse_for_the_summary(tmp_path, capsys):
@@ -183,9 +188,11 @@ def test_spectrum_symbol_normalization(capsys):
 
 def test_spectrum_validation_exit_2(capsys):
     assert main(["spectrum", "--s", "1.5", "--nx", "20"]) == 2
-    assert stderr_record(capsys)["exit_code"] == 2
+    record = stderr_record(capsys)
+    # the config's rule for s, with its message
+    assert (record["exit_code"], record["message"]) == (2, "s: must be <= 0.99, got 1.5")
     assert main(["spectrum", "--s", "0.8", "--nx", "1"]) == 2
-    stderr_record(capsys)
+    assert stderr_record(capsys)["message"].startswith("nx:")
 
 
 def test_obs_curve_output(capsys):
@@ -235,9 +242,11 @@ def test_obs_curve_ignores_seed(capsys):
 
 def test_obs_curve_validation_exit_2(capsys):
     assert main(["obs-curve", "--s", "0.8", "--tmin", "1.0", "--tmax", "0.5"]) == 2
-    stderr_record(capsys)
+    assert stderr_record(capsys)["message"].startswith("tmax:")
     assert main(["obs-curve", "--s", "0.8", "--tmin", "0.5", "--tmax", "1.0", "--points", "1"]) == 2
     assert "points" in stderr_record(capsys)["message"]
+    assert main(["obs-curve", "--s", "0.8", "--tmin", "0.5", "--tmax", "inf"]) == 2
+    assert stderr_record(capsys)["message"].startswith("tmax:")
 
 
 # T, C_lower, C_envelope of the benchmark's obs-curve sweep

@@ -23,7 +23,7 @@ def test_empty_object_resolves_to_defaults():
     assert cfg.zhat0_amplitude == 0.05
     assert cfg.uhat == 0.2
     assert cfg.nu is None
-    assert cfg.horizon == fh.HorizonMode.fixed(0.9)
+    assert cfg.horizon == fh.HorizonMode("fixed", T=0.9)
     assert cfg.nonneg_control and cfg.nonneg_state
     assert cfg.output_dir == "fracheat-out"
     assert cfg.emit_plots is False
@@ -65,6 +65,8 @@ def test_horizon_inherits_bracket_from_preset():
     )
     assert cfg.horizon.bracket == (0.15, 0.4)
     assert cfg.horizon.tol == 0.01
+    # the merge leaves the preset as it was
+    assert fh.parse_config('{"case_preset": "case2"}').horizon.tol == 0.02
     # without a preset the built-in bracket applies
     cfg = fh.parse_config('{"horizon_mode": {"minimal_time": {}}}')
     assert cfg.horizon.bracket == (0.7, 0.9)
@@ -72,7 +74,7 @@ def test_horizon_inherits_bracket_from_preset():
 
 def test_fixed_horizon_override_on_preset():
     cfg = fh.parse_config('{"case_preset": "case1", "horizon_mode": {"fixed": 0.9}}')
-    assert cfg.horizon == fh.HorizonMode.fixed(0.9)
+    assert cfg.horizon == fh.HorizonMode("fixed", T=0.9)
 
 
 def test_bytes_input_and_bad_utf8():
@@ -94,8 +96,9 @@ def test_unknown_keys_rejected():
         fh.parse_config('{"sx": 0.5}')
     with pytest.raises(fh.ConfigError, match="case_preset"):
         fh.parse_config('{"case_preset": "case3"}')
-    with pytest.raises(fh.ConfigError, match="case_preset"):
-        fh.parse_config('{"case_preset": 7}')
+    for preset in ("7", '["case1"]'):
+        with pytest.raises(fh.ConfigError, match="^case_preset"):
+            fh.parse_config(f'{{"case_preset": {preset}}}')
 
 
 @pytest.mark.parametrize(
@@ -134,6 +137,17 @@ def test_unknown_keys_rejected():
         ('{"output_dir": ""}', "output_dir"),
         ('{"emit_plots": "yes"}', "emit_plots"),
         ('{"seed": -1}', "seed"),
+        ('{"horizon_mode": {"fixed": Infinity}}', "horizon_mode.fixed"),
+        ('{"uhat": Infinity}', "uhat"),
+        ('{"z0_amplitude": Infinity}', "z0_amplitude"),
+        ('{"zhat0_amplitude": Infinity}', "zhat0_amplitude"),
+        (
+            '{"horizon_mode": {"minimal_time": {"bracket": [0.7, Infinity]}}}',
+            "horizon_mode.minimal_time.bracket[1]",
+        ),
+        ('{"horizon_mode": {"minimal_time": {"tol": Infinity}}}', "horizon_mode.minimal_time.tol"),
+        ('{"nu": Infinity}', "nu"),
+        ('{"z0_amplitude": -Infinity, "constraints": {"nonneg_state": false}}', "z0_amplitude"),
     ],
 )
 def test_field_errors_name_the_path(snippet, path):
@@ -181,6 +195,49 @@ def test_to_dict_round_trip():
         assert set(echoed) == fracheat.config._KNOWN_KEYS
 
 
+# json.dumps(parse_config(text).to_dict(), sort_keys=True) for each text
+FROZEN_ECHOES = {
+    "{}": (
+        '{"case_preset": null, "constraints": {"nonneg_control": true, "nonneg_state": true}, '
+        '"emit_plots": false, "horizon_mode": {"fixed": 0.9}, "n_t": 300, "n_x": 20, '
+        '"normalization": "unit", "nu": null, "omega": [-0.3, 0.8], "output_dir": "fracheat-out", '
+        '"s": 0.8, "seed": 42, "uhat": 0.2, "z0_amplitude": 2.0, "zhat0_amplitude": 0.05}'
+    ),
+    '{"case_preset": "case1"}': (
+        '{"case_preset": "case1", "constraints": {"nonneg_control": true, "nonneg_state": true}, '
+        '"emit_plots": false, "horizon_mode": {"minimal_time": {"bracket": [0.7, 0.9], "tol": 0.02}}, '
+        '"n_t": 300, "n_x": 20, "normalization": "unit", "nu": null, "omega": [-0.3, 0.8], '
+        '"output_dir": "fracheat-out", "s": 0.8, "seed": 42, "uhat": 0.2, "z0_amplitude": 2.0, '
+        '"zhat0_amplitude": 0.05}'
+    ),
+    '{"case_preset": "case2"}': (
+        '{"case_preset": "case2", "constraints": {"nonneg_control": true, "nonneg_state": true}, '
+        '"emit_plots": false, "horizon_mode": {"minimal_time": {"bracket": [0.15, 0.4], "tol": 0.02}}, '
+        '"n_t": 100, "n_x": 20, "normalization": "unit", "nu": null, "omega": [-0.3, 0.8], '
+        '"output_dir": "fracheat-out", "s": 0.8, "seed": 42, "uhat": 1.0, "z0_amplitude": 0.5, '
+        '"zhat0_amplitude": 6.0}'
+    ),
+    # shaped like the benchmark's fully explicit configs; the integer
+    # horizon is echoed as a float
+    (
+        '{"s": 0.8, "n_x": 800, "n_t": 300, "omega": [-0.3, 0.8], "normalization": "unit", '
+        '"z0_amplitude": 2.0, "zhat0_amplitude": 0.05, "uhat": 0.2, "nu": null, '
+        '"horizon_mode": {"fixed": 1}, "constraints": {"nonneg_control": true, "nonneg_state": true}, '
+        '"emit_plots": false, "seed": 1, "output_dir": "out"}'
+    ): (
+        '{"case_preset": null, "constraints": {"nonneg_control": true, "nonneg_state": true}, '
+        '"emit_plots": false, "horizon_mode": {"fixed": 1.0}, "n_t": 300, "n_x": 800, '
+        '"normalization": "unit", "nu": null, "omega": [-0.3, 0.8], "output_dir": "out", '
+        '"s": 0.8, "seed": 1, "uhat": 0.2, "z0_amplitude": 2.0, "zhat0_amplitude": 0.05}'
+    ),
+}
+
+
+def test_echo_is_frozen():
+    for text, echo in FROZEN_ECHOES.items():
+        assert json.dumps(fh.parse_config(text).to_dict(), sort_keys=True) == echo
+
+
 def test_env_output_dir_is_echoed_in_the_summary(tmp_path, capsys, monkeypatch):
     # FRACHEAT_OUTPUT_DIR overrides the config's output_dir on the command line
     config_path = tmp_path / "config.json"
@@ -198,18 +255,7 @@ def test_env_output_dir_is_echoed_in_the_summary(tmp_path, capsys, monkeypatch):
 
 
 def test_horizon_mode_forms():
-    fixed = fh.HorizonMode.fixed(0.5)
+    fixed = fh.HorizonMode("fixed", T=0.5)
     assert fixed.to_dict() == {"fixed": 0.5}
-    mt = fh.HorizonMode.minimal_time((0.1, 0.2), 0.01)
+    mt = fh.HorizonMode("minimal_time", bracket=(0.1, 0.2), tol=0.01)
     assert mt.to_dict() == {"minimal_time": {"bracket": [0.1, 0.2], "tol": 0.01}}
-
-
-def test_preset_fields_returns_a_copy():
-    fields = fh.preset_fields("case1")
-    fields["n_t"] = 999
-    fields["horizon_mode"]["minimal_time"]["tol"] = 123.0
-    cfg = fh.parse_config('{"case_preset": "case1"}')
-    assert cfg.n_t == 300
-    assert cfg.horizon.tol == 0.02
-    with pytest.raises(fh.ConfigError, match="unknown preset"):
-        fh.preset_fields("case9")

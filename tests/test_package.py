@@ -66,7 +66,6 @@ FROZEN_ALL = [
     "nodes_in_interval",
     "normalization_constant",
     "parse_config",
-    "preset_fields",
     "q_profile",
     "quasi_eigenfunction",
     "run_scenario",

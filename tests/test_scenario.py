@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import fracheat as fh
-from fracheat.assembly import NORMALIZATIONS
+from fracheat.assembly import NORMALIZATIONS, S_MAX, S_MIN
 from fracheat.control import BASES
 
 FAST_FIXED = json.dumps(
@@ -62,7 +62,7 @@ def test_fixed_run_summary_content(fixed_run):
     assert "T_min_estimate" not in s
     # the echoed config reparses to the one that produced the run
     again = fh.parse_config(json.dumps(s["resolved_config"]))
-    assert again.n_t == 30 and again.horizon == fh.HorizonMode.fixed(0.9)
+    assert again.n_t == 30 and again.horizon == fh.HorizonMode("fixed", T=0.9)
 
 
 def test_fixed_run_summary_validates_against_schema(fixed_run, schema):
@@ -130,6 +130,17 @@ def test_schema_declares_every_normalization(schema):
     # summaries would fail validation
     config = schema["properties"]["resolved_config"]["properties"]
     assert set(config["normalization"]["enum"]) == set(NORMALIZATIONS)
+
+
+def test_schema_restates_the_parser_ranges(schema):
+    # the schema repeats the parser's bounds by hand, so the two must agree
+    config = schema["properties"]["resolved_config"]["properties"]
+    assert (config["s"]["minimum"], config["s"]["maximum"]) == (S_MIN, S_MAX)
+    for key in ("n_x", "n_t"):
+        least = config[key]["minimum"]
+        assert getattr(fh.parse_config(json.dumps({key: least})), key) == least
+        with pytest.raises(fh.ConfigError, match=f"^{key}:"):
+            fh.parse_config(json.dumps({key: least - 1}))
 
 
 def test_minimal_time_requires_nonneg_control(tmp_path):
