@@ -25,9 +25,10 @@ Accepted keys::
     horizon_mode    {"fixed": T} or
                     {"minimal_time": {"bracket": [lo, hi], "tol": t}}
     constraints     {"nonneg_control": bool, "nonneg_state": bool}; the
-                    state constraint needs s of about 0.24 or more
+                    state constraint needs s of about 0.24 or more, and
+                    minimal_time needs the control constraint
     output_dir      directory receiving the result files
-    emit_plots      also write plot scripts
+    emit_plots      also write plot.py, which renders the artifacts
     seed            >= 0; recorded only (see below)
 
 ``nu`` and ``seed`` change no result: they are validated and echoed into
@@ -315,6 +316,12 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
         nu = _check_number("nu", nu, minimum=1e-300)
     horizon = _parse_horizon(mode)
     nonneg_control, nonneg_state = _parse_constraints(merged["constraints"])
+    if horizon.kind == "minimal_time" and not nonneg_control:
+        _fail(
+            "constraints.nonneg_control",
+            "minimal_time mode requires the control nonnegativity constraint "
+            "(without it every horizon is feasible and no transition exists)",
+        )
     if nonneg_state and z0_amp < 0:
         # z0 is the first state of every trajectory, so no control can
         # satisfy the state constraint

@@ -11,8 +11,8 @@ least-squares dual bound proves that no nonnegative control meets the
 tolerance; the outcome's ``basis`` says how each solve ended.  Both
 fixed-horizon solvers return a :class:`FixedTimeOutcome`, and one
 function judges every such control: it simulates it and checks the
-terminal residual and the signs.  Impulse diagnostics quantify how
-concentrated near-minimal-time controls are.
+terminal residual and the signs.  The impulse record, which a run
+stores as is, measures how concentrated near-minimal-time controls are.
 
 All solvers march with the lumped-mass implicit Euler scheme, and
 gradients are exact discrete adjoints of it.  They run the scheme in the
@@ -55,7 +55,6 @@ __all__ = [
     "ControlProblem",
     "FixedTimeOutcome",
     "MinimalTimeReport",
-    "AtomicityReport",
     "make_problem",
     "solve_unconstrained_Linf",
     "solve_constrained_fixed_time",
@@ -155,26 +154,6 @@ class FixedTimeOutcome:
     trajectory: Trajectory = field(repr=False)
     basis: str | None = None
     lower_bound: float | None = None
-
-
-@dataclass(frozen=True)
-class AtomicityReport:
-    """Mass-concentration diagnostics of a control's magnitude |u|.
-
-    Attributes
-    ----------
-    total_mass : float
-        Sum of |u| * dt * dx over all (node, step) cells.
-    active_cell_fraction : float
-        Fraction of cells whose mass exceeds 1% of the largest cell mass.
-    top_impulses : tuple of (x, t, mass)
-        The up-to-10 heaviest cells, positions at node coordinates and
-        cell midpoints in time.
-    """
-
-    total_mass: float
-    active_cell_fraction: float
-    top_impulses: tuple[tuple[float, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -759,14 +738,12 @@ def minimal_time_search(
     )
 
 
-def impulse_analysis(control: ControlField, dt: float, dx: float) -> AtomicityReport:
-    """Mass-concentration report of a control's magnitude |u|.
+def impulse_analysis(control: ControlField, dt: float, dx: float) -> dict:
+    """Mass-concentration record of a control's magnitude |u|.
 
     Each (node, step) cell carries mass |u| * dt * dx, so a signed control
-    is measured by its magnitude.  The report gives the total, the
-    fraction of cells whose mass exceeds 1% of the peak cell mass, and
-    the ten heaviest cells located at node coordinates and time-cell
-    midpoints.
+    is measured by its magnitude.  The record is the one ``summary.json``
+    stores under ``atomicity``.
 
     Parameters
     ----------
@@ -776,7 +753,12 @@ def impulse_analysis(control: ControlField, dt: float, dx: float) -> AtomicityRe
 
     Returns
     -------
-    AtomicityReport
+    dict
+        ``total_mass``, the sum of all cell masses;
+        ``active_cell_fraction``, the fraction of cells whose mass exceeds
+        1% of the largest cell mass; and ``top_impulses``, the up-to-10
+        heaviest cells, heaviest first, as ``{"x", "t", "mass"}`` at node
+        coordinates and time-cell midpoints.
     """
     mass = np.abs(control.values) * dt * dx
     total = float(mass.sum())
@@ -794,12 +776,10 @@ def impulse_analysis(control: ControlField, dt: float, dx: float) -> AtomicityRe
         i, j = np.unravel_index(flat, mass.shape)
         if mass[i, j] <= 0.0:
             break
-        top.append((x0 + i * dx, (j + 0.5) * dt, float(mass[i, j])))
-    return AtomicityReport(
-        total_mass=total,
-        active_cell_fraction=active,
-        top_impulses=tuple(top),
-    )
+        top.append(
+            {"x": float(x0 + i * dx), "t": float((j + 0.5) * dt), "mass": float(mass[i, j])}
+        )
+    return {"total_mass": total, "active_cell_fraction": active, "top_impulses": top}
 
 
 def control_to_csv(control: ControlField, grid, T: float, path) -> None:

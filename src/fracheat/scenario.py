@@ -8,9 +8,10 @@ bisection, and writes three artifacts into the output directory:
 * ``control.csv``      synthesized control, long format ``t,x,u``
 * ``summary.json``     resolved config, spectral data, solve outcome
 
-With ``emit_plots`` it also writes three self-contained plot scripts
-(state evolution, control heatmap, impulse map) that render the CSV and
-JSON artifacts with matplotlib; no rendering happens during the run.
+With ``emit_plots`` it also writes ``plot.py``, a self-contained script
+that renders the CSV and JSON artifacts with matplotlib into
+``state_evolution.png``, ``control_heatmap.png`` and ``impulse_map.png``;
+no rendering happens during the run.
 
 Two runs with the same config produce byte-identical ``summary.json``
 except for the ``wall_time_seconds`` entry.
@@ -28,7 +29,6 @@ import numpy as np
 from .assembly import build_operator
 from .config import ScenarioConfig
 from .control import (
-    AtomicityReport,
     ControlProblem,
     control_to_csv,
     impulse_analysis,
@@ -110,16 +110,6 @@ def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
     )
 
 
-def _atomicity_dict(report: AtomicityReport) -> dict:
-    return {
-        "total_mass": report.total_mass,
-        "active_cell_fraction": report.active_cell_fraction,
-        "top_impulses": [
-            {"x": imp[0], "t": imp[1], "mass": imp[2]} for imp in report.top_impulses
-        ],
-    }
-
-
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Run one scenario and write its artifacts.
 
@@ -135,9 +125,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     Raises
     ------
     ConfigError
-        Minimal-time mode with the control nonnegativity constraint
-        disabled (the searched-for transition does not exist then), or
-        the state constraint with an operator that cannot keep it.
+        The state constraint with an operator that cannot keep it.
     SolverError
         Propagated from the bisection when the bracket is invalid or the
         probe budget is exhausted.
@@ -174,12 +162,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             outcome = solve_unconstrained_Linf(problem, T, config.n_t)
         summary["final_residual"] = outcome.final_residual
     else:
-        if not config.nonneg_control:
-            raise ConfigError(
-                "constraints.nonneg_control: minimal_time mode requires the "
-                "control nonnegativity constraint (without it every horizon "
-                "is feasible and no transition exists)"
-            )
         report = minimal_time_search(
             problem, config.horizon.bracket, config.horizon.tol, config.n_t
         )
@@ -194,9 +176,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     control, traj = outcome.control, outcome.trajectory
     summary["feasible"] = outcome.feasible
-    summary["atomicity"] = _atomicity_dict(
-        impulse_analysis(control, dt=T / config.n_t, dx=grid.h)
-    )
+    summary["atomicity"] = impulse_analysis(control, dt=T / config.n_t, dx=grid.h)
 
     files: list[str] = []
 
@@ -207,9 +187,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     files.append("control.csv")
 
     if config.emit_plots:
-        for name, text in _plot_scripts().items():
-            (outdir / name).write_text(text, encoding="utf-8")
-            files.append(name)
+        (outdir / "plot.py").write_text(_PLOT_SCRIPT, encoding="utf-8")
+        files.append("plot.py")
 
     summary["wall_time_seconds"] = time.perf_counter() - t_start
     with open(outdir / "summary.json", "w", encoding="utf-8") as f:
@@ -220,10 +199,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(summary=summary, output_dir=outdir, files=tuple(files))
 
 
-# one space-time heatmap script per CSV artifact
-_PLOT_HEATMAP = '''\
-"""Render {what} from {csv_name} as a space-time {kind}."""
+_PLOT_SCRIPT = '''\
+"""Render a fracheat run's artifacts with matplotlib.
+
+Usage: python plot.py [RUN_DIR]; RUN_DIR defaults to this script's
+directory.  Writes state_evolution.png, control_heatmap.png and
+impulse_map.png there.
+"""
 import csv
+import json
 import os
 import sys
 
@@ -233,64 +217,43 @@ import matplotlib.pyplot as plt
 import numpy as np
 
 here = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(os.path.abspath(__file__))
-rows = list(csv.DictReader(open(os.path.join(here, "{csv_name}"))))
-t = np.array([float(r["t"]) for r in rows])
-x = np.array([float(r["x"]) for r in rows])
-{col} = np.array([float(r["{col}"]) for r in rows])
-ts, xs = np.unique(t), np.unique(x)
-grid = {col}.reshape(len(ts), len(xs))
-fig, ax = plt.subplots(figsize=(7, 4))
-pc = ax.pcolormesh(ts, xs, grid.T, shading="nearest", cmap="{cmap}")
-fig.colorbar(pc, ax=ax, label="{col}(t, x)")
-ax.set_xlabel("t")
-ax.set_ylabel("x")
-ax.set_title("{title}")
-fig.tight_layout()
-fig.savefig(os.path.join(here, "{stem}.png"), dpi=150)
-print("wrote {stem}.png")
-'''
 
-_PLOT_IMPULSE = '''\
-"""Render the dominant control impulses from summary.json."""
-import json
-import os
-import sys
 
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
+def save(fig, stem):
+    fig.tight_layout()
+    fig.savefig(os.path.join(here, stem + ".png"), dpi=150)
+    print("wrote %s.png" % stem)
 
-here = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(os.path.abspath(__file__))
-summary = json.load(open(os.path.join(here, "summary.json")))
-atom = summary["atomicity"]
+
+def heatmap(csv_name, col, cmap, title, stem):
+    """Render a long-format t,x,<col> CSV as a space-time heatmap."""
+    rows = list(csv.DictReader(open(os.path.join(here, csv_name))))
+    ts = np.unique([float(r["t"]) for r in rows])
+    xs = np.unique([float(r["x"]) for r in rows])
+    values = np.array([float(r[col]) for r in rows]).reshape(len(ts), len(xs))
+    fig, ax = plt.subplots(figsize=(7, 4))
+    pc = ax.pcolormesh(ts, xs, values.T, shading="nearest", cmap=cmap)
+    fig.colorbar(pc, ax=ax, label="%s(t, x)" % col)
+    ax.set_xlabel("t")
+    ax.set_ylabel("x")
+    ax.set_title(title)
+    save(fig, stem)
+
+
+heatmap("trajectory.csv", "z", "viridis", "controlled state evolution", "state_evolution")
+heatmap("control.csv", "u", "magma", "control heatmap", "control_heatmap")
+
+# the dominant impulses, sized by mass
+atom = json.load(open(os.path.join(here, "summary.json")))["atomicity"]
 imps = atom["top_impulses"]
 fig, ax = plt.subplots(figsize=(6, 4))
 if imps:
     biggest = max(imp["mass"] for imp in imps)
-    sizes = [600.0 * imp["mass"] / biggest for imp in imps]
     ax.scatter([imp["t"] for imp in imps], [imp["x"] for imp in imps],
-               s=sizes, c="crimson", alpha=0.8, edgecolors="black")
+               s=[600.0 * imp["mass"] / biggest for imp in imps],
+               c="crimson", alpha=0.8, edgecolors="black")
 ax.set_xlabel("t")
 ax.set_ylabel("x")
-ax.set_title(
-    "dominant impulses (active fraction %.3f)" % atom["active_cell_fraction"]
-)
-fig.tight_layout()
-fig.savefig(os.path.join(here, "impulse_map.png"), dpi=150)
-print("wrote impulse_map.png")
+ax.set_title("dominant impulses (active fraction %.3f)" % atom["active_cell_fraction"])
+save(fig, "impulse_map")
 '''
-
-
-# the fields of _PLOT_HEATMAP for the state and the control
-_HEATMAPS = (
-    dict(stem="state_evolution", what="the state evolution", kind="map",
-         csv_name="trajectory.csv", col="z", cmap="viridis", title="controlled state evolution"),
-    dict(stem="control_heatmap", what="the control", kind="heatmap",
-         csv_name="control.csv", col="u", cmap="magma", title="control heatmap"),
-)
-
-
-def _plot_scripts() -> dict[str, str]:
-    scripts = {f"plot_{h['stem']}.py": _PLOT_HEATMAP.format(**h) for h in _HEATMAPS}
-    scripts["plot_impulse_map.py"] = _PLOT_IMPULSE
-    return scripts

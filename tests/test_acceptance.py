@@ -300,13 +300,13 @@ def test_criterion_11_atomicity_trend(prob_case1, case1_minimal, case1_at_09):
         dt=case1_minimal.T_hi / 300,
         dx=prob_case1.op.grid.h,
     )
-    frac_min = rep_min.active_cell_fraction
+    frac_min = rep_min["active_cell_fraction"]
     rep09 = fh.impulse_analysis(case1_at_09.control, dt=0.9 / 300, dx=prob_case1.op.grid.h)
     print(
         f"criterion 11: active fraction near minimal time {frac_min:.4g} "
-        f"vs at T=0.9 {rep09.active_cell_fraction:.4g}"
+        f"vs at T=0.9 {rep09['active_cell_fraction']:.4g}"
     )
-    assert frac_min < rep09.active_cell_fraction
+    assert frac_min < rep09["active_cell_fraction"]
 
 
 # --- documented postconditions that the measurements contradict ------------------

@@ -402,20 +402,20 @@ def test_minimal_time_search_rejects_infeasible_upper_end(prob_case1):
 def test_impulse_analysis_uniform_and_single_cell(grid20):
     uniform = fh.make_control(grid20, (-0.3, 0.8), 6, values=2.0)
     rep = fh.impulse_analysis(uniform, dt=0.1, dx=grid20.h)
-    assert rep.active_cell_fraction == 1.0
-    assert rep.total_mass == pytest.approx(2.0 * 0.1 * grid20.h * 12 * 6)
+    assert rep["active_cell_fraction"] == 1.0
+    assert rep["total_mass"] == pytest.approx(2.0 * 0.1 * grid20.h * 12 * 6)
 
     single = np.zeros((12, 6))
     single[4, 2] = 3.0
     ctrl = fh.make_control(grid20, (-0.3, 0.8), 6, values=single)
     rep = fh.impulse_analysis(ctrl, dt=0.1, dx=grid20.h)
-    assert rep.active_cell_fraction == pytest.approx(1.0 / (12 * 6))
-    assert len(rep.top_impulses) == 1
-    x, t, mass = rep.top_impulses[0]
+    assert rep["active_cell_fraction"] == pytest.approx(1.0 / (12 * 6))
+    assert len(rep["top_impulses"]) == 1
+    imp = rep["top_impulses"][0]
     # support nodes start at -0.3; cell times are midpoints
-    assert x == pytest.approx(-0.3 + 4 * grid20.h)
-    assert t == pytest.approx(0.25)
-    assert mass == pytest.approx(3.0 * 0.1 * grid20.h)
+    assert imp["x"] == pytest.approx(-0.3 + 4 * grid20.h)
+    assert imp["t"] == pytest.approx(0.25)
+    assert imp["mass"] == pytest.approx(3.0 * 0.1 * grid20.h)
 
 
 def test_impulse_analysis_locates_support_as_the_mask_does(grid20):
@@ -427,7 +427,7 @@ def test_impulse_analysis_locates_support_as_the_mask_does(grid20):
     ctrl = fh.make_control(grid20, omega, 4, values=single)
     assert grid20.interior_nodes[ctrl.support_mask][0] == pytest.approx(-0.2)
     rep = fh.impulse_analysis(ctrl, dt=0.1, dx=grid20.h)
-    assert rep.top_impulses[0][0] == pytest.approx(-0.2)
+    assert rep["top_impulses"][0]["x"] == pytest.approx(-0.2)
 
 
 def test_impulse_analysis_ordering_and_cap(grid20):
@@ -435,7 +435,7 @@ def test_impulse_analysis_ordering_and_cap(grid20):
     vals = rng.uniform(0.0, 1.0, (12, 30))
     ctrl = fh.make_control(grid20, (-0.3, 0.8), 30, values=vals)
     rep = fh.impulse_analysis(ctrl, dt=0.05, dx=grid20.h)
-    masses = [imp[2] for imp in rep.top_impulses]
+    masses = [imp["mass"] for imp in rep["top_impulses"]]
     assert len(masses) == 10
     assert masses == sorted(masses, reverse=True)
     assert masses[0] == pytest.approx(vals.max() * 0.05 * grid20.h)
@@ -455,9 +455,7 @@ def test_impulse_analysis_measures_the_magnitude(grid20):
 def test_impulse_analysis_zero_control(grid20):
     ctrl = fh.make_control(grid20, (-0.3, 0.8), 4, values=0.0)
     rep = fh.impulse_analysis(ctrl, dt=0.1, dx=grid20.h)
-    assert rep.total_mass == 0.0
-    assert rep.active_cell_fraction == 0.0
-    assert rep.top_impulses == ()
+    assert rep == {"total_mass": 0.0, "active_cell_fraction": 0.0, "top_impulses": []}
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -467,8 +465,8 @@ def test_impulse_total_mass_property(seed):
     vals = rng.uniform(0.0, 2.0, (int(fh.nodes_in_interval(g, (-0.5, 0.5)).sum()), 8))
     ctrl = fh.make_control(g, (-0.5, 0.5), 8, values=vals)
     rep = fh.impulse_analysis(ctrl, dt=0.125, dx=g.h)
-    assert rep.total_mass == pytest.approx(vals.sum() * 0.125 * g.h)
-    assert 0.0 <= rep.active_cell_fraction <= 1.0
+    assert rep["total_mass"] == pytest.approx(vals.sum() * 0.125 * g.h)
+    assert 0.0 <= rep["active_cell_fraction"] <= 1.0
 
 
 def test_unconstrained_scaling_equivariance(prob_case1, op20_unit):

@@ -20,7 +20,6 @@ MODULES = (
 )
 
 FROZEN_ALL = [
-    "AtomicityReport",
     "BlowupCurve",
     "ConfigError",
     "ControlField",

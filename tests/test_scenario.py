@@ -144,17 +144,20 @@ def test_schema_restates_the_parser_ranges(schema):
 
 
 def test_minimal_time_requires_nonneg_control(tmp_path):
+    outdir = tmp_path / "x"
     cfg_text = json.dumps(
         {
             "n_x": 10,
             "n_t": 30,
             "horizon_mode": {"minimal_time": {"bracket": [0.2, 0.9], "tol": 0.3}},
             "constraints": {"nonneg_control": False},
-            "output_dir": str(tmp_path / "x"),
+            "output_dir": str(outdir),
         }
     )
-    with pytest.raises(fh.ConfigError, match="nonneg_control"):
-        fh.run_scenario(fh.parse_config(cfg_text))
+    # a config-only rule: parsing rejects it, before any directory exists
+    with pytest.raises(fh.ConfigError, match=r"^constraints\.nonneg_control: minimal_time"):
+        fh.parse_config(cfg_text)
+    assert not outdir.exists()
 
 
 def test_unconstrained_fixed_run(tmp_path):
@@ -241,53 +244,64 @@ def test_written_trajectory_is_the_verdicts(tmp_path, monkeypatch, prob_case1):
             assert np.array_equal(written, simulated[0].states)
 
 
-def test_emit_plots_scripts_render(tmp_path):
-    pytest.importorskip("matplotlib")
-    cfg_text = json.dumps(
-        {
-            "n_x": 10,
-            "n_t": 30,
-            "horizon_mode": {"fixed": 0.5},
-            "emit_plots": True,
-            "output_dir": str(tmp_path / "plots"),
-        }
+@pytest.fixture
+def plot_run(tmp_path):
+    cfg = {**json.loads(FAST_FIXED), "emit_plots": True, "output_dir": str(tmp_path / "plots")}
+    return fh.run_scenario(fh.parse_config(json.dumps(cfg)))
+
+
+PNGS = ["control_heatmap.png", "impulse_map.png", "state_evolution.png"]
+
+
+def _render(run, env=None) -> list[str]:
+    assert run.files == ("trajectory.csv", "control.csv", "plot.py", "summary.json")
+    proc = subprocess.run(
+        [sys.executable, "plot.py"],
+        cwd=run.output_dir,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
-    result = fh.run_scenario(fh.parse_config(cfg_text))
-    scripts = [f for f in result.files if f.endswith(".py")]
-    assert sorted(scripts) == [
-        "plot_control_heatmap.py",
-        "plot_impulse_map.py",
-        "plot_state_evolution.py",
-    ]
-    for script in scripts:
-        proc = subprocess.run(
-            [sys.executable, script],
-            cwd=result.output_dir,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-    pngs = sorted(p.name for p in result.output_dir.glob("*.png"))
-    assert pngs == [
-        "control_heatmap.png",
-        "impulse_map.png",
-        "state_evolution.png",
-    ]
+    assert proc.returncode == 0, proc.stderr
+    return sorted(p.name for p in run.output_dir.glob("*.png"))
 
 
-def test_emit_plots_scripts_compile(tmp_path):
-    # runs without matplotlib, unlike the render test above
-    cfg = {**json.loads(FAST_FIXED), "emit_plots": True, "output_dir": str(tmp_path)}
-    result = fh.run_scenario(fh.parse_config(json.dumps(cfg)))
-    scripts = sorted(f for f in result.files if f.endswith(".py"))
-    assert scripts == [
-        "plot_control_heatmap.py",
-        "plot_impulse_map.py",
-        "plot_state_evolution.py",
-    ]
-    for script in scripts:
-        compile((result.output_dir / script).read_text(), script, "exec")
+def test_emit_plots_scripts_render(plot_run):
+    pytest.importorskip("matplotlib")
+    assert _render(plot_run) == PNGS
+
+
+# a matplotlib whose axes do nothing and whose savefig creates the file, so
+# that plot.py runs on every machine, matplotlib installed or not
+_STUB_PYPLOT = """
+class _Anything:
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+class _Figure(_Anything):
+    def savefig(self, path, **kwargs):
+        open(path, "wb").close()
+
+
+def subplots(*args, **kwargs):
+    return _Figure(), _Anything()
+"""
+
+
+def test_emit_plots_script_runs_on_stub_matplotlib(plot_run, tmp_path):
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("def use(backend):\n    pass\n")
+    (stub / "pyplot.py").write_text(_STUB_PYPLOT)
+    path = os.pathsep.join(filter(None, [str(stub.parent), os.environ.get("PYTHONPATH")]))
+    assert _render(plot_run, env={**os.environ, "PYTHONPATH": path}) == PNGS
+
+
+def test_emit_plots_scripts_compile(plot_run):
+    # runs without matplotlib, unlike the render tests above
+    compile((plot_run.output_dir / "plot.py").read_text(), "plot.py", "exec")
 
 
 def test_scipy_optimize_loads_only_for_the_lp(tmp_path):
