@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 from .assembly import NORMALIZATIONS, S_MAX, S_MIN
 from .errors import ConfigError
@@ -88,15 +89,15 @@ _PRESETS: dict[str, dict] = {
     },
 }
 
-# the bracket and tol of a minimal_time body that sets neither, without a preset
-_MINIMAL_TIME = {"bracket": [0.7, 0.9], "tol": 0.02}
-
 _KNOWN_KEYS = frozenset(_DEFAULTS)
 
 
 @dataclass(frozen=True)
 class HorizonMode:
     """Either a fixed-horizon solve or a minimal-time bisection.
+
+    Construction checks the fields of its kind, makes the bracket a tuple,
+    and rejects the other kind's fields.
 
     Attributes
     ----------
@@ -115,6 +116,27 @@ class HorizonMode:
     bracket: tuple[float, float] | None = None
     tol: float | None = None
 
+    def __post_init__(self):
+        kind, put = self.kind, partial(object.__setattr__, self)
+        if kind not in ("fixed", "minimal_time"):
+            _fail("horizon_mode", f"unknown mode {kind!r}, expected 'fixed' or 'minimal_time'")
+        unused = ("bracket", "tol") if kind == "fixed" else ("T",)
+        if any(getattr(self, name) is not None for name in unused):
+            _fail("horizon_mode", f"a {kind} horizon has no {' or '.join(unused)}")
+        if kind == "fixed":
+            put("T", _check_number("horizon_mode.fixed", self.T, minimum=1e-12))
+            return
+        path = "horizon_mode.minimal_time"
+        bracket = self.bracket
+        if not isinstance(bracket, (list, tuple)) or len(bracket) != 2:
+            _fail(f"{path}.bracket", f"expected [lo, hi], got {bracket!r}")
+        lo = _check_number(f"{path}.bracket[0]", bracket[0], minimum=1e-12)
+        hi = _check_number(f"{path}.bracket[1]", bracket[1])
+        if hi <= lo:
+            _fail(f"{path}.bracket", f"needs lo < hi, got [{lo}, {hi}]")
+        put("bracket", (lo, hi))
+        put("tol", _check_number(f"{path}.tol", self.tol, minimum=1e-12))
+
     def to_dict(self) -> dict:
         """JSON-ready form mirroring the accepted config syntax."""
         if self.kind == "fixed":
@@ -127,7 +149,8 @@ class ScenarioConfig:
     """Fully resolved description of one scenario run.
 
     Attributes mirror the accepted JSON keys; see the module docstring.
-    ``constraints`` is flattened into the two booleans.
+    ``constraints`` is flattened into the two booleans.  Construction
+    checks the fields, in order, and coerces them as ``parse_config`` does.
     """
 
     case_preset: str | None
@@ -146,6 +169,46 @@ class ScenarioConfig:
     output_dir: str
     emit_plots: bool
     seed: int
+
+    def __post_init__(self):
+        put = partial(object.__setattr__, self)
+        preset = self.case_preset
+        if preset not in (None, *_PRESETS):
+            _fail("case_preset", f"expected null or one of {sorted(_PRESETS)}, got {preset!r}")
+        put("s", _check_number("s", self.s, minimum=S_MIN, maximum=S_MAX))
+        # the summary's gap statistics need three eigenvalues: three interior nodes
+        put("n_x", _check_int("n_x", self.n_x, minimum=4))
+        put("n_t", _check_int("n_t", self.n_t, minimum=1))
+        put("omega", _check_omega("omega", self.omega, self.n_x))
+        if self.normalization not in NORMALIZATIONS:
+            _fail(
+                "normalization", f"expected one of {NORMALIZATIONS}, got {self.normalization!r}"
+            )
+        for name, least in (("z0_amplitude", None), ("zhat0_amplitude", 1e-300), ("uhat", 0.0)):
+            put(name, _check_number(name, getattr(self, name), minimum=least))
+        if self.nu is not None:
+            put("nu", _check_number("nu", self.nu, minimum=1e-300))
+        if not isinstance(self.horizon, HorizonMode):
+            _fail("horizon_mode", f"expected a HorizonMode, got {self.horizon!r}")
+        _check_bool("constraints.nonneg_control", self.nonneg_control)
+        _check_bool("constraints.nonneg_state", self.nonneg_state)
+        if self.horizon.kind == "minimal_time" and not self.nonneg_control:
+            _fail(
+                "constraints.nonneg_control",
+                "minimal_time mode requires the control nonnegativity constraint "
+                "(without it every horizon is feasible and no transition exists)",
+            )
+        if self.nonneg_state and self.z0_amplitude < 0:
+            # z0 is the first state of every trajectory, so no control can
+            # satisfy the state constraint
+            _fail(
+                "z0_amplitude",
+                f"must be >= 0 when constraints.nonneg_state is true, got {self.z0_amplitude}",
+            )
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            _fail("output_dir", f"expected a nonempty string, got {self.output_dir!r}")
+        _check_bool("emit_plots", self.emit_plots)
+        put("seed", _check_int("seed", self.seed, minimum=0))
 
     def to_dict(self) -> dict:
         """Fully explicit JSON-ready form, echoed into the summary."""
@@ -181,10 +244,9 @@ def _check_int(path: str, value, minimum=None) -> int:
     return int(value)
 
 
-def _check_bool(path: str, value) -> bool:
+def _check_bool(path: str, value) -> None:
     if not isinstance(value, bool):
         _fail(path, f"expected a boolean, got {type(value).__name__}")
-    return bool(value)
 
 
 def _check_omega(path: str, value, n_x: int) -> tuple[float, float]:
@@ -215,46 +277,25 @@ def _parse_horizon(value) -> HorizonMode:
             'expected exactly one of {"fixed": T} or {"minimal_time": {...}}, '
             f"got {value!r}",
         )
-    (key, body), = value.items()
-    if key == "fixed":
-        return HorizonMode("fixed", T=_check_number("horizon_mode.fixed", body, minimum=1e-12))
-    if key == "minimal_time":
-        if not isinstance(body, dict):
-            _fail("horizon_mode.minimal_time", f"expected an object, got {body!r}")
-        extra = set(body) - {"bracket", "tol"}
-        if extra:
-            _fail("horizon_mode.minimal_time", f"unknown keys {sorted(extra)}")
-        bracket = body["bracket"]
-        if not isinstance(bracket, (list, tuple)) or len(bracket) != 2:
-            _fail("horizon_mode.minimal_time.bracket", f"expected [lo, hi], got {bracket!r}")
-        lo = _check_number("horizon_mode.minimal_time.bracket[0]", bracket[0], minimum=1e-12)
-        hi = _check_number("horizon_mode.minimal_time.bracket[1]", bracket[1])
-        if hi <= lo:
-            _fail("horizon_mode.minimal_time.bracket", f"needs lo < hi, got [{lo}, {hi}]")
-        tol = _check_number("horizon_mode.minimal_time.tol", body["tol"], minimum=1e-12)
-        return HorizonMode("minimal_time", bracket=(lo, hi), tol=tol)
-    _fail("horizon_mode", f"unknown mode {key!r}, expected 'fixed' or 'minimal_time'")
-
-
-def _parse_constraints(value) -> tuple[bool, bool]:
-    if not isinstance(value, dict):
-        _fail("constraints", f"expected an object, got {value!r}")
-    extra = set(value) - {"nonneg_control", "nonneg_state"}
+    (kind, body), = value.items()
+    if kind != "minimal_time":
+        return HorizonMode(kind, T=body)
+    if not isinstance(body, dict):
+        _fail("horizon_mode.minimal_time", f"expected an object, got {body!r}")
+    extra = set(body) - {"bracket", "tol"}
     if extra:
-        _fail("constraints", f"unknown keys {sorted(extra)}")
-    return (
-        _check_bool("constraints.nonneg_control", value.get("nonneg_control", True)),
-        _check_bool("constraints.nonneg_state", value.get("nonneg_state", True)),
-    )
+        _fail("horizon_mode.minimal_time", f"unknown keys {sorted(extra)}")
+    return HorizonMode(kind, **body)
 
 
 def parse_config(text: bytes | str) -> ScenarioConfig:
-    """Parse and validate a JSON scenario configuration.
+    """Decode a JSON scenario configuration and resolve it.
 
     Explicit fields are merged over the preset's when ``case_preset`` is
     given, and those over the built-in defaults; an explicit
     ``minimal_time`` body is merged over the preset's one the same way.
-    Every check runs on the merged result.  The built-in defaults
+    The merged fields are then checked by :class:`ScenarioConfig` and
+    :class:`HorizonMode` as they are built.  The built-in defaults
     reproduce the first case study's discretization with a fixed horizon
     of 0.9.
 
@@ -290,66 +331,21 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
 
+    # an unknown preset merges nothing, and ScenarioConfig rejects it
     preset = raw.get("case_preset")
-    if preset not in (None, *_PRESETS):
-        _fail("case_preset", f"expected null or one of {sorted(_PRESETS)}, got {preset!r}")
-    merged = {**_DEFAULTS, **_PRESETS.get(preset, {}), **raw}
-    mode = merged["horizon_mode"]
+    preset_fields = _PRESETS.get(preset, {}) if isinstance(preset, str) else {}
+    merged = {**_DEFAULTS, **preset_fields, **raw}
+    mode = merged.pop("horizon_mode")
     if isinstance(mode, dict) and isinstance(mode.get("minimal_time"), dict):
-        base = _PRESETS[preset]["horizon_mode"]["minimal_time"] if preset else _MINIMAL_TIME
+        # without a preset, a minimal_time body defaults to case 1's bracket and tol
+        base = (preset_fields or _PRESETS["case1"])["horizon_mode"]["minimal_time"]
         mode = {**mode, "minimal_time": {**base, **mode["minimal_time"]}}
-
-    s = _check_number("s", merged["s"], minimum=S_MIN, maximum=S_MAX)
-    # the summary's gap statistics need three eigenvalues, so three
-    # interior nodes
-    n_x = _check_int("n_x", merged["n_x"], minimum=4)
-    n_t = _check_int("n_t", merged["n_t"], minimum=1)
-    omega = _check_omega("omega", merged["omega"], n_x)
-    normalization = merged["normalization"]
-    if normalization not in NORMALIZATIONS:
-        _fail("normalization", f"expected one of {NORMALIZATIONS}, got {normalization!r}")
-    z0_amp = _check_number("z0_amplitude", merged["z0_amplitude"])
-    zhat0_amp = _check_number("zhat0_amplitude", merged["zhat0_amplitude"], minimum=1e-300)
-    uhat = _check_number("uhat", merged["uhat"], minimum=0.0)
-    nu = merged["nu"]
-    if nu is not None:
-        nu = _check_number("nu", nu, minimum=1e-300)
     horizon = _parse_horizon(mode)
-    nonneg_control, nonneg_state = _parse_constraints(merged["constraints"])
-    if horizon.kind == "minimal_time" and not nonneg_control:
-        _fail(
-            "constraints.nonneg_control",
-            "minimal_time mode requires the control nonnegativity constraint "
-            "(without it every horizon is feasible and no transition exists)",
-        )
-    if nonneg_state and z0_amp < 0:
-        # z0 is the first state of every trajectory, so no control can
-        # satisfy the state constraint
-        _fail(
-            "z0_amplitude",
-            f"must be >= 0 when constraints.nonneg_state is true, got {z0_amp}",
-        )
-    output_dir = merged["output_dir"]
-    if not isinstance(output_dir, str) or not output_dir:
-        _fail("output_dir", f"expected a nonempty string, got {output_dir!r}")
-    emit_plots = _check_bool("emit_plots", merged["emit_plots"])
-    seed = _check_int("seed", merged["seed"], minimum=0)
-
-    return ScenarioConfig(
-        case_preset=preset,
-        s=s,
-        n_x=n_x,
-        n_t=n_t,
-        omega=omega,
-        normalization=normalization,
-        z0_amplitude=z0_amp,
-        zhat0_amplitude=zhat0_amp,
-        uhat=uhat,
-        nu=nu,
-        horizon=horizon,
-        nonneg_control=nonneg_control,
-        nonneg_state=nonneg_state,
-        output_dir=output_dir,
-        emit_plots=emit_plots,
-        seed=seed,
-    )
+    constraints = merged.pop("constraints")
+    if not isinstance(constraints, dict):
+        _fail("constraints", f"expected an object, got {constraints!r}")
+    extra = set(constraints) - {"nonneg_control", "nonneg_state"}
+    if extra:
+        _fail("constraints", f"unknown keys {sorted(extra)}")
+    constraints = {**_DEFAULTS["constraints"], **constraints}
+    return ScenarioConfig(horizon=horizon, **constraints, **merged)

@@ -43,6 +43,7 @@ from .assembly import DiscreteOperator
 from .dynamics import (
     ControlField,
     Trajectory,
+    _check_horizon,
     _write_long_csv,
     generate_target_trajectory,
     make_control,
@@ -112,9 +113,7 @@ class ControlProblem:
 
     def target_at(self, T: float, n_t: int) -> Trajectory:
         """Target trajectory regenerated at horizon T with n_t steps."""
-        return generate_target_trajectory(
-            self.op, self.zhat0, self.uhat, self.omega, T, n_t
-        )
+        return generate_target_trajectory(self.op, self.zhat0, self.uhat, self.omega, T, n_t)
 
 
 @dataclass(frozen=True)
@@ -227,12 +226,7 @@ def make_problem(
             f"got min(z0) = {z0.min():.3g} at s = {op.s}"
         )
     return ControlProblem(
-        op=op,
-        z0=z0,
-        zhat0=zhat0,
-        uhat=float(uhat),
-        omega=(lo, hi),
-        nonneg_state=nonneg_state,
+        op=op, z0=z0, zhat0=zhat0, uhat=float(uhat), omega=(lo, hi), nonneg_state=nonneg_state
     )
 
 
@@ -375,7 +369,8 @@ def _outcome(
 
 
 def _support_stepper(problem: ControlProblem, T: float, n_t: int):
-    """Modal stepper with controls on omega's nodes, and omega's node mask."""
+    """Check T and n_t, then the modal stepper on omega's nodes and omega's node mask."""
+    _check_horizon(T, n_t)
     mask = nodes_in_interval(problem.op.grid, problem.omega)
     rows = np.flatnonzero(mask)
     return _ModalStepper(problem.op, T, n_t, slice(rows[0], rows[-1] + 1)), mask
@@ -494,6 +489,8 @@ def solve_unconstrained_Linf(
 
     Raises
     ------
+    ValueError
+        Unless T is finite and positive and n_t an integer >= 1.
     SolverError
         If HiGHS reports no optimum or the target is unreachable; the
         message carries HiGHS's.
@@ -631,7 +628,7 @@ def solve_constrained_fixed_time(
     ----------
     problem : ControlProblem
     T, n_t
-        Horizon and step count.
+        Horizon and step count, checked as :func:`simulate` checks them.
     max_iter : int
         Gradient iterations.
 
@@ -683,12 +680,14 @@ def minimal_time_search(
 
     Raises
     ------
+    ValueError
+        If the bracket, tol_T or n_t is out of range, before any solve.
     SolverError
         If bracket validation fails or the probe budget is exhausted.
     """
     T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
-    if not 0 < T_lo < T_hi:
-        raise ValueError(f"need 0 < T_lo < T_hi, got {T_bracket!r}")
+    if not 0 < T_lo < T_hi < np.inf:
+        raise ValueError(f"need 0 < T_lo < T_hi < inf, got {T_bracket!r}")
     if tol_T <= 0:
         raise ValueError(f"tol_T must be positive, got {tol_T}")
 

@@ -118,6 +118,14 @@ def make_control(
     return ControlField(values=vals, support_mask=mask)
 
 
+def _check_horizon(T: float, n_t: int) -> None:
+    """Raise ValueError unless T is finite and positive and n_t an integer >= 1."""
+    if not 0 < T < np.inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
+    if isinstance(n_t, bool) or not isinstance(n_t, (int, np.integer)) or n_t < 1:
+        raise ValueError(f"n_t must be an integer >= 1, got {n_t!r}")
+
+
 def _time_grid(T: float, n_t: int) -> np.ndarray:
     times = np.arange(n_t + 1) * (T / n_t)
     times[-1] = T
@@ -148,9 +156,9 @@ def simulate(
     control : ControlField or None
         Piecewise-constant control with n_t cells; None means no forcing.
     T : float
-        Final time, positive.
+        Final time, finite and positive.
     n_t : int
-        Number of time steps.
+        Number of time steps, an integer >= 1.
 
     Returns
     -------
@@ -162,10 +170,7 @@ def simulate(
         If an argument is out of range or z0 or the control holds NaN or
         inf.
     """
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    if n_t < 1:
-        raise ValueError(f"n_t must be >= 1, got {n_t}")
+    _check_horizon(T, n_t)
     n = op.n_dof
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (n,):

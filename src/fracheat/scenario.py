@@ -68,10 +68,6 @@ class ScenarioResult:
     files: tuple[str, ...]
 
 
-def _cosine_profile(grid) -> np.ndarray:
-    return np.cos(np.pi * grid.interior_nodes / 2.0)
-
-
 def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
     """Instantiate the control problem a config describes.
 
@@ -99,7 +95,7 @@ def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
             "constraints.nonneg_state: needs a positivity-preserving operator, "
             f"but s = {config.s} gives positive off-diagonal stiffness entries"
         )
-    profile = _cosine_profile(grid)
+    profile = np.cos(np.pi * grid.interior_nodes / 2.0)
     return make_problem(
         op,
         config.z0_amplitude * profile,
@@ -125,7 +121,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     Raises
     ------
     ConfigError
-        The state constraint with an operator that cannot keep it.
+        The state constraint with an operator that cannot keep it; raised
+        before the output directory is made.
     SolverError
         Propagated from the bisection when the bracket is invalid or the
         probe budget is exhausted.
@@ -133,12 +130,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         When the output directory or a file cannot be written.
     """
     t_start = time.perf_counter()
-    # claim the output directory before solving so I/O problems surface
-    # in milliseconds, not after a long bisection
+    problem = build_problem_from_config(config)
+    # claim the output directory after the operator's check, so a refused
+    # config leaves nothing behind, and before solving, so I/O problems
+    # surface in milliseconds, not after a long bisection
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    problem = build_problem_from_config(config)
     op = problem.op
     grid = op.grid
 

@@ -88,6 +88,11 @@ def case1_minimal(prob_case1):
 
 
 @pytest.fixture(scope="session")
+def case2_minimal(prob_case2):
+    return fh.minimal_time_search(prob_case2, (0.15, 0.4), tol_T=0.02, n_t=100)
+
+
+@pytest.fixture(scope="session")
 def case2_at_015(prob_case2):
     return fh.solve_constrained_fixed_time(prob_case2, 0.15, 100)
 

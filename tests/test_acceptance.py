@@ -20,13 +20,8 @@ from conftest import m_norm
 # --- shared expensive solves -------------------------------------------------
 
 
-# case1_minimal and case2_at_015 live in conftest.py, which the solver
-# tests share
-
-
-@pytest.fixture(scope="session")
-def case2_minimal(prob_case2):
-    return fh.minimal_time_search(prob_case2, (0.15, 0.4), tol_T=0.02, n_t=100)
+# case1_minimal, case2_minimal and case2_at_015 live in conftest.py, which
+# the solver tests share
 
 
 @pytest.fixture(scope="session")

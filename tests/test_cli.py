@@ -121,6 +121,14 @@ def test_run_state_constraint_needs_positivity_preserving_operator(
     assert (tmp_path / "out" / "summary.json").is_file()
 
 
+def test_refused_run_leaves_nothing_behind(tmp_path, capsys):
+    # the operator's positivity check runs before the output directory is made
+    path = write_config(tmp_path, {"s": 0.1})
+    assert main(["run", "--config", str(path)]) == 2
+    assert stderr_record(capsys)["message"].startswith("constraints.nonneg_state:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_missing_config_exits_4(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
     record = stderr_record(capsys)

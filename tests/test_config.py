@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -259,3 +261,90 @@ def test_horizon_mode_forms():
     assert fixed.to_dict() == {"fixed": 0.5}
     mt = fh.HorizonMode("minimal_time", bracket=(0.1, 0.2), tol=0.01)
     assert mt.to_dict() == {"minimal_time": {"bracket": [0.1, 0.2], "tol": 0.01}}
+
+
+# a parsed minimal-time config whose every field can be swapped for a bad one
+PARSED = fh.parse_config(
+    '{"n_x": 10, "horizon_mode": {"minimal_time": {"bracket": [0.3, 0.9], "tol": 0.3}}}'
+)
+
+
+def _change_id(value):
+    if isinstance(value, dict):
+        return ",".join(f"{key}={v!r}" for key, v in value.items())
+    return None
+
+
+@pytest.mark.parametrize(
+    ("changes", "path"),
+    [
+        ({"case_preset": "case3"}, "case_preset"),
+        ({"s": 5}, "s"),
+        ({"s": True}, "s"),
+        ({"n_x": 3}, "n_x"),
+        ({"n_x": 10.0}, "n_x"),
+        ({"n_t": 0}, "n_t"),
+        ({"omega": (0.5,)}, "omega"),
+        ({"omega": (-0.3, float("nan"))}, "omega[1]"),
+        ({"omega": (0.8, -0.3)}, "omega"),
+        # the interior nodes of the n_x = 10 grid are -0.8, -0.6, ..., 0.8
+        ({"omega": (0.05, 0.15)}, "omega"),
+        ({"omega": (0.1, 0.3)}, "omega"),
+        ({"normalization": "weird"}, "normalization"),
+        ({"z0_amplitude": -1}, "z0_amplitude"),
+        ({"z0_amplitude": float("inf"), "nonneg_state": False}, "z0_amplitude"),
+        ({"zhat0_amplitude": 0}, "zhat0_amplitude"),
+        ({"uhat": -0.1}, "uhat"),
+        ({"nu": 0}, "nu"),
+        ({"horizon": {"fixed": 0.9}}, "horizon_mode"),
+        ({"nonneg_control": False}, "constraints.nonneg_control"),
+        ({"nonneg_control": 1}, "constraints.nonneg_control"),
+        ({"nonneg_state": None}, "constraints.nonneg_state"),
+        ({"output_dir": ""}, "output_dir"),
+        ({"output_dir": None}, "output_dir"),
+        ({"emit_plots": "yes"}, "emit_plots"),
+        ({"seed": -1}, "seed"),
+    ],
+    ids=_change_id,
+)
+def test_replace_keeps_every_config_rule(changes, path):
+    # the parsed config is valid, and every swap breaks the named rule alone
+    with pytest.raises(fh.ConfigError, match=f"^{re.escape(path)}: "):
+        replace(PARSED, **changes)
+
+
+@pytest.mark.parametrize(
+    ("horizon", "changes", "path"),
+    [
+        (PARSED.horizon, {"tol": 0}, "horizon_mode.minimal_time.tol"),
+        (PARSED.horizon, {"bracket": (0.3,)}, "horizon_mode.minimal_time.bracket"),
+        (PARSED.horizon, {"bracket": (0.0, 0.9)}, "horizon_mode.minimal_time.bracket[0]"),
+        (PARSED.horizon, {"bracket": (0.3, float("inf"))}, "horizon_mode.minimal_time.bracket[1]"),
+        (PARSED.horizon, {"bracket": (0.9, 0.3)}, "horizon_mode.minimal_time.bracket"),
+        (PARSED.horizon, {"kind": "warp"}, "horizon_mode"),
+        # each kind's fields belong to it alone
+        (PARSED.horizon, {"kind": "fixed"}, "horizon_mode"),
+        (PARSED.horizon, {"T": 0.9}, "horizon_mode"),
+        (fh.HorizonMode("fixed", T=0.9), {"T": 0}, "horizon_mode.fixed"),
+        (fh.HorizonMode("fixed", T=0.9), {"T": float("nan")}, "horizon_mode.fixed"),
+        (fh.HorizonMode("fixed", T=0.9), {"tol": 0.1}, "horizon_mode"),
+    ],
+    ids=_change_id,
+)
+def test_replace_keeps_every_horizon_rule(horizon, changes, path):
+    with pytest.raises(fh.ConfigError, match=f"^{re.escape(path)}: "):
+        replace(horizon, **changes)
+
+
+def test_replace_coerces_as_parse_config_does():
+    cfg = replace(
+        PARSED,
+        omega=[-0.3, 0.8],
+        uhat=1,
+        horizon=fh.HorizonMode("fixed", T=1),
+        nonneg_control=False,
+        output_dir="elsewhere",
+    )
+    assert cfg.omega == (-0.3, 0.8) and type(cfg.uhat) is float
+    assert type(cfg.horizon.T) is float
+    assert fh.parse_config(json.dumps(cfg.to_dict())) == cfg

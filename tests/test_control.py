@@ -382,11 +382,54 @@ def test_minimal_time_search_probes_each_horizon_once(case1_minimal):
     assert (report.T_hi, True, report.outcome.final_residual) in report.history
 
 
+def test_case_study_bisections_are_frozen(case1_minimal, case2_minimal):
+    """Tripwire for the benchmark's case1 and case2 ops, which run these two
+    bisections: a change that moves these probes moves the benchmark's
+    case1_t_hi and case2_t_hi.  Update the record only together with a
+    re-base of those ops, and say why in CHANGES.md.  The same at one, two
+    and the default number of BLAS threads."""
+    for report, horizons, bases in (
+        (
+            case1_minimal,
+            [0.7, 0.9, 0.8, 0.75, 0.725, 0.7375],
+            ["proved_infeasible"] + ["tolerance_met"] * 3 + ["budget_exhausted", "tolerance_met"],
+        ),
+        (
+            case2_minimal,
+            [0.15, 0.4, 0.275, 0.21250000000000002, 0.18125000000000002, 0.19687500000000002],
+            ["budget_exhausted"] + ["tolerance_met"] * 3 + ["budget_exhausted", "tolerance_met"],
+        ),
+    ):
+        assert [T for T, _, _ in report.history] == horizons
+        assert list(report.bases) == bases
+        assert (report.T_lo, report.T_hi) == (horizons[4], horizons[5])
+
+
 def test_minimal_time_search_validation(prob_case1):
     with pytest.raises(ValueError, match="T_lo"):
         fh.minimal_time_search(prob_case1, (0.9, 0.7), 0.02, 100)
+    with pytest.raises(ValueError, match="T_lo"):
+        fh.minimal_time_search(prob_case1, (0.7, np.inf), 0.02, 100)
     with pytest.raises(ValueError, match="tol_T"):
         fh.minimal_time_search(prob_case1, (0.7, 0.9), 0.0, 100)
+
+
+@pytest.mark.parametrize(
+    ("T", "n_t", "name"),
+    [(0.9, 0, "n_t"), (0.9, 30.0, "n_t"), (np.nan, 30, "T"), (-0.5, 30, "T"), (np.inf, 30, "T")],
+)
+def test_horizon_and_steps_are_checked_before_any_work(prob_case1, T, n_t, name):
+    # every solve checks T and n_t where it starts, before any LP or march
+    calls = [
+        lambda: fh.simulate(prob_case1.op, prob_case1.z0, None, T, n_t),
+        lambda: fh.solve_constrained_fixed_time(prob_case1, T, n_t),
+        lambda: fh.solve_unconstrained_Linf(prob_case1, T, n_t),
+    ]
+    if name == "n_t":
+        calls.append(lambda: fh.minimal_time_search(prob_case1, (0.7, 0.9), 0.1, n_t))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call()
 
 
 def test_minimal_time_search_rejects_feasible_lower_end(prob_case1):
