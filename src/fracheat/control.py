@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -56,7 +57,6 @@ __all__ = [
     "ControlProblem",
     "FixedTimeOutcome",
     "MinimalTimeReport",
-    "make_problem",
     "solve_unconstrained_Linf",
     "solve_constrained_fixed_time",
     "minimal_time_search",
@@ -88,6 +88,13 @@ class ControlProblem:
     demand by :meth:`target_at`, so probing different horizons regenerates
     the target rather than truncating it.
 
+    Construction, direct or by ``dataclasses.replace``, coerces z0 and
+    zhat0 to float arrays, uhat to a float and omega to a tuple.  It
+    raises ValueError unless omega lies strictly inside (-1, 1) and holds
+    an interior node, z0 and zhat0 are one finite value per interior
+    node, zhat0 > 0, uhat is finite and >= 0, and, with nonneg_state,
+    z0 >= 0 and the operator is positivity-preserving.
+
     Attributes
     ----------
     op : DiscreteOperator
@@ -100,8 +107,9 @@ class ControlProblem:
     omega : tuple
         Control region, strictly inside (-1, 1).
     nonneg_state : bool
-        Require z >= 0 at every step; :func:`make_problem` accepts it only
-        with z0 >= 0 and a positivity-preserving operator.
+        Require z >= 0 at every step.
+    support : ndarray of bool
+        Read-only mask of omega's interior nodes, set by construction.
     """
 
     op: DiscreteOperator
@@ -110,6 +118,38 @@ class ControlProblem:
     uhat: float
     omega: tuple[float, float]
     nonneg_state: bool = True
+    # derived from op and omega, so it takes no part in ==
+    support: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        put, op, omega = partial(object.__setattr__, self), self.op, self.omega
+        lo, hi = float(omega[0]), float(omega[1])
+        if not (-1.0 < lo < hi < 1.0):
+            raise ValueError(f"omega must be strictly inside (-1, 1), got {omega!r}")
+        support = nodes_in_interval(op.grid, (lo, hi))
+        if not support.any():
+            raise ValueError(f"control region {omega!r} contains no interior nodes")
+        support.flags.writeable = False
+        put("omega", (lo, hi))
+        put("support", support)
+        for name in ("z0", "zhat0"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != (op.n_dof,):
+                raise ValueError(f"{name} must have shape ({op.n_dof},), got {v.shape}")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite")
+            put(name, v)
+        if (self.zhat0 <= 0).any():
+            raise ValueError("target initial datum must be strictly positive")
+        uhat = float(self.uhat)
+        if not 0.0 <= uhat < np.inf:
+            raise ValueError(f"uhat must be finite and nonnegative, got {self.uhat}")
+        put("uhat", uhat)
+        if self.nonneg_state and not (self.z0.min() >= 0.0 and op.positivity_preserving):
+            raise ValueError(
+                "nonneg_state needs z0 >= 0 and a positivity-preserving operator, "
+                f"got min(z0) = {self.z0.min():.3g} at s = {op.s}"
+            )
 
     def target_at(self, T: float, n_t: int) -> Trajectory:
         """Target trajectory regenerated at horizon T with n_t steps."""
@@ -184,52 +224,6 @@ class MinimalTimeReport:
     outcome: FixedTimeOutcome = field(repr=False)
 
 
-def make_problem(
-    op: DiscreteOperator,
-    z0: np.ndarray,
-    zhat0: np.ndarray,
-    uhat: float,
-    omega: tuple[float, float],
-    nonneg_state: bool = True,
-) -> ControlProblem:
-    """Assemble and validate a ControlProblem.
-
-    Targets are not built here; :meth:`ControlProblem.target_at` builds
-    the one each horizon needs.
-
-    Raises
-    ------
-    ValueError
-        If omega is not strictly inside (-1, 1) or holds no interior node,
-        z0 or zhat0 is not one value per interior node, zhat0 is not
-        strictly positive, or uhat is negative; or nonneg_state is set
-        while z0 has a negative entry or the operator is not
-        positivity-preserving.
-    """
-    lo, hi = float(omega[0]), float(omega[1])
-    if not (-1.0 < lo < hi < 1.0):
-        raise ValueError(f"omega must be strictly inside (-1, 1), got {omega!r}")
-    if not nodes_in_interval(op.grid, (lo, hi)).any():
-        raise ValueError(f"control region {omega!r} contains no interior nodes")
-    z0 = np.asarray(z0, dtype=float)
-    zhat0 = np.asarray(zhat0, dtype=float)
-    for name, v in (("z0", z0), ("zhat0", zhat0)):
-        if v.shape != (op.n_dof,):
-            raise ValueError(f"{name} must have shape ({op.n_dof},), got {v.shape}")
-    if (zhat0 <= 0).any():
-        raise ValueError("target initial datum must be strictly positive")
-    if uhat < 0:
-        raise ValueError(f"uhat must be nonnegative, got {uhat}")
-    if nonneg_state and not (z0.min() >= 0.0 and op.positivity_preserving):
-        raise ValueError(
-            "nonneg_state needs z0 >= 0 and a positivity-preserving operator, "
-            f"got min(z0) = {z0.min():.3g} at s = {op.s}"
-        )
-    return ControlProblem(
-        op=op, z0=z0, zhat0=zhat0, uhat=float(uhat), omega=(lo, hi), nonneg_state=nonneg_state
-    )
-
-
 class _ModalStepper:
     """Terminal map of lumped-mass implicit Euler, in the lumped eigenbasis.
 
@@ -240,7 +234,8 @@ class _ModalStepper:
     u_j) with c0 = V^T M z0 and E[k, j] = d_k^(n_t - j), and it and its
     adjoint are two matrix products each, with no loop over the steps.
     Controls enter only on the support, a contiguous run of nodes given
-    as a slice, so its rows of V are a view rather than a copy.
+    as its node mask; the stepper takes its rows of V as a slice, a view
+    rather than a copy.  Construction checks T and n_t first.
 
     E is flushed to zero below 1e-150, and as lambda ascends each column
     is nonzero on a prefix of the modes that grows toward T: on fine
@@ -253,7 +248,10 @@ class _ModalStepper:
     products.
     """
 
-    def __init__(self, op: DiscreteOperator, T: float, n_t: int, support: slice):
+    def __init__(self, op: DiscreteOperator, T: float, n_t: int, support: np.ndarray):
+        _check_horizon(T, n_t)
+        rows = np.flatnonzero(support)
+        support = slice(rows[0], rows[-1] + 1)
         basis = op.lumped_basis
         self.dt = T / n_t
         self.m = op.mass_lumped_diag
@@ -368,14 +366,6 @@ def _outcome(
     )
 
 
-def _support_stepper(problem: ControlProblem, T: float, n_t: int):
-    """Check T and n_t, then the modal stepper on omega's nodes and omega's node mask."""
-    _check_horizon(T, n_t)
-    mask = nodes_in_interval(problem.op.grid, problem.omega)
-    rows = np.flatnonzero(mask)
-    return _ModalStepper(problem.op, T, n_t, slice(rows[0], rows[-1] + 1)), mask
-
-
 def unconstrained_dual_details(
     problem: ControlProblem, T: float, n_t: int
 ) -> tuple[ControlField, np.ndarray, float]:
@@ -415,9 +405,9 @@ def unconstrained_dual_details(
             "expected to be attainable; proceeding anyway",
             stacklevel=2,
         )
-    stepper, mask = _support_stepper(problem, T, n_t)
-    dt, m, V = stepper.dt, stepper.m, stepper.V
-    n, n_sup = problem.op.n_dof, int(mask.sum())
+    stepper = _ModalStepper(problem.op, T, n_t, problem.support)
+    dt, m, V, mask = stepper.dt, stepper.m, stepper.V, problem.support
+    n, n_sup = problem.op.n_dof, stepper.m_sup.size
     # the target through the same map as the free state, so that a free
     # state already on target leaves c exactly zero
     zhat_T = stepper.terminal(problem.zhat0, np.full((n_sup, n_t), problem.uhat))
@@ -500,7 +490,7 @@ def solve_unconstrained_Linf(
     return _outcome(problem, T, n_t, control, zhat_T, None, signed=True)
 
 
-def _projected_gradient(stepper, z0, zhat_T, n_sup, eps_target, alpha0, max_iter):
+def _projected_gradient(stepper, z0, zhat_T, eps_target, alpha0, max_iter):
     """The iteration of :func:`solve_constrained_fixed_time` from the zero
     control; returns (u_sup, steps taken, basis, lower bound or None).
 
@@ -534,7 +524,7 @@ def _projected_gradient(stepper, z0, zhat_T, n_sup, eps_target, alpha0, max_iter
         norm_y = float(np.linalg.norm(y))
         return float(y @ c) / norm_y if norm_y > 0.0 else 0.0
 
-    u_sup = np.zeros((n_sup, stepper.E.shape[1]))
+    u_sup = np.zeros((stepper.m_sup.size, stepper.E.shape[1]))
     rr, mr = evaluate(u_sup)
     g = stepper.gradient(mr)
     residual = np.sqrt(rr)
@@ -609,7 +599,7 @@ def solve_constrained_fixed_time(
     by projected gradient from the zero control, with Barzilai-Borwein
     steps safeguarded by a nonmonotone backtracking line search, on the
     closed-form terminal map and its adjoint alone: with nonneg_state
-    set, :func:`make_problem` has required z0 >= 0 and a
+    set, :class:`ControlProblem` has required z0 >= 0 and a
     positivity-preserving operator, so no state can turn negative.
 
     The iteration ends when the residual meets the tolerance, when the
@@ -636,13 +626,13 @@ def solve_constrained_fixed_time(
     -------
     FixedTimeOutcome
     """
-    stepper, mask = _support_stepper(problem, T, n_t)
+    stepper = _ModalStepper(problem.op, T, n_t, problem.support)
     zhat_T = problem.target_at(T, n_t).final
     eps_target = EPS_TARGET_FRACTION * _m_norm(zhat_T, stepper.m)
     alpha0 = 1.0 / (stepper.dt * T * problem.op.grid.h)
     # the iteration's arrays are freed before the verdict's dense simulate
     u_sup, total_iters, basis, bound = _projected_gradient(
-        stepper, problem.z0, zhat_T, int(mask.sum()), eps_target, alpha0, max_iter
+        stepper, problem.z0, zhat_T, eps_target, alpha0, max_iter
     )
 
     control = make_control(problem.op.grid, problem.omega, n_t, values=u_sup)

@@ -32,7 +32,6 @@ from .control import (
     ControlProblem,
     control_to_csv,
     impulse_analysis,
-    make_problem,
     minimal_time_search,
     solve_constrained_fixed_time,
     solve_unconstrained_Linf,
@@ -96,7 +95,7 @@ def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
             f"but s = {config.s} gives positive off-diagonal stiffness entries"
         )
     profile = np.cos(np.pi * grid.interior_nodes / 2.0)
-    return make_problem(
+    return ControlProblem(
         op,
         config.z0_amplitude * profile,
         config.zhat0_amplitude * profile,
@@ -108,6 +107,10 @@ def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Run one scenario and write its artifacts.
+
+    The output directory is made after the solve, just before the first
+    write, so a run that raises ConfigError or SolverError leaves nothing
+    behind.
 
     Parameters
     ----------
@@ -121,8 +124,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     Raises
     ------
     ConfigError
-        The state constraint with an operator that cannot keep it; raised
-        before the output directory is made.
+        The state constraint with an operator that cannot keep it.
     SolverError
         Propagated from the bisection when the bracket is invalid or the
         probe budget is exhausted.
@@ -131,12 +133,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """
     t_start = time.perf_counter()
     problem = build_problem_from_config(config)
-    # claim the output directory after the operator's check, so a refused
-    # config leaves nothing behind, and before solving, so I/O problems
-    # surface in milliseconds, not after a long bisection
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     op = problem.op
     grid = op.grid
 
@@ -176,6 +172,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     summary["feasible"] = outcome.feasible
     summary["atomicity"] = impulse_analysis(control, dt=T / config.n_t, dx=grid.h)
 
+    # made only now, so a refused config or a failed solve leaves nothing
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
 
     trajectory_to_csv(traj, grid, outdir / "trajectory.csv")

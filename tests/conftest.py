@@ -21,6 +21,18 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
+# unit-normalized eigenvalues, s = 0.8, n_x = 20, consistent mass
+FROZEN_LAMBDA_UNIT = [
+    6.4909867238284784,
+    21.652165024006944,
+    42.696484132362919,
+    68.998078124604675,
+    100.2108371031818,
+    136.35361477772733,
+    177.56808646401046,
+    224.18903992533615,
+]
+
 
 def pytest_report_header(config):
     """The thread variables and the threads each loaded OpenBLAS uses: one
@@ -61,7 +73,7 @@ def cos_profile(grid20):
 @pytest.fixture(scope="session")
 def prob_case1(op20_unit, cos_profile):
     """First case study: steer 2 cos down to the trajectory of 0.05 cos."""
-    return fh.make_problem(
+    return fh.ControlProblem(
         op20_unit,
         2.0 * cos_profile,
         0.05 * cos_profile,
@@ -73,7 +85,7 @@ def prob_case1(op20_unit, cos_profile):
 @pytest.fixture(scope="session")
 def prob_case2(op20_unit, cos_profile):
     """Second case study: steer 0.5 cos up to the trajectory of 6 cos."""
-    return fh.make_problem(
+    return fh.ControlProblem(
         op20_unit,
         0.5 * cos_profile,
         6.0 * cos_profile,

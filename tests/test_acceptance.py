@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fracheat as fh
-from fracheat.control import _support_stepper
+from fracheat.control import _ModalStepper
 
 from conftest import m_norm
 
@@ -218,7 +218,7 @@ def test_criterion_08_gradient_checks(prob_case1):
     h = 1e-6
     rng = np.random.default_rng(1)
 
-    stepper, mask = _support_stepper(prob_case1, 0.9, 120)
+    stepper = _ModalStepper(prob_case1.op, 0.9, 120, prob_case1.support)
     zhat_T = prob_case1.target_at(0.9, 120).final
     m = stepper.m
 
@@ -226,7 +226,7 @@ def test_criterion_08_gradient_checks(prob_case1):
         r = stepper.terminal(prob_case1.z0, u) - zhat_T
         return 0.5 * float(r @ (m * r))
 
-    u = rng.uniform(0.0, 0.3, (int(mask.sum()), 120))
+    u = rng.uniform(0.0, 0.3, (int(prob_case1.support.sum()), 120))
     g = stepper.gradient(m * (stepper.terminal(prob_case1.z0, u) - zhat_T))
     worst_primal = 0.0
     for _ in range(10):

@@ -15,6 +15,8 @@ import pytest
 
 from fracheat.cli import main
 
+from conftest import FROZEN_LAMBDA_UNIT
+
 FAST_CONFIG = {
     "n_x": 10,
     "n_t": 30,
@@ -22,17 +24,6 @@ FAST_CONFIG = {
 }
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-FROZEN_LAMBDA_UNIT = [
-    6.4909867238284784,
-    21.652165024006944,
-    42.696484132362919,
-    68.998078124604675,
-    100.2108371031818,
-    136.35361477772733,
-    177.56808646401046,
-    224.18903992533615,
-]
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -146,6 +137,7 @@ def test_run_solver_error_exits_3(tmp_path, capsys):
     record = stderr_record(capsys)
     assert record["error"] == "SolverError"
     assert "already feasible" in record["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_seed_override(tmp_path, capsys):

@@ -3,47 +3,72 @@ the projected gradient and the minimal-time search."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import OptimizeResult, nnls
 
 import fracheat as fh
-from fracheat.control import BASES, _ModalStepper, _support_stepper
+from fracheat.control import BASES, _ModalStepper
 
 from conftest import m_norm
 
 
-def test_make_problem_validation(op20_unit, cos_profile):
-    with pytest.raises(ValueError, match="omega"):
-        fh.make_problem(op20_unit, cos_profile, cos_profile, 0.1, (-1.0, 0.5))
-    with pytest.raises(ValueError, match="omega"):
-        fh.make_problem(op20_unit, cos_profile, cos_profile, 0.1, (0.8, -0.3))
-    with pytest.raises(ValueError, match="shape"):
-        fh.make_problem(op20_unit, cos_profile[:-2], cos_profile, 0.1, (-0.3, 0.8))
-    with pytest.raises(ValueError, match="zhat0 must have shape"):
-        fh.make_problem(op20_unit, cos_profile, cos_profile[:-2], 0.1, (-0.3, 0.8))
-    with pytest.raises(ValueError, match="positive"):
-        fh.make_problem(op20_unit, cos_profile, 0.0 * cos_profile, 0.1, (-0.3, 0.8))
-    with pytest.raises(ValueError, match="uhat"):
-        fh.make_problem(op20_unit, cos_profile, cos_profile, -0.1, (-0.3, 0.8))
-    with pytest.raises(ValueError, match="no interior nodes"):
-        fh.make_problem(op20_unit, cos_profile, cos_profile, 0.1, (0.51, 0.54))
+@pytest.mark.parametrize("how", ["direct", "replace"])
+def test_control_problem_validation(op20_unit, cos_profile, how):
+    # a problem checks its fields however it is built: directly, or by
+    # dataclasses.replace on a valid problem
+    fields = dict(op=op20_unit, z0=cos_profile, zhat0=cos_profile, uhat=0.1, omega=(-0.3, 0.8))
+    valid = fh.ControlProblem(**fields)
+
+    def build(**changes):
+        if how == "direct":
+            return fh.ControlProblem(**{**fields, **changes})
+        return replace(valid, **changes)
+
     # the state constraint is accepted only where nonnegative controls keep
     # every state nonnegative: z0 >= 0 and a positivity-preserving operator
     op_low = fh.build_operator(op20_unit.grid, s=0.2, normalization="unit")
-    assert not op_low.positivity_preserving
-    negative_z0 = 2.0 * cos_profile - 1.0
-    for op, z0 in ((op20_unit, negative_z0), (op_low, 2.0 * cos_profile)):
-        with pytest.raises(ValueError, match="z0 >= 0.*positivity-preserving"):
-            fh.make_problem(op, z0, cos_profile, 0.1, (-0.3, 0.8))
-        prob = fh.make_problem(
-            op, z0, cos_profile, 0.1, (-0.3, 0.8), nonneg_state=False
-        )
-        assert not prob.nonneg_state
+    op_s01 = fh.build_operator(op20_unit.grid, s=0.1, normalization="unit")
+    assert not op_low.positivity_preserving and not op_s01.positivity_preserving
+    nan_at_0 = np.r_[np.nan, cos_profile[1:]]
+    refused = [
+        ({"omega": (-1.0, 0.5)}, "omega"),
+        ({"omega": (0.8, -0.3)}, "omega"),
+        ({"omega": (0.51, 0.54)}, "no interior nodes"),
+        ({"omega": (0.95, 0.99)}, "no interior nodes"),
+        ({"z0": cos_profile[:-2]}, "^z0 must have shape"),
+        ({"zhat0": cos_profile[:-2]}, "^zhat0 must have shape"),
+        ({"z0": nan_at_0}, "^z0 must be finite"),
+        ({"z0": nan_at_0, "nonneg_state": False}, "^z0 must be finite"),
+        ({"zhat0": np.r_[cos_profile[:-1], np.inf]}, "^zhat0 must be finite"),
+        ({"zhat0": 0.0 * cos_profile}, "positive"),
+        ({"uhat": -0.1}, "^uhat"),
+        ({"uhat": np.nan}, "^uhat must be finite"),
+        ({"uhat": np.inf}, "^uhat must be finite"),
+        ({"z0": -cos_profile}, "z0 >= 0.*positivity-preserving"),
+        ({"z0": 2.0 * cos_profile - 1.0}, "z0 >= 0.*positivity-preserving"),
+        ({"op": op_low}, "z0 >= 0.*positivity-preserving"),
+        ({"op": op_s01}, "z0 >= 0.*positivity-preserving"),
+    ]
+    for changes, match in refused:
+        with pytest.raises(ValueError, match=match):
+            build(**changes)
+    for changes in ({"z0": -cos_profile}, {"op": op_low}):
+        assert not build(**changes, nonneg_state=False).nonneg_state
+    # the support is resolved from omega, read-only, and never passed in
+    with pytest.raises(TypeError if how == "direct" else ValueError, match="support"):
+        build(support=valid.support)
+    assert build() == valid
+    prob = build(omega=[-0.3, 0.8], uhat=1)
+    assert prob.omega == (-0.3, 0.8) and type(prob.uhat) is float
+    assert np.array_equal(prob.support, fh.nodes_in_interval(op20_unit.grid, (-0.3, 0.8)))
+    assert not prob.support.flags.writeable
 
 
-def test_make_problem_defaults(prob_case1):
+def test_control_problem_defaults(prob_case1):
     assert prob_case1.nonneg_state
     # regenerating the target at another horizon keeps the initial datum
     t2 = prob_case1.target_at(0.4, 50)
@@ -54,7 +79,7 @@ def test_make_problem_defaults(prob_case1):
 def test_primal_gradient_matches_finite_differences(prob_case1):
     # (1/2) ||z(T) - zhat(T)||_M^2 through the terminal map, against the
     # stepper's closed-form adjoint
-    stepper, mask = _support_stepper(prob_case1, 0.9, 60)
+    stepper = _ModalStepper(prob_case1.op, 0.9, 60, prob_case1.support)
     zhat_T = prob_case1.target_at(0.9, 60).final
     m = stepper.m
 
@@ -63,7 +88,7 @@ def test_primal_gradient_matches_finite_differences(prob_case1):
         return 0.5 * float(r @ (m * r))
 
     rng = np.random.default_rng(2)
-    u = rng.uniform(0.0, 0.3, (int(mask.sum()), 60))
+    u = rng.uniform(0.0, 0.3, (int(prob_case1.support.sum()), 60))
     g = stepper.gradient(m * (stepper.terminal(prob_case1.z0, u) - zhat_T))
     h = 1e-6
     for _ in range(3):
@@ -79,8 +104,7 @@ def _modal_case(n_x, n_t):
     grid = fh.build_grid(n_x)
     op = fh.build_operator(grid, s=0.8, normalization="unit")
     mask = fh.nodes_in_interval(grid, (-0.3, 0.8))
-    rows = np.flatnonzero(mask)
-    stepper = _ModalStepper(op, 0.9, n_t, slice(rows[0], rows[-1] + 1))
+    stepper = _ModalStepper(op, 0.9, n_t, mask)
     z0 = 2.0 * np.cos(np.pi * grid.interior_nodes / 2.0)
     u = np.random.default_rng(0).uniform(0.0, 0.3, (int(mask.sum()), n_t))
     return op, mask, stepper, z0, u
@@ -211,7 +235,7 @@ def test_unconstrained_steers_on_a_finer_mesh():
     grid = fh.build_grid(80)
     op = fh.build_operator(grid, s=0.8, normalization="unit")
     cos = np.cos(np.pi * grid.interior_nodes / 2.0)
-    prob = fh.make_problem(op, 2.0 * cos, 0.05 * cos, 0.2, (-0.3, 0.8))
+    prob = fh.ControlProblem(op, 2.0 * cos, 0.05 * cos, 0.2, (-0.3, 0.8))
     control = fh.solve_unconstrained_Linf(prob, 0.9, 300).control
     final = fh.simulate(op, prob.z0, control, 0.9, 300).final
     zhat_T = prob.target_at(0.9, 300).final
@@ -224,7 +248,7 @@ def test_unconstrained_outcome_is_an_independent_verdict(
 ):
     # case-1 data at T = 0.1 without the state constraint: the sup-norm
     # control hits the target but takes both signs
-    prob = fh.make_problem(
+    prob = fh.ControlProblem(
         op20_unit,
         2.0 * cos_profile,
         0.05 * cos_profile,
@@ -250,7 +274,7 @@ def test_unconstrained_on_target_returns_zero_without_solving(
 ):
     # z0 is the target's initial datum and the target control is zero, so
     # the free state already hits the target
-    prob = fh.make_problem(op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8))
+    prob = fh.ControlProblem(op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8))
 
     def no_lp(*args, **kwargs):
         raise AssertionError("the LP must not be solved")
@@ -283,7 +307,7 @@ def test_unconstrained_lp_failure_raises(
 def test_solve_unconstrained_warns_below_half(grid20):
     op = fh.build_operator(grid20, s=0.5, normalization="unit")
     x = grid20.interior_nodes
-    prob = fh.make_problem(
+    prob = fh.ControlProblem(
         op,
         np.cos(np.pi * x / 2.0),
         0.5 * np.cos(np.pi * x / 2.0),
@@ -312,7 +336,7 @@ def test_constrained_solve_zero_iterations_when_already_on_target(
 ):
     # z0 equal to the target's initial datum with zero target control:
     # the zero control is already exact
-    prob = fh.make_problem(op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8))
+    prob = fh.ControlProblem(op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8))
     out = fh.solve_constrained_fixed_time(prob, 0.5, 40)
     assert out.feasible
     assert out.iterations == 0
@@ -335,7 +359,7 @@ def test_constrained_solve_budget_exhaustion_reports_infeasible(prob_case1):
 
 def _nnls_optimum(problem, T, n_t):
     """Exact least residual ||A u - c|| over u >= 0, and eps_target."""
-    stepper, _ = _support_stepper(problem, T, n_t)
+    stepper = _ModalStepper(problem.op, T, n_t, problem.support)
     zhat_T = problem.target_at(T, n_t).final
     c = (stepper.m * zhat_T) @ stepper.V - stepper.free(problem.z0)
     _, optimum = nnls(stepper.control_matrix(), c)
@@ -516,7 +540,7 @@ def test_unconstrained_scaling_equivariance(prob_case1, op20_unit):
     # the LP is positively homogeneous: scaling z0, zhat0, uhat by alpha
     # scales the optimal control by alpha
     alpha = 2.0
-    scaled = fh.make_problem(
+    scaled = fh.ControlProblem(
         op20_unit,
         alpha * prob_case1.z0,
         alpha * prob_case1.zhat0,
@@ -551,7 +575,7 @@ def test_minimal_time_degenerate_problem_invalidates_bracket(
 ):
     # z0 equals the target's initial datum with zero target control, so
     # every horizon is feasible and the lower bracket end must invalidate
-    prob = fh.make_problem(op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8))
+    prob = fh.ControlProblem(op20_unit, cos_profile, cos_profile, 0.0, (-0.3, 0.8))
     with pytest.raises(fh.SolverError, match="already feasible"):
         fh.minimal_time_search(prob, (0.2, 0.5), 0.05, 30)
 

@@ -59,7 +59,6 @@ FROZEN_ALL = [
     "l1_norm_exp_sum",
     "lambda_asymptotic",
     "make_control",
-    "make_problem",
     "minimal_time_search",
     "mu_value",
     "nodes_in_interval",

@@ -10,19 +10,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import fracheat as fh
-from conftest import traced
-
-# unit-normalized eigenvalues, s = 0.8, n_x = 20, consistent mass
-FROZEN_LAMBDA_UNIT = [
-    6.4909867238284784,
-    21.652165024006944,
-    42.696484132362919,
-    68.998078124604675,
-    100.2108371031818,
-    136.35361477772733,
-    177.56808646401046,
-    224.18903992533615,
-]
+from conftest import FROZEN_LAMBDA_UNIT, traced
 
 # gamma_density / G_transform values frozen from tests/oracles/
 # g_transform_oracle.py (mpmath, 30-digit working precision)
