@@ -311,16 +311,18 @@ def assemble_mass(grid: Grid, lumped: bool = False) -> np.ndarray:
     return M
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Discrete fractional Laplacian with its mass matrices.
 
-    The stiffness is the one dense n x n array the operator stores.  The
-    lumped mass is stored as its diagonal, which every solver reads.  The
-    dense mass matrices are built from the grid on each read of
-    :attr:`mass` and :attr:`mass_lumped`; in the package only the
-    consistent eigensolve reads one, and LAPACK overwrites it there.
-    :meth:`mass_times` applies the consistent mass without building it.
+    The operator is frozen, and :func:`build_operator` makes its one
+    dense n x n array, the stiffness, read-only, so its cached properties
+    cannot go stale.  The lumped mass is stored as its diagonal, which
+    every solver reads.  The dense mass matrices are built from the grid
+    on each read of :attr:`mass` and :attr:`mass_lumped`; in the package
+    only the consistent eigensolve reads one, and LAPACK overwrites it
+    there.  :meth:`mass_times` applies the consistent mass without
+    building it.
 
     Attributes
     ----------
@@ -331,7 +333,7 @@ class DiscreteOperator:
         "symbol" or "unit"; see :func:`assemble_stiffness`.  A "unit"
         stiffness times :func:`normalization_constant` is the "symbol" one.
     stiffness : ndarray, shape (n_interior, n_interior)
-        Stiffness matrix over interior DOFs.
+        Read-only stiffness matrix over interior DOFs.
     mass_lumped_diag : ndarray, shape (n_interior,)
         Read-only diagonal of the lumped mass, h at every interior DOF.
     """
@@ -392,14 +394,10 @@ class DiscreteOperator:
 
 
 def build_operator(grid: Grid, s: float, normalization: str = "symbol") -> DiscreteOperator:
-    """Assemble a :class:`DiscreteOperator`: its stiffness and lumped mass diagonal."""
+    """Assemble a :class:`DiscreteOperator`: its read-only stiffness and mass diagonal."""
     s = _require_s(s)
+    stiffness = assemble_stiffness(grid, s, normalization)
     mass_lumped_diag = np.full(grid.n_interior, grid.h)
+    stiffness.setflags(write=False)
     mass_lumped_diag.setflags(write=False)
-    return DiscreteOperator(
-        grid=grid,
-        s=s,
-        normalization=normalization,
-        stiffness=assemble_stiffness(grid, s, normalization),
-        mass_lumped_diag=mass_lumped_diag,
-    )
+    return DiscreteOperator(grid, s, normalization, stiffness, mass_lumped_diag)

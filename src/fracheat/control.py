@@ -79,7 +79,7 @@ BASES = ("tolerance_met", "proved_infeasible", "budget_exhausted", "no_descent")
 _BOUND_EVERY = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlProblem:
     """Controllability data: dynamics, initial state, and target family.
 
@@ -118,8 +118,7 @@ class ControlProblem:
     uhat: float
     omega: tuple[float, float]
     nonneg_state: bool = True
-    # derived from op and omega, so it takes no part in ==
-    support: np.ndarray = field(init=False, repr=False, compare=False)
+    support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         put, op, omega = partial(object.__setattr__, self), self.op, self.omega
@@ -156,7 +155,7 @@ class ControlProblem:
         return generate_target_trajectory(self.op, self.zhat0, self.uhat, self.omega, T, n_t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedTimeOutcome:
     """A control at a fixed horizon and its verdict, from either solver.
 
@@ -195,7 +194,7 @@ class FixedTimeOutcome:
     lower_bound: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinimalTimeReport:
     """Bisection record for the minimal feasible horizon.
 
@@ -660,7 +659,7 @@ def minimal_time_search(
     T_bracket : (float, float)
         Horizons (T_lo, T_hi) bracketing the minimal time.
     tol_T : float
-        Stop when T_hi - T_lo <= tol_T.
+        Finite and positive; stop when T_hi - T_lo <= tol_T.
     n_t : int
         Time steps used at every horizon.
 
@@ -678,8 +677,8 @@ def minimal_time_search(
     T_lo, T_hi = float(T_bracket[0]), float(T_bracket[1])
     if not 0 < T_lo < T_hi < np.inf:
         raise ValueError(f"need 0 < T_lo < T_hi < inf, got {T_bracket!r}")
-    if tol_T <= 0:
-        raise ValueError(f"tol_T must be positive, got {tol_T}")
+    if not 0 < tol_T < np.inf:
+        raise ValueError(f"tol_T must be finite and positive, got {tol_T}")
 
     history: list[tuple[float, bool, float]] = []
     bases: list[str] = []

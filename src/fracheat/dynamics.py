@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """States of a time-marched solution on a uniform time grid.
 
@@ -58,7 +58,7 @@ class Trajectory:
         return self.states[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlField:
     """Piecewise-constant-in-time control supported on a subinterval.
 

@@ -14,7 +14,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform partition of (-1, 1) into ``n_x`` subintervals.
 

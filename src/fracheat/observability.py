@@ -51,7 +51,7 @@ _ROOT_STEPS = 100
 _NOISE_ULPS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlowupCurve:
     """Lower bounds of the observability constant across horizons.
 

@@ -47,7 +47,7 @@ RESOLVED_FRACTION = 0.8
 _RESIDUAL_BLOCK = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Sorted generalized eigenpairs of (stiffness, mass).
 
@@ -86,7 +86,7 @@ class SpectralBasis:
         return max(1, int(np.floor(RESOLVED_FRACTION * self.k_max)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapReport:
     """Gap and summability statistics of a spectral basis.
 
@@ -106,7 +106,7 @@ class GapReport:
     resolved_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiEigenfunction:
     """Explicit approximate eigenfunction profile of index k.
 
@@ -442,7 +442,7 @@ def quasi_eigenfunction(k: int, op: DiscreteOperator) -> QuasiEigenfunction:
     Parameters
     ----------
     k : int
-        Index >= 1; the grid must satisfy n_x >= 8 k to resolve the
+        Integer index >= 1; the grid must satisfy n_x >= 8 k to resolve the
         oscillation.
     op : DiscreteOperator
 
@@ -453,8 +453,8 @@ def quasi_eigenfunction(k: int, op: DiscreteOperator) -> QuasiEigenfunction:
         regardless of how ``op`` was normalized, since the target value
         mu_k^(2s) is tied to that convention.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     grid = op.grid
     if grid.n_x < 8 * k:
         raise ValueError(

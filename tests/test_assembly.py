@@ -7,6 +7,7 @@ of the hat-function energy with 50-digit arithmetic.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -117,6 +118,20 @@ def test_operator_holds_one_dense_matrix():
     op, held, peak = traced(lambda: fh.build_operator(fh.build_grid(400), s=0.8))
     assert held <= 1.1 * 8.0 * op.n_dof ** 2
     assert peak <= 1.2 * 8.0 * op.n_dof ** 2
+
+
+def test_operator_is_frozen():
+    # the cached basis and sign test are computed from the stiffness once,
+    # so neither the stiffness nor any field may change after that
+    op = fh.build_operator(fh.build_grid(10), s=0.8)
+    lam1 = op.lumped_basis.eigenvalues[0]
+    assert op.lumped_basis is op.lumped_basis and op.positivity_preserving
+    assert not op.stiffness.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        op.stiffness *= 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.s = 0.3
+    assert op.s == 0.8 and op.lumped_basis.eigenvalues[0] == lam1
 
 
 def test_build_operator_rejects_bad_s():

@@ -61,7 +61,12 @@ def test_control_problem_validation(op20_unit, cos_profile, how):
     # the support is resolved from omega, read-only, and never passed in
     with pytest.raises(TypeError if how == "direct" else ValueError, match="support"):
         build(support=valid.support)
-    assert build() == valid
+    same = build()
+    assert same.op is valid.op
+    for name in ("z0", "zhat0", "support"):
+        assert np.array_equal(getattr(same, name), getattr(valid, name)), name
+    for name in ("uhat", "omega", "nonneg_state"):
+        assert getattr(same, name) == getattr(valid, name), name
     prob = build(omega=[-0.3, 0.8], uhat=1)
     assert prob.omega == (-0.3, 0.8) and type(prob.uhat) is float
     assert np.array_equal(prob.support, fh.nodes_in_interval(op20_unit.grid, (-0.3, 0.8)))
@@ -434,8 +439,9 @@ def test_minimal_time_search_validation(prob_case1):
         fh.minimal_time_search(prob_case1, (0.9, 0.7), 0.02, 100)
     with pytest.raises(ValueError, match="T_lo"):
         fh.minimal_time_search(prob_case1, (0.7, np.inf), 0.02, 100)
-    with pytest.raises(ValueError, match="tol_T"):
-        fh.minimal_time_search(prob_case1, (0.7, 0.9), 0.0, 100)
+    for tol_T in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol_T"):
+            fh.minimal_time_search(prob_case1, (0.7, 0.9), tol_T, 100)
 
 
 @pytest.mark.parametrize(

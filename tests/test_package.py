@@ -5,6 +5,9 @@ from __future__ import annotations
 import importlib
 import inspect
 
+import numpy as np
+import pytest
+
 import fracheat as fh
 
 MODULES = (
@@ -96,3 +99,37 @@ def test_package_all_is_the_union_of_the_modules():
         union.update(mod.__all__)
     assert set(fh.__all__) == union
     assert sorted(fh.__all__) == FROZEN_ALL
+
+
+def _case1():
+    """The first case study at n_x = 10, built from scratch."""
+    grid = fh.build_grid(10)
+    op = fh.build_operator(grid, s=0.8, normalization="unit")
+    c = np.cos(np.pi * grid.interior_nodes / 2.0)
+    return fh.ControlProblem(op, 2.0 * c, 0.05 * c, uhat=0.2, omega=(-0.3, 0.8))
+
+
+# every record that holds an array, directly or through another record,
+# built by the package's own builders and solvers
+ARRAY_RECORDS = {
+    "Grid": lambda: fh.build_grid(10),
+    "DiscreteOperator": lambda: _case1().op,
+    "SpectralBasis": lambda: fh.eigendecompose(_case1().op),
+    "GapReport": lambda: fh.gap_statistics(fh.eigendecompose(_case1().op)),
+    "QuasiEigenfunction": lambda: fh.quasi_eigenfunction(1, _case1().op),
+    "Trajectory": lambda: _case1().target_at(0.5, 20),
+    "ControlField": lambda: fh.make_control(fh.build_grid(10), (-0.3, 0.8), 20, 0.1),
+    "ControlProblem": _case1,
+    "FixedTimeOutcome": lambda: fh.solve_constrained_fixed_time(_case1(), 0.9, 20),
+    "MinimalTimeReport": lambda: fh.minimal_time_search(_case1(), (0.7, 1.5), 1.0, 20),
+    "BlowupCurve": lambda: fh.blowup_curve(fh.mu_value(np.arange(1, 5), 0.8), [2.0, 0.5], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+def test_array_records_compare_and_hash_by_identity(name):
+    a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(a) is getattr(fh, name)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2

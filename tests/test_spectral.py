@@ -286,5 +286,9 @@ def test_quasi_eigenfunction_residual_ignores_normalization():
 
 
 def test_quasi_eigenfunction_validation(op400_symbol):
-    with pytest.raises(ValueError, match="k"):
-        fh.quasi_eigenfunction(0, op400_symbol)
+    # mu_k is taken at k itself, so a fractional k would give a record
+    # whose k and mu_k disagree
+    for k in (0, 1.5, 1.0, np.float64(2.0), True):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1"):
+            fh.quasi_eigenfunction(k, op400_symbol)
+    assert fh.quasi_eigenfunction(np.int64(2), op400_symbol).k == 2
