@@ -50,7 +50,7 @@ from .dynamics import (
     make_control,
     simulate,
 )
-from .errors import SolverError
+from .errors import SolverError, _check_count
 from .grid import nodes_in_interval
 
 __all__ = [
@@ -619,12 +619,13 @@ def solve_constrained_fixed_time(
     T, n_t
         Horizon and step count, checked as :func:`simulate` checks them.
     max_iter : int
-        Gradient iterations.
+        Gradient iterations, an integer >= 1.
 
     Returns
     -------
     FixedTimeOutcome
     """
+    max_iter = _check_count("max_iter", max_iter)
     stepper = _ModalStepper(problem.op, T, n_t, problem.support)
     zhat_T = problem.target_at(T, n_t).final
     eps_target = EPS_TARGET_FRACTION * _m_norm(zhat_T, stepper.m)
@@ -737,7 +738,7 @@ def impulse_analysis(control: ControlField, dt: float, dx: float) -> dict:
     ----------
     control : ControlField
     dt, dx : float
-        Cell sizes of the control grid.
+        Cell sizes of the control grid, finite and positive.
 
     Returns
     -------
@@ -748,6 +749,8 @@ def impulse_analysis(control: ControlField, dt: float, dx: float) -> dict:
         heaviest cells, heaviest first, as ``{"x", "t", "mass"}`` at node
         coordinates and time-cell midpoints.
     """
+    if not (0 < dt < np.inf and 0 < dx < np.inf):
+        raise ValueError(f"dt and dx must be finite and positive, got {dt}, {dx}")
     mass = np.abs(control.values) * dt * dx
     total = float(mass.sum())
     peak = mass.max() if mass.size else 0.0

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import DiscreteOperator
+from .errors import _check_count
 from .grid import Grid, nodes_in_interval
 from .spectral import SpectralBasis
 
@@ -99,11 +100,12 @@ def make_control(
     omega : (float, float)
         Control region; must contain at least one interior node.
     n_t : int
-        Number of time cells.
+        Number of time cells, an integer >= 1.
     values : ndarray or float
         Either shape (n_support, n_t), or a scalar (constant control;
         0.0 gives the zero control).
     """
+    n_t = _check_count("n_t", n_t)
     mask = nodes_in_interval(grid, omega)
     n_sup = int(mask.sum())
     if n_sup == 0:
@@ -122,8 +124,7 @@ def _check_horizon(T: float, n_t: int) -> None:
     """Raise ValueError unless T is finite and positive and n_t an integer >= 1."""
     if not 0 < T < np.inf:
         raise ValueError(f"T must be finite and positive, got {T}")
-    if isinstance(n_t, bool) or not isinstance(n_t, (int, np.integer)) or n_t < 1:
-        raise ValueError(f"n_t must be an integer >= 1, got {n_t!r}")
+    _check_count("n_t", n_t)
 
 
 def _time_grid(T: float, n_t: int) -> np.ndarray:
@@ -239,15 +240,15 @@ def duhamel_spectral(
         Modal control coefficients, shape (n_t, k_max), constant per
         right-open time cell of the uniform partition of [0, t].
     t : float
-        Nonnegative evaluation time.
+        Finite nonnegative evaluation time.
 
     Returns
     -------
     ndarray, shape (k_max,)
         Modal coefficients of the solution at time t.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     lam = basis.eigenvalues
     out = np.asarray(z0_coeffs, dtype=float) * np.exp(-lam * t)
     if control_coeffs is not None and t > 0:

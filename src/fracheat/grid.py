@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _check_count
+
 __all__ = [
     "Grid",
     "build_grid",
@@ -62,13 +64,9 @@ def build_grid(n_x: int) -> Grid:
     Raises
     ------
     ValueError
-        If ``n_x < 2``.
+        If n_x is not an integer >= 2.
     """
-    if not isinstance(n_x, (int, np.integer)):
-        raise TypeError(f"n_x must be an integer, got {type(n_x).__name__}")
-    if n_x < 2:
-        raise ValueError(f"n_x must be at least 2 to have interior nodes, got {n_x}")
-    n_x = int(n_x)
+    n_x = _check_count("n_x", n_x, minimum=2)
     nodes = -1.0 + 2.0 * np.arange(n_x + 1) / n_x
     # Pin the endpoints so they are exact regardless of rounding.
     nodes[0] = -1.0

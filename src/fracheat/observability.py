@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, _check_count
 
 __all__ = ["BlowupCurve", "l1_norm_exp_sum", "blowup_curve", "blowup_curve_to_csv"]
 
@@ -304,9 +304,7 @@ def _best_witnesses(mu: np.ndarray, T_values: np.ndarray) -> tuple[np.ndarray, n
 
 def _leading_exponents(mu: np.ndarray, K: int) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
-    if K < 1 or K > mu.size:
-        raise ValueError(f"K must lie in [1, {mu.size}], got {K}")
-    mu = mu[:K]
+    mu = mu[: _check_count("K", K, maximum=mu.size)]
     # written so that NaN fails too
     if not ((mu > 0).all() and (np.diff(mu) > 0).all()):
         raise ValueError("exponents must be positive and strictly increasing")

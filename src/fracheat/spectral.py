@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DiscreteOperator, normalization_constant
-from .errors import QuadratureError, SolverError
+from .errors import QuadratureError, SolverError, _check_count
 from .grid import Grid, trapezoid_weights
 
 __all__ = [
@@ -158,15 +158,12 @@ def eigendecompose(
     Raises
     ------
     ValueError
-        If k_max is out of range or mass_kind is unknown.
+        If k_max is not an integer in [1, n] or mass_kind is unknown.
     SolverError
         If any retained pair has relative residual above 1e-8.
     """
     n = op.n_dof
-    if k_max is None:
-        k_max = n
-    if not 1 <= k_max <= n:
-        raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
+    k_max = n if k_max is None else _check_count("k_max", k_max, maximum=n)
     if mass_kind not in ("consistent", "lumped"):
         raise ValueError(f"mass kind must be 'consistent' or 'lumped', got {mass_kind!r}")
     from scipy.linalg import eigh
@@ -214,7 +211,7 @@ def eigendecompose(
     return SpectralBasis(
         eigenvalues=lam,
         eigenvectors=V,
-        k_max=int(k_max),
+        k_max=k_max,
         s=op.s,
         grid=op.grid,
         mass_kind=mass_kind,
@@ -304,7 +301,7 @@ def mu_value(k, s: float):
     array k >= 1.
     """
     k = np.asarray(k)
-    if (k < 1).any():
+    if not (k >= 1).all():
         raise ValueError("k must be >= 1")
     out = k * (np.pi / 2.0) - (1.0 - s) * (np.pi / 4.0)
     return out if out.ndim else float(out)
@@ -371,7 +368,7 @@ def gamma_density(y, s: float):
     Same shape as y.
     """
     y_arr = np.asarray(y, dtype=float)
-    if (y_arr < 0).any():
+    if not (y_arr >= 0).all():
         raise ValueError("y must be nonnegative")
     out = np.zeros_like(y_arr, dtype=float)
     pos = y_arr > 0.0
@@ -420,7 +417,7 @@ def G_transform(xi, s: float):
     Same shape as xi.
     """
     xi_arr = np.asarray(xi, dtype=float)
-    if (xi_arr <= 0).any():
+    if not (xi_arr > 0).all():
         raise ValueError("xi must be positive")
     # min over no points is inf, and G(inf) = 0 needs only the first node
     x_hi = max(_X_LO, np.log(40.0) - np.log(xi_arr.min(initial=np.inf)))
@@ -453,8 +450,7 @@ def quasi_eigenfunction(k: int, op: DiscreteOperator) -> QuasiEigenfunction:
         regardless of how ``op`` was normalized, since the target value
         mu_k^(2s) is tied to that convention.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    k = _check_count("k", k)
     grid = op.grid
     if grid.n_x < 8 * k:
         raise ValueError(
@@ -485,7 +481,7 @@ def quasi_eigenfunction(k: int, op: DiscreteOperator) -> QuasiEigenfunction:
     resid = Kv / op.mass_lumped_diag - mu ** (2.0 * s) * v_int
     values.setflags(write=False)
     return QuasiEigenfunction(
-        k=int(k),
+        k=k,
         mu_k=float(mu),
         values=values,
         residual_norm=float(np.abs(resid).max()),

@@ -531,6 +531,15 @@ def test_impulse_analysis_zero_control(grid20):
     assert rep == {"total_mass": 0.0, "active_cell_fraction": 0.0, "top_impulses": []}
 
 
+def test_impulse_analysis_rejects_bad_cell_sizes(grid20):
+    # a negative dt would give a negative total mass and no impulses
+    ctrl = fh.make_control(grid20, (-0.3, 0.8), 4, values=1.0)
+    h = grid20.h
+    for dt, dx in [(-1.0, h), (np.nan, h), (np.inf, h), (0.1, 0.0), (0.1, np.nan)]:
+        with pytest.raises(ValueError, match="dt and dx must be finite and positive"):
+            fh.impulse_analysis(ctrl, dt=dt, dx=dx)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_impulse_total_mass_property(seed):
     g = fh.build_grid(10)

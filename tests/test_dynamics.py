@@ -121,8 +121,9 @@ def test_duhamel_spectral_pure_decay(op20_unit, cos_profile):
     out = fh.duhamel_spectral(basis, z0c, None, 0.3)
     assert out == pytest.approx(z0c * np.exp(-basis.eigenvalues * 0.3))
     assert fh.duhamel_spectral(basis, z0c, None, 0.0) == pytest.approx(z0c)
-    with pytest.raises(ValueError, match="nonnegative"):
-        fh.duhamel_spectral(basis, z0c, None, -0.1)
+    for t in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fh.duhamel_spectral(basis, z0c, None, t)
 
 
 def test_duhamel_spectral_constant_control(op20_unit):

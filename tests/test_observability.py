@@ -218,10 +218,9 @@ def test_root_iteration_does_not_creep_at_flat_roots(monkeypatch):
 
 def test_estimator_validation():
     mu = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="K"):
-        fh.blowup_curve(mu, [1.0], 0)
-    with pytest.raises(ValueError, match="K"):
-        fh.blowup_curve(mu, [1.0], 4)
+    for K in (0, 4, 2.5, True):
+        with pytest.raises(ValueError, match="K"):
+            fh.blowup_curve(mu, [1.0], K)
     with pytest.raises(ValueError, match="positive"):
         fh.blowup_curve(mu, [-1.0], 2)
     with pytest.raises(ValueError, match="increasing"):

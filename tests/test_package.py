@@ -133,3 +133,38 @@ def test_array_records_compare_and_hash_by_identity(name):
     assert a == a and not a != a
     assert a != b and not a == b
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+# every count argument, reached through its public function at n_x = 10:
+# the name its error gives, its least valid value, and the call
+COUNT_ARGUMENTS = {
+    "build_grid": ("n_x", 2, lambda prob, n: fh.build_grid(n)),
+    "simulate": ("n_t", 1, lambda prob, n: fh.simulate(prob.op, prob.z0, None, 0.5, n)),
+    "make_control": ("n_t", 1, lambda prob, n: fh.make_control(prob.op.grid, prob.omega, n, 0.1)),
+    "quasi_eigenfunction": ("k", 1, lambda prob, n: fh.quasi_eigenfunction(n, prob.op)),
+    "eigendecompose": ("k_max", 1, lambda prob, n: fh.eigendecompose(prob.op, k_max=n)),
+    "blowup_curve": (
+        "K", 1, lambda prob, n: fh.blowup_curve(fh.mu_value(np.arange(1, 5), 0.8), [2.0, 0.5], n)
+    ),
+    "solve_constrained_fixed_time": (
+        "max_iter", 1, lambda prob, n: fh.solve_constrained_fixed_time(prob, 0.9, 20, max_iter=n)
+    ),
+}
+
+
+def _work_started(*args, **kwargs):
+    raise AssertionError("work started before the count was checked")
+
+
+@pytest.mark.parametrize("function", sorted(COUNT_ARGUMENTS))
+def test_every_count_is_an_integer_checked_before_any_work(function, monkeypatch):
+    name, least, call = COUNT_ARGUMENTS[function]
+    prob = _case1()
+    # a refused count starts no eigensolve and no witness root search
+    monkeypatch.setattr("scipy.linalg.eigh", _work_started)
+    monkeypatch.setattr("fracheat.observability._best_witnesses", _work_started)
+    for bad in (least - 1, 2.5, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(prob, bad)
+    monkeypatch.undo()
+    call(prob, np.int64(least))

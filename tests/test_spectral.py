@@ -58,10 +58,9 @@ def test_ground_state_nonnegative(basis20):
 
 
 def test_eigendecompose_k_max_validation(op20_unit):
-    with pytest.raises(ValueError, match="k_max"):
-        fh.eigendecompose(op20_unit, k_max=0)
-    with pytest.raises(ValueError, match="k_max"):
-        fh.eigendecompose(op20_unit, k_max=op20_unit.n_dof + 1)
+    for k_max in (0, op20_unit.n_dof + 1, 2.5, True):
+        with pytest.raises(ValueError, match="k_max"):
+            fh.eigendecompose(op20_unit, k_max=k_max)
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +200,16 @@ def test_gamma_density_validation():
         fh.gamma_density(-0.1, 0.8)
     with pytest.raises(ValueError, match="positive"):
         fh.G_transform(0.0, 0.8)
+    # NaN fails every range check, so it cannot set the end of G's grid
+    with pytest.raises(ValueError, match="nonnegative"):
+        fh.gamma_density(np.nan, 0.8)
+    with pytest.raises(ValueError, match="positive"):
+        fh.G_transform(np.array([1.0, np.nan]), 0.8)
+    with pytest.raises(ValueError, match="k must be"):
+        fh.mu_value(np.array([1.0, np.nan]), 0.8)
     assert fh.gamma_density(0.0, 0.8) == 0.0
+    assert fh.gamma_density(np.inf, 0.8) == 0.0
+    assert fh.G_transform(np.inf, 0.8) == 0.0
 
 
 @given(st.floats(-1.0, 1.0, allow_nan=False))
