@@ -45,9 +45,9 @@ from .dynamics import (
     ControlField,
     Trajectory,
     _check_horizon,
+    _control_cells,
     _write_long_csv,
     generate_target_trajectory,
-    make_control,
     simulate,
 )
 from .errors import SolverError, _check_count
@@ -412,8 +412,7 @@ def unconstrained_dual_details(
     zhat_T = stepper.terminal(problem.zhat0, np.full((n_sup, n_t), problem.uhat))
     c = (m * (zhat_T - stepper.terminal(problem.z0, None))) @ V
     if not c.any():
-        zero = make_control(problem.op.grid, problem.omega, n_t, values=0.0)
-        return zero, np.zeros((n, n_t)), 0.0
+        return ControlField(np.zeros((n_sup, n_t)), problem.support), np.zeros((n, n_t)), 0.0
 
     # imported here, as it loads all of scipy.optimize, which no other
     # run path needs
@@ -436,8 +435,7 @@ def unconstrained_dual_details(
         raise SolverError(
             f"L-infinity LP: the target is unreachable at T={T} ({res.message})"
         )
-    u = res.x[:-1].reshape(n_sup, n_t) / sigma
-    control = make_control(problem.op.grid, problem.omega, n_t, values=u)
+    control = ControlField(res.x[:-1].reshape(n_sup, n_t) / sigma, problem.support)
 
     y = res.eqlin.marginals / row_scale
     y *= np.sign(y @ c)
@@ -635,7 +633,7 @@ def solve_constrained_fixed_time(
         stepper, problem.z0, zhat_T, eps_target, alpha0, max_iter
     )
 
-    control = make_control(problem.op.grid, problem.omega, n_t, values=u_sup)
+    control = ControlField(u_sup, problem.support)
     return _outcome(
         problem, T, n_t, control, zhat_T, total_iters, basis=basis, lower_bound=bound
     )
@@ -727,18 +725,20 @@ def minimal_time_search(
     )
 
 
-def impulse_analysis(control: ControlField, dt: float, dx: float) -> dict:
+def impulse_analysis(control: ControlField, grid, T: float) -> dict:
     """Mass-concentration record of a control's magnitude |u|.
 
-    Each (node, step) cell carries mass |u| * dt * dx, so a signed control
-    is measured by its magnitude.  The record is the one ``summary.json``
-    stores under ``atomicity``.
+    Each (node, step) cell carries mass |u| * dt * dx, with dt = T / n_t
+    and dx the mesh size, so a signed control is measured by its
+    magnitude.  The record is the one ``summary.json`` stores under
+    ``atomicity``, at the coordinates :func:`control_to_csv` writes.
 
     Parameters
     ----------
     control : ControlField
-    dt, dx : float
-        Cell sizes of the control grid, finite and positive.
+    grid : Grid
+    T : float
+        Horizon, finite and positive.
 
     Returns
     -------
@@ -749,36 +749,27 @@ def impulse_analysis(control: ControlField, dt: float, dx: float) -> dict:
         heaviest cells, heaviest first, as ``{"x", "t", "mass"}`` at node
         coordinates and time-cell midpoints.
     """
-    if not (0 < dt < np.inf and 0 < dx < np.inf):
-        raise ValueError(f"dt and dx must be finite and positive, got {dt}, {dx}")
-    mass = np.abs(control.values) * dt * dx
+    x, t = _control_cells(control, grid, T)
+    mass = np.abs(control.values) * (T / control.n_t) * grid.h
     total = float(mass.sum())
-    peak = mass.max() if mass.size else 0.0
-    if peak > 0.0:
-        active = float((mass > 0.01 * peak).sum() / mass.size)
-    else:
-        active = 0.0
+    peak = mass.max()
+    active = float((mass > 0.01 * peak).sum() / mass.size) if peak > 0.0 else 0.0
 
-    # interior node i sits at -1 + (i + 1) dx on the uniform grid
-    x0 = -1.0 + (int(np.argmax(control.support_mask)) + 1) * dx
     order = np.argsort(mass.ravel(), kind="stable")[::-1][:10]
     top = []
     for flat in order:
         i, j = np.unravel_index(flat, mass.shape)
         if mass[i, j] <= 0.0:
             break
-        top.append(
-            {"x": float(x0 + i * dx), "t": float((j + 0.5) * dt), "mass": float(mass[i, j])}
-        )
+        top.append({"x": float(x[i]), "t": float(t[j]), "mass": float(mass[i, j])})
     return {"total_mass": total, "active_cell_fraction": active, "top_impulses": top}
 
 
 def control_to_csv(control: ControlField, grid, T: float, path) -> None:
     """Write a control in long format with header t,x,u.
 
-    Rows cover the support nodes of omega at each time-cell midpoint.
+    Rows cover the support nodes of omega at each time-cell midpoint of
+    the horizon T, finite and positive.
     """
-    x = grid.interior_nodes[control.support_mask]
-    n_t = control.values.shape[1]
-    t_mid = (np.arange(n_t) + 0.5) * (T / n_t)
+    x, t_mid = _control_cells(control, grid, T)
     _write_long_csv(path, "t,x,u", t_mid, x, control.values.T)

@@ -63,6 +63,10 @@ class Trajectory:
 class ControlField:
     """Piecewise-constant-in-time control supported on a subinterval.
 
+    Construction, direct or by ``dataclasses.replace``, raises ValueError
+    unless values (coerced to float, not copied) is finite and 2-D and
+    support_mask is a 1-D bool array with a True for each row of values.
+
     Attributes
     ----------
     values : ndarray, shape (n_support, n_t)
@@ -74,6 +78,18 @@ class ControlField:
 
     values: np.ndarray = field(repr=False)
     support_mask: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        u, mask = np.asarray(self.values, dtype=float), self.support_mask
+        if u.ndim != 2 or not np.isfinite(u).all():
+            raise ValueError(f"control values must be finite and 2-D, got {u.shape}")
+        if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.ndim != 1:
+            raise ValueError(f"support_mask must be a 1-D bool array, got {mask!r}")
+        if not mask.any():
+            raise ValueError("control support contains no interior nodes")
+        if u.shape[0] != mask.sum():
+            raise ValueError(f"control values must have shape ({mask.sum()}, n_t), got {u.shape}")
+        object.__setattr__(self, "values", u)
 
     @property
     def n_t(self) -> int:
@@ -107,17 +123,13 @@ def make_control(
     """
     n_t = _check_count("n_t", n_t)
     mask = nodes_in_interval(grid, omega)
-    n_sup = int(mask.sum())
-    if n_sup == 0:
-        raise ValueError(f"control region {omega!r} contains no interior nodes")
     vals = np.asarray(values, dtype=float)
     if vals.ndim == 0:
-        vals = np.full((n_sup, n_t), float(vals))
-    if vals.shape != (n_sup, n_t):
-        raise ValueError(
-            f"control values must have shape ({n_sup}, {n_t}), got {vals.shape}"
-        )
-    return ControlField(values=vals, support_mask=mask)
+        vals = np.full((int(mask.sum()), n_t), float(vals))
+    control = ControlField(values=vals, support_mask=mask)
+    if control.n_t != n_t:
+        raise ValueError(f"control values must have {n_t} time cells, got {vals.shape}")
+    return control
 
 
 def _check_horizon(T: float, n_t: int) -> None:
@@ -133,6 +145,15 @@ def _time_grid(T: float, n_t: int) -> np.ndarray:
     return times
 
 
+def _control_cells(control: ControlField, grid: Grid, T: float):
+    """Coordinates of a control's support nodes and time-cell midpoints at T."""
+    _check_horizon(T, control.n_t)
+    mask = control.support_mask
+    if mask.size != grid.n_interior:
+        raise ValueError(f"control mask has {mask.size} nodes, grid has {grid.n_interior}")
+    return grid.interior_nodes[mask], (np.arange(control.n_t) + 0.5) * (T / control.n_t)
+
+
 def simulate(
     op: DiscreteOperator,
     z0: np.ndarray,
@@ -143,8 +164,8 @@ def simulate(
     """March the semi-discrete system over [0, T] by lumped implicit Euler.
 
     Each step solves (M + dt K) z_{j+1} = M (z_j + dt u_j) with the lumped
-    mass M and a Cholesky factor computed once.  z0 and the control are
-    checked for NaN and inf once, before the march, not at every solve.
+    mass M and a Cholesky factor computed once.  z0 is checked for NaN and
+    inf before the march, and a ControlField is finite by construction.
     The step matrix is entrywise nonnegative, hence positivity-preserving,
     for every dt when ``op.positivity_preserving`` holds (s above about
     0.23); otherwise small steps can turn nonnegative data negative.
@@ -168,25 +189,18 @@ def simulate(
     Raises
     ------
     ValueError
-        If an argument is out of range or z0 or the control holds NaN or
-        inf.
+        If an argument is out of range or z0 holds NaN or inf.
     """
     _check_horizon(T, n_t)
     n = op.n_dof
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (n,):
         raise ValueError(f"z0 must have shape ({n},), got {z0.shape}")
-    u_full = None
-    if control is not None:
-        if control.n_t != n_t:
-            raise ValueError(
-                f"control has {control.n_t} time cells, simulation has {n_t}"
-            )
-        u_full = control.expand()
-    if not np.isfinite(z0).all() or (
-        u_full is not None and not np.isfinite(u_full).all()
-    ):
+    if not np.isfinite(z0).all():
         raise ValueError("array must not contain infs or NaNs")
+    if control is not None and control.n_t != n_t:
+        raise ValueError(f"control has {control.n_t} time cells, simulation has {n_t}")
+    u_full = None if control is None else control.expand()
 
     dt = T / n_t
     states = np.empty((n_t + 1, n))
@@ -278,9 +292,9 @@ def generate_target_trajectory(
     ----------
     op : DiscreteOperator
     zhat0 : ndarray
-        Initial nodal values, strictly positive at every interior node.
+        Finite initial nodal values, strictly positive at every interior node.
     uhat : float
-        Constant nonnegative control value applied on omega.
+        Constant finite nonnegative control value applied on omega.
     omega : (float, float)
     T, n_t
         Passed through to :func:`simulate`.
@@ -291,10 +305,12 @@ def generate_target_trajectory(
         Its final row is the controllability target at time T.
     """
     zhat0 = np.asarray(zhat0, dtype=float)
+    if not np.isfinite(zhat0).all():
+        raise ValueError("zhat0 must be finite")
     if (zhat0 <= 0).any():
         raise ValueError("target initial datum must be strictly positive")
-    if uhat < 0:
-        raise ValueError(f"uhat must be nonnegative, got {uhat}")
+    if not 0.0 <= uhat < np.inf:
+        raise ValueError(f"uhat must be finite and nonnegative, got {uhat}")
     control = make_control(op.grid, omega, n_t, values=float(uhat))
     return simulate(op, zhat0, control, T, n_t)
 

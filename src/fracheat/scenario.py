@@ -170,7 +170,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     control, traj = outcome.control, outcome.trajectory
     summary["feasible"] = outcome.feasible
-    summary["atomicity"] = impulse_analysis(control, dt=T / config.n_t, dx=grid.h)
+    summary["atomicity"] = impulse_analysis(control, grid, T)
 
     # made only now, so a refused config or a failed solve leaves nothing
     outdir = Path(config.output_dir)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteOperator, normalization_constant
+from .assembly import DiscreteOperator, _require_s, normalization_constant
 from .errors import QuadratureError, SolverError, _check_count
 from .grid import Grid, trapezoid_weights
 
@@ -298,8 +298,9 @@ def mu_value(k, s: float):
     """Half-line frequency mu_k = k pi/2 - (1-s) pi/4.
 
     Consecutive values are spaced exactly pi/2 apart.  Accepts scalar or
-    array k >= 1.
+    array k >= 1, and s in [0.01, 0.99], checked first.
     """
+    s = _require_s(s)
     k = np.asarray(k)
     if not (k >= 1).all():
         raise ValueError("k must be >= 1")
@@ -361,12 +362,13 @@ def gamma_density(y, s: float):
     y : scalar or ndarray
         Nonnegative evaluation points.
     s : float
-        Fractional order in (0, 1).
+        Fractional order in [0.01, 0.99], checked first.
 
     Returns
     -------
     Same shape as y.
     """
+    s = _require_s(s)
     y_arr = np.asarray(y, dtype=float)
     if not (y_arr >= 0).all():
         raise ValueError("y must be nonnegative")
@@ -410,12 +412,13 @@ def G_transform(xi, s: float):
     xi : scalar or ndarray
         Positive evaluation points.
     s : float
-        Fractional order in (0, 1).
+        Fractional order in [0.01, 0.99], checked first.
 
     Returns
     -------
     Same shape as xi.
     """
+    s = _require_s(s)
     xi_arr = np.asarray(xi, dtype=float)
     if not (xi_arr > 0).all():
         raise ValueError("xi must be positive")

@@ -290,13 +290,10 @@ def test_criterion_10_bang_bang(prob_case1, lumped_diag):
 
 
 def test_criterion_11_atomicity_trend(prob_case1, case1_minimal, case1_at_09):
-    rep_min = fh.impulse_analysis(
-        case1_minimal.outcome.control,
-        dt=case1_minimal.T_hi / 300,
-        dx=prob_case1.op.grid.h,
-    )
+    grid = prob_case1.op.grid
+    rep_min = fh.impulse_analysis(case1_minimal.outcome.control, grid, case1_minimal.T_hi)
     frac_min = rep_min["active_cell_fraction"]
-    rep09 = fh.impulse_analysis(case1_at_09.control, dt=0.9 / 300, dx=prob_case1.op.grid.h)
+    rep09 = fh.impulse_analysis(case1_at_09.control, grid, 0.9)
     print(
         f"criterion 11: active fraction near minimal time {frac_min:.4g} "
         f"vs at T=0.9 {rep09['active_cell_fraction']:.4g}"

@@ -474,14 +474,14 @@ def test_minimal_time_search_rejects_infeasible_upper_end(prob_case1):
 
 def test_impulse_analysis_uniform_and_single_cell(grid20):
     uniform = fh.make_control(grid20, (-0.3, 0.8), 6, values=2.0)
-    rep = fh.impulse_analysis(uniform, dt=0.1, dx=grid20.h)
+    rep = fh.impulse_analysis(uniform, grid20, 0.6)
     assert rep["active_cell_fraction"] == 1.0
     assert rep["total_mass"] == pytest.approx(2.0 * 0.1 * grid20.h * 12 * 6)
 
     single = np.zeros((12, 6))
     single[4, 2] = 3.0
     ctrl = fh.make_control(grid20, (-0.3, 0.8), 6, values=single)
-    rep = fh.impulse_analysis(ctrl, dt=0.1, dx=grid20.h)
+    rep = fh.impulse_analysis(ctrl, grid20, 0.6)
     assert rep["active_cell_fraction"] == pytest.approx(1.0 / (12 * 6))
     assert len(rep["top_impulses"]) == 1
     imp = rep["top_impulses"][0]
@@ -499,7 +499,7 @@ def test_impulse_analysis_locates_support_as_the_mask_does(grid20):
     single[0, 1] = 1.0
     ctrl = fh.make_control(grid20, omega, 4, values=single)
     assert grid20.interior_nodes[ctrl.support_mask][0] == pytest.approx(-0.2)
-    rep = fh.impulse_analysis(ctrl, dt=0.1, dx=grid20.h)
+    rep = fh.impulse_analysis(ctrl, grid20, 0.4)
     assert rep["top_impulses"][0]["x"] == pytest.approx(-0.2)
 
 
@@ -507,7 +507,7 @@ def test_impulse_analysis_ordering_and_cap(grid20):
     rng = np.random.default_rng(11)
     vals = rng.uniform(0.0, 1.0, (12, 30))
     ctrl = fh.make_control(grid20, (-0.3, 0.8), 30, values=vals)
-    rep = fh.impulse_analysis(ctrl, dt=0.05, dx=grid20.h)
+    rep = fh.impulse_analysis(ctrl, grid20, 1.5)
     masses = [imp["mass"] for imp in rep["top_impulses"]]
     assert len(masses) == 10
     assert masses == sorted(masses, reverse=True)
@@ -520,24 +520,32 @@ def test_impulse_analysis_measures_the_magnitude(grid20):
     vals = np.random.default_rng(5).uniform(-1.0, 1.0, (12, 4))
     signed = fh.make_control(grid20, (-0.3, 0.8), 4, values=vals)
     magnitude = fh.make_control(grid20, (-0.3, 0.8), 4, values=np.abs(vals))
-    assert fh.impulse_analysis(signed, dt=0.1, dx=grid20.h) == fh.impulse_analysis(
-        magnitude, dt=0.1, dx=grid20.h
+    assert fh.impulse_analysis(signed, grid20, 0.4) == fh.impulse_analysis(
+        magnitude, grid20, 0.4
     )
 
 
 def test_impulse_analysis_zero_control(grid20):
     ctrl = fh.make_control(grid20, (-0.3, 0.8), 4, values=0.0)
-    rep = fh.impulse_analysis(ctrl, dt=0.1, dx=grid20.h)
+    rep = fh.impulse_analysis(ctrl, grid20, 0.4)
     assert rep == {"total_mass": 0.0, "active_cell_fraction": 0.0, "top_impulses": []}
 
 
-def test_impulse_analysis_rejects_bad_cell_sizes(grid20):
-    # a negative dt would give a negative total mass and no impulses
+def test_impulse_analysis_and_control_to_csv_reject_bad_horizons(grid20, tmp_path):
+    # both read the control's cells through one map, which refuses a horizon
+    # that would give NaN or negative times and masses, and a foreign grid
     ctrl = fh.make_control(grid20, (-0.3, 0.8), 4, values=1.0)
-    h = grid20.h
-    for dt, dx in [(-1.0, h), (np.nan, h), (np.inf, h), (0.1, 0.0), (0.1, np.nan)]:
-        with pytest.raises(ValueError, match="dt and dx must be finite and positive"):
-            fh.impulse_analysis(ctrl, dt=dt, dx=dx)
+    path = tmp_path / "control.csv"
+    for T in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^T must be finite and positive"):
+            fh.impulse_analysis(ctrl, grid20, T)
+        with pytest.raises(ValueError, match="^T must be finite and positive"):
+            fh.control_to_csv(ctrl, grid20, T, path)
+    with pytest.raises(ValueError, match="grid has 9"):
+        fh.impulse_analysis(ctrl, fh.build_grid(10), 0.4)
+    with pytest.raises(ValueError, match="grid has 9"):
+        fh.control_to_csv(ctrl, fh.build_grid(10), 0.4, path)
+    assert not path.exists()
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -546,7 +554,7 @@ def test_impulse_total_mass_property(seed):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(0.0, 2.0, (int(fh.nodes_in_interval(g, (-0.5, 0.5)).sum()), 8))
     ctrl = fh.make_control(g, (-0.5, 0.5), 8, values=vals)
-    rep = fh.impulse_analysis(ctrl, dt=0.125, dx=g.h)
+    rep = fh.impulse_analysis(ctrl, g, 1.0)
     assert rep["total_mass"] == pytest.approx(vals.sum() * 0.125 * g.h)
     assert 0.0 <= rep["active_cell_fraction"] <= 1.0
 

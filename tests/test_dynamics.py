@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -33,16 +35,16 @@ def test_simulate_validation(op20_unit, cos_profile):
     ctrl = fh.make_control(op20_unit.grid, (-0.3, 0.8), n_t=20, values=0.0)
     with pytest.raises(ValueError, match="time cells"):
         fh.simulate(op20_unit, cos_profile, ctrl, T=1.0, n_t=10)
-    # the march solves without checking, so NaN and inf are caught up front
+    # the march solves without checking, so NaN and inf are caught up front:
+    # in z0 by simulate, in a control when the control is built
     z_nan = cos_profile.copy()
     z_nan[3] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
         fh.simulate(op20_unit, z_nan, None, T=1.0, n_t=10)
     u_inf = np.zeros((12, 10))
     u_inf[4, 7] = np.inf
-    ctrl = fh.make_control(op20_unit.grid, (-0.3, 0.8), n_t=10, values=u_inf)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        fh.simulate(op20_unit, cos_profile, ctrl, T=1.0, n_t=10)
+    with pytest.raises(ValueError, match="^control values must be finite"):
+        fh.make_control(op20_unit.grid, (-0.3, 0.8), n_t=10, values=u_inf)
 
 
 def test_simulate_peak_memory(op20_unit, op400_symbol):
@@ -151,6 +153,31 @@ def test_make_control_variants(grid20):
         fh.make_control(grid20, (0.51, 0.54), 5, values=0.0)
 
 
+def test_control_field_is_valid_by_construction(grid20):
+    mask = fh.nodes_in_interval(grid20, (-0.3, 0.8))
+    assert mask.sum() == 12
+    good = np.ones((12, 5))
+    ctrl = fh.ControlField(good, mask)
+    assert ctrl.values is good and ctrl.n_t == 5
+    nan, inf = good.copy(), good.copy()
+    nan[2, 3], inf[5, 0] = np.nan, -np.inf
+    for values in (nan, inf, np.ones(12), np.ones((12, 5, 1))):
+        with pytest.raises(ValueError, match="^control values must be finite and 2-D"):
+            fh.ControlField(values, mask)
+    # three rows on a twelve-node support: refused before any solver or
+    # record reads it
+    with pytest.raises(ValueError, match=r"^control values must have shape \(12, n_t\)"):
+        fh.ControlField(np.ones((3, 5)), mask)
+    for bad_mask in (mask.astype(float), mask.tolist(), mask[None, :]):
+        with pytest.raises(ValueError, match="^support_mask must be a 1-D bool array"):
+            fh.ControlField(good, bad_mask)
+    with pytest.raises(ValueError, match="no interior nodes"):
+        fh.ControlField(np.ones((0, 5)), np.zeros_like(mask))
+    # dataclasses.replace runs the same checks
+    with pytest.raises(ValueError, match="^control values must be finite"):
+        replace(ctrl, values=nan)
+
+
 def test_generate_target_trajectory(op20_unit, cos_profile):
     traj = fh.generate_target_trajectory(
         op20_unit, 0.05 * cos_profile, uhat=0.2, omega=(-0.3, 0.8), T=0.9, n_t=60
@@ -165,6 +192,16 @@ def test_generate_target_trajectory(op20_unit, cos_profile):
         fh.generate_target_trajectory(
             op20_unit, 0.05 * cos_profile, -1.0, (-0.3, 0.8), 0.9, 60
         )
+    # NaN and inf are named by field, with ControlProblem's messages
+    for bad in (np.nan, np.inf):
+        zhat0 = 0.05 * cos_profile
+        zhat0[4] = bad
+        with pytest.raises(ValueError, match="^zhat0 must be finite$"):
+            fh.generate_target_trajectory(op20_unit, zhat0, 0.2, (-0.3, 0.8), 0.9, 60)
+        with pytest.raises(ValueError, match="^uhat must be finite and nonnegative"):
+            fh.generate_target_trajectory(
+                op20_unit, 0.05 * cos_profile, bad, (-0.3, 0.8), 0.9, 60
+            )
 
 
 def test_trajectory_to_csv(tmp_path, op20_unit, cos_profile):

@@ -244,6 +244,23 @@ def test_written_trajectory_is_the_verdicts(tmp_path, monkeypatch, prob_case1):
             assert np.array_equal(written, simulated[0].states)
 
 
+@pytest.mark.parametrize(
+    "horizon", [{"fixed": 0.9}, {"minimal_time": {"bracket": [0.7, 0.9], "tol": 0.1}}]
+)
+def test_impulses_sit_on_the_written_control_cells(tmp_path, horizon):
+    # summary.json's impulses and control.csv read one map of the control's
+    # cells, so each impulse is a cell the CSV writes, to the last bit
+    cfg = {"case_preset": "case1", "horizon_mode": horizon, "output_dir": str(tmp_path)}
+    result = fh.run_scenario(fh.parse_config(json.dumps(cfg)))
+    written = np.loadtxt(tmp_path / "control.csv", delimiter=",", skiprows=1)
+    t_col, x_col = set(written[:, 0].tolist()), set(written[:, 1].tolist())
+    on_disk = json.loads((tmp_path / "summary.json").read_text())
+    impulses = on_disk["atomicity"]["top_impulses"]
+    assert result.summary["resolved_config"]["n_x"] == 20 and len(impulses) == 10
+    for imp in impulses:
+        assert imp["x"] in x_col and imp["t"] in t_col
+
+
 @pytest.fixture
 def plot_run(tmp_path):
     cfg = {**json.loads(FAST_FIXED), "emit_plots": True, "output_dir": str(tmp_path / "plots")}

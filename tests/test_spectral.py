@@ -210,6 +210,18 @@ def test_gamma_density_validation():
     assert fh.gamma_density(0.0, 0.8) == 0.0
     assert fh.gamma_density(np.inf, 0.8) == 0.0
     assert fh.G_transform(np.inf, 0.8) == 0.0
+    # s outside [0.01, 0.99], or NaN, is refused first: lambda_asymptotic
+    # returned 283.1 at s = 1.7, G_transform -0.0973 at s = 1.5, and
+    # gamma_density raised a QuadratureError that did not name s
+    for f, arg in (
+        (fh.mu_value, 3),
+        (fh.lambda_asymptotic, 3),
+        (fh.gamma_density, 1.0),
+        (fh.G_transform, 1.0),
+    ):
+        for s in (0.0, 1.5, 1.7, -0.5, np.nan):
+            with pytest.raises(ValueError, match="^s must lie in"):
+                f(arg, s)
 
 
 @given(st.floats(-1.0, 1.0, allow_nan=False))
