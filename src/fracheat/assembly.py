@@ -35,7 +35,6 @@ __all__ = [
     "DiscreteOperator",
     "normalization_constant",
     "assemble_stiffness",
-    "assemble_mass",
     "build_operator",
 ]
 
@@ -289,40 +288,16 @@ def assemble_stiffness(grid: Grid, s: float, normalization: str = "symbol") -> n
     return A
 
 
-def assemble_mass(grid: Grid, lumped: bool = False) -> np.ndarray:
-    """Assemble the dense P1 mass matrix over interior DOFs.
-
-    The consistent matrix is tridiagonal with diagonal 2h/3 and
-    off-diagonal h/6; row-sum lumping collapses it to the diagonal h.
-    :class:`DiscreteOperator` stores neither: it keeps the lumped
-    diagonal and builds these dense matrices only when one is read.  The
-    consistent matrix is laid out in Fortran order, the layout LAPACK
-    works in, so a generalized eigensolve can overwrite it in place.
-    """
-    n_i = grid.n_interior
-    h = grid.h
-    if lumped:
-        return np.diag(np.full(n_i, h))
-    M = np.zeros((n_i, n_i), order="F")
-    idx = np.arange(n_i)
-    M[idx, idx] = 2.0 * h / 3.0
-    M[idx[:-1], idx[:-1] + 1] = h / 6.0
-    M[idx[:-1] + 1, idx[:-1]] = h / 6.0
-    return M
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Discrete fractional Laplacian with its mass matrices.
+    """Discrete fractional Laplacian with its lumped mass.
 
     The operator is frozen, and :func:`build_operator` makes its one
     dense n x n array, the stiffness, read-only, so its cached properties
-    cannot go stale.  The lumped mass is stored as its diagonal, which
-    every solver reads.  The dense mass matrices are built from the grid
-    on each read of :attr:`mass` and :attr:`mass_lumped`; in the package
-    only the consistent eigensolve reads one, and LAPACK overwrites it
-    there.  :meth:`mass_times` applies the consistent mass without
-    building it.
+    cannot go stale.  The mass is the row-sum lumped P1 mass, the one
+    that keeps implicit Euler positivity-preserving; it is diagonal, h at
+    every interior DOF, and stored as that diagonal, which every solver
+    and the eigensolve read.
 
     Attributes
     ----------
@@ -349,22 +324,9 @@ class DiscreteOperator:
         return self.grid.n_interior
 
     @property
-    def mass(self) -> np.ndarray:
-        """Dense consistent mass matrix, built on each read."""
-        return assemble_mass(self.grid, lumped=False)
-
-    @property
     def mass_lumped(self) -> np.ndarray:
         """Dense lumped mass matrix, built on each read."""
-        return assemble_mass(self.grid, lumped=True)
-
-    def mass_times(self, X: np.ndarray) -> np.ndarray:
-        """Consistent mass times X, a new array, from the mass's three diagonals."""
-        h = self.grid.h
-        out = (2.0 * h / 3.0) * X
-        out[:-1] += (h / 6.0) * X[1:]
-        out[1:] += (h / 6.0) * X[:-1]
-        return out
+        return np.diag(self.mass_lumped_diag)
 
     @cached_property
     def positivity_preserving(self) -> bool:
@@ -382,15 +344,17 @@ class DiscreteOperator:
 
     @cached_property
     def lumped_basis(self):
-        """All generalized eigenpairs of (stiffness, lumped mass).
+        """All eigenpairs of the stiffness against the lumped mass.
 
         A :class:`~fracheat.spectral.SpectralBasis`, mass-orthonormal and
-        residual-checked.  Every lumped implicit Euler step is diagonal in
-        it, whatever the time step, so it is computed once per operator.
+        residual-checked, and the package's one eigenbasis: the solvers
+        step in it and a run's summary reads its leading pairs.  Every
+        lumped implicit Euler step is diagonal in it, whatever the time
+        step, so it is computed once per operator.
         """
         from .spectral import eigendecompose
 
-        return eigendecompose(self, mass_kind="lumped")
+        return eigendecompose(self)
 
 
 def build_operator(grid: Grid, s: float, normalization: str = "symbol") -> DiscreteOperator:

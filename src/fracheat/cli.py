@@ -11,7 +11,8 @@ run
     :mod:`fracheat_cli` applies that bound, before numpy is first
     imported; :func:`main` itself only accepts the flag.
 spectrum
-    Print the leading eigenvalues of the discrete operator as CSV.
+    Print the leading eigenvalues of the discrete operator, the stiffness
+    against the lumped mass, as CSV.
 obs-curve
     Print lower bounds of the observability constant over a sweep of
     ``--points`` (at least 2) geometrically spaced horizons, with their
@@ -69,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1, help="internal parallelism bound (default 1)"
     )
 
-    p_spec = sub.add_parser("spectrum", help="print leading eigenvalues as CSV")
+    p_spec = sub.add_parser(
+        "spectrum", help="print leading eigenvalues (lumped mass) as CSV"
+    )
     p_spec.add_argument("--s", type=float, required=True, help="fractional order")
     p_spec.add_argument("--nx", type=int, required=True, help="number of mesh cells")
     p_spec.add_argument("--kmax", type=int, default=8, help="eigenvalues to print")

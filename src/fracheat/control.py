@@ -46,6 +46,7 @@ from .dynamics import (
     Trajectory,
     _check_horizon,
     _control_cells,
+    _target_data,
     _write_long_csv,
     generate_target_trajectory,
     simulate,
@@ -135,14 +136,11 @@ class ControlProblem:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (op.n_dof,):
                 raise ValueError(f"{name} must have shape ({op.n_dof},), got {v.shape}")
-            if not np.isfinite(v).all():
-                raise ValueError(f"{name} must be finite")
             put(name, v)
-        if (self.zhat0 <= 0).any():
-            raise ValueError("target initial datum must be strictly positive")
-        uhat = float(self.uhat)
-        if not 0.0 <= uhat < np.inf:
-            raise ValueError(f"uhat must be finite and nonnegative, got {self.uhat}")
+        if not np.isfinite(self.z0).all():
+            raise ValueError("z0 must be finite")
+        zhat0, uhat = _target_data(self.zhat0, self.uhat)
+        put("zhat0", zhat0)
         put("uhat", uhat)
         if self.nonneg_state and not (self.z0.min() >= 0.0 and op.positivity_preserving):
             raise ValueError(

@@ -304,15 +304,26 @@ def generate_target_trajectory(
     Trajectory
         Its final row is the controllability target at time T.
     """
+    zhat0, uhat = _target_data(zhat0, uhat)
+    control = make_control(op.grid, omega, n_t, values=uhat)
+    return simulate(op, zhat0, control, T, n_t)
+
+
+def _target_data(zhat0, uhat) -> tuple[np.ndarray, float]:
+    """A target's data as a float array and a float, checked.
+
+    The one rule for a target trajectory's data: raises ValueError unless
+    zhat0 is finite and > 0 at every node and uhat is finite and >= 0.
+    """
     zhat0 = np.asarray(zhat0, dtype=float)
     if not np.isfinite(zhat0).all():
         raise ValueError("zhat0 must be finite")
     if (zhat0 <= 0).any():
         raise ValueError("target initial datum must be strictly positive")
-    if not 0.0 <= uhat < np.inf:
+    uhat_value = float(uhat)
+    if not 0.0 <= uhat_value < np.inf:
         raise ValueError(f"uhat must be finite and nonnegative, got {uhat}")
-    control = make_control(op.grid, omega, n_t, values=float(uhat))
-    return simulate(op, zhat0, control, T, n_t)
+    return zhat0, uhat_value
 
 
 def trajectory_to_csv(traj: Trajectory, grid: Grid, path) -> None:

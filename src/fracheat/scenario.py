@@ -39,7 +39,7 @@ from .control import (
 from .dynamics import trajectory_to_csv
 from .errors import ConfigError
 from .grid import build_grid
-from .spectral import eigendecompose, gap_statistics, l1_lower_bound
+from .spectral import SpectralBasis, gap_statistics, l1_lower_bound
 
 __all__ = [
     "ScenarioResult",
@@ -136,8 +136,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     op = problem.op
     grid = op.grid
 
+    # the summary's spectrum: the leading pairs of the basis the solvers
+    # step in, so a run solves one eigenproblem
+    full = op.lumped_basis
     k_max = min(8, op.n_dof)
-    basis = eigendecompose(op, k_max=k_max)
+    basis = SpectralBasis(
+        full.eigenvalues[:k_max], full.eigenvectors[:, :k_max], k_max, op.s, grid
+    )
 
     summary: dict = {
         "resolved_config": config.to_dict(),

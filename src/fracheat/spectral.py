@@ -1,16 +1,15 @@
 """Spectral analysis of the discrete fractional Laplacian.
 
-Provides the dense generalized eigensolve together with the diagnostics
-used throughout the package: gap and summability statistics of the
-spectrum, L1 lower bounds of eigenfunctions over a control region, and
-explicit quasi-eigenfunction profiles built from the half-line eigenpairs
-of the operator.  The half-line profiles involve a completely monotone
-correction term G, the Laplace transform of an explicit density that is
-itself the exponential of an integral (Kwasnicki, J. Funct. Anal. 262,
-2012).  One trapezoid rule in log variables evaluates both integrals to
-roundoff.  scipy.linalg is imported by
-:func:`eigendecompose`, its one user here, when it first runs, so that
-importing the package loads no scipy.
+Provides the eigensolve of the stiffness against the lumped mass, the
+package's one mass matrix, together with the diagnostics used throughout
+the package: gap and summability statistics of the spectrum, L1 lower
+bounds of eigenfunctions over a control region, the eigenvalue law
+lambda_k ~ (k pi/2 - (1-s) pi/4)^(2s) of the operator on the interval
+(Kwasnicki, J. Funct. Anal. 262, 2012), and the density of the
+completely monotone correction term in the half-line eigenfunctions of
+the same paper, evaluated by one trapezoid rule in a log variable.
+scipy.linalg is imported by :func:`eigendecompose`, its one user here,
+when it first runs, so that importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -19,24 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteOperator, _require_s, normalization_constant
+from .assembly import DiscreteOperator, _require_s
 from .errors import QuadratureError, SolverError, _check_count
 from .grid import Grid, trapezoid_weights
 
 __all__ = [
     "SpectralBasis",
     "GapReport",
-    "QuasiEigenfunction",
     "eigendecompose",
     "gap_statistics",
     "flattening_ratio",
     "l1_lower_bound",
-    "q_profile",
     "mu_value",
     "lambda_asymptotic",
     "gamma_density",
-    "G_transform",
-    "quasi_eigenfunction",
 ]
 
 # Fraction of the computed spectrum treated as resolved; the top of a P1
@@ -49,28 +44,26 @@ _RESIDUAL_BLOCK = 128
 
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
-    """Sorted generalized eigenpairs of (stiffness, mass).
+    """Sorted eigenpairs of the stiffness against the lumped mass.
 
     Attributes
     ----------
     eigenvalues : ndarray, shape (k_max,)
         Increasing positive eigenvalues.
     eigenvectors : ndarray, shape (n_interior, k_max)
-        Columns are mass-orthonormal discrete eigenfunctions over interior
-        DOFs, each signed so that its entry of largest magnitude among the
-        first (n + 1) // 2 of the n DOFs is positive.  On the symmetric
-        grid each mode is even or odd, so over all DOFs an odd mode's
-        largest entries are a mirror pair of opposite sign, and roundoff
-        would pick between them; the left half, middle DOF included,
-        holds one entry of each pair.
+        Columns are discrete eigenfunctions over interior DOFs,
+        orthonormal in the lumped mass (V^T diag(m) V = I), each signed
+        so that its entry of largest magnitude among the first
+        (n + 1) // 2 of the n DOFs is positive.  On the symmetric grid
+        each mode is even or odd, so over all DOFs an odd mode's largest
+        entries are a mirror pair of opposite sign, and roundoff would
+        pick between them; the left half, middle DOF included, holds one
+        entry of each pair.
     k_max : int
         Number of retained pairs.
     s : float
         Fractional order of the underlying operator.
     grid : Grid
-    mass_kind : str
-        Which mass matrix the basis is orthonormal against
-        ("consistent" or "lumped").
     """
 
     eigenvalues: np.ndarray
@@ -78,7 +71,6 @@ class SpectralBasis:
     k_max: int
     s: float
     grid: Grid
-    mass_kind: str = "consistent"
 
     @property
     def resolved_count(self) -> int:
@@ -106,87 +98,53 @@ class GapReport:
     resolved_count: int
 
 
-@dataclass(frozen=True, eq=False)
-class QuasiEigenfunction:
-    """Explicit approximate eigenfunction profile of index k.
+def eigendecompose(op: DiscreteOperator, k_max: int | None = None) -> SpectralBasis:
+    """Solve the eigenproblem K v = lambda M v with the lumped mass M.
 
-    Attributes
-    ----------
-    k : int
-    mu_k : float
-        Half-line frequency; mu_k^(2s) approximates the k-th eigenvalue.
-    values : ndarray, shape (n_x + 1,)
-        Nodal values over the full grid; exactly zero at both endpoints.
-    residual_norm : float
-        Max over interior nodes of |(M_lumped^-1 K v)_i - mu_k^(2s) v_i|.
-    """
-
-    k: int
-    mu_k: float
-    values: np.ndarray
-    residual_norm: float
-
-
-def eigendecompose(
-    op: DiscreteOperator,
-    k_max: int | None = None,
-    mass_kind: str = "consistent",
-) -> SpectralBasis:
-    """Solve the dense generalized eigenproblem K v = lambda M v.
-
-    With k_max below the number of interior DOFs only the k_max smallest
-    pairs are computed (``eigh``'s ``subset_by_index``), about twice as
-    fast on fine grids.  They agree with the leading pairs of the full
-    solve, which :attr:`DiscreteOperator.lumped_basis` uses, to roundoff
-    but not bit for bit.
+    M = diag(m) is diagonal, so with D = M^(-1/2) the problem is the
+    standard symmetric one D K D w = lambda w, and v = D w.  With k_max
+    below the number of interior DOFs only the k_max smallest pairs are
+    computed (``eigh``'s ``subset_by_index``), about three times as fast
+    on fine grids.  They agree with the leading pairs of the full solve,
+    which :attr:`DiscreteOperator.lumped_basis` caches, to roundoff but
+    not bit for bit.
 
     Parameters
     ----------
     op : DiscreteOperator
     k_max : int, optional
         Number of leading pairs to keep; defaults to all interior DOFs.
-    mass_kind : str
-        "consistent" (default) or "lumped".
 
     Returns
     -------
     SpectralBasis
-        Eigenvalues increasing, eigenvectors mass-orthonormal, each column
-        signed as :class:`SpectralBasis` states (this makes the ground
-        state nonnegative at every interior node).
+        Eigenvalues increasing, eigenvectors orthonormal in the lumped
+        mass, each column signed as :class:`SpectralBasis` states (this
+        makes the ground state nonnegative at every interior node).
 
     Raises
     ------
     ValueError
-        If k_max is not an integer in [1, n] or mass_kind is unknown.
+        If k_max is not an integer in [1, n].
     SolverError
         If any retained pair has relative residual above 1e-8.
     """
     n = op.n_dof
     k_max = n if k_max is None else _check_count("k_max", k_max, maximum=n)
-    if mass_kind not in ("consistent", "lumped"):
-        raise ValueError(f"mass kind must be 'consistent' or 'lumped', got {mass_kind!r}")
     from scipy.linalg import eigh
 
     K = op.stiffness
     subset = None if k_max == n else [0, k_max - 1]
-    # Each dense matrix LAPACK needs is built once, in its column-major
-    # layout, and overwritten in place.  K itself is passed as is: it is
-    # symmetric only up to roundoff, so its transpose is not the same input.
-    if mass_kind == "lumped":
-        # Diagonal mass: reduce to a standard symmetric problem directly.
-        m = op.mass_lumped_diag
-        d = 1.0 / np.sqrt(m)
-        A = np.multiply(d[:, None], K, order="F")
-        A *= d
-        lam, V = eigh(A, subset_by_index=subset, overwrite_a=True)
-        del A
-        # exactly k_max pairs, stored in C order
-        V = np.multiply(d[:, None], V, order="C")
-    else:
-        lam, V = eigh(K, op.mass, subset_by_index=subset, overwrite_b=True)
-        # eigh returned exactly k_max pairs; the copy stores V in C order
-        V = V.copy()
+    m = op.mass_lumped_diag
+    d = 1.0 / np.sqrt(m)
+    # D K D is built once, in LAPACK's column-major layout, and
+    # overwritten in place
+    A = np.multiply(d[:, None], K, order="F")
+    A *= d
+    lam, V = eigh(A, subset_by_index=subset, overwrite_a=True)
+    del A
+    # exactly k_max pairs, stored in C order
+    V = np.multiply(d[:, None], V, order="C")
     flip = V[np.abs(V[: (n + 1) // 2]).argmax(axis=0), np.arange(k_max)] < 0.0
     V[:, flip] *= -1.0
 
@@ -195,7 +153,7 @@ def eigendecompose(
     rel = np.empty(k_max)
     for j in range(0, k_max, _RESIDUAL_BLOCK):
         b = slice(j, j + _RESIDUAL_BLOCK)
-        resid = m[:, None] * V[:, b] if mass_kind == "lumped" else op.mass_times(V[:, b])
+        resid = m[:, None] * V[:, b]
         scale = lam[b] * np.linalg.norm(resid, axis=0)
         resid *= lam[None, b]
         resid -= K @ V[:, b]
@@ -208,14 +166,7 @@ def eigendecompose(
         )
     lam.setflags(write=False)
     V.setflags(write=False)
-    return SpectralBasis(
-        eigenvalues=lam,
-        eigenvectors=V,
-        k_max=k_max,
-        s=op.s,
-        grid=op.grid,
-        mass_kind=mass_kind,
-    )
+    return SpectralBasis(eigenvalues=lam, eigenvectors=V, k_max=k_max, s=op.s, grid=op.grid)
 
 
 def gap_statistics(basis: SpectralBasis) -> GapReport:
@@ -277,23 +228,6 @@ def l1_lower_bound(basis: SpectralBasis, omega: tuple[float, float]) -> float:
     return float(vals.min())
 
 
-def q_profile(x):
-    """C^1 ramp from 0 to 1 over [-1/3, 1/3].
-
-    Piecewise polynomial: 0 left of -1/3, the quadratic 9/2 (x + 1/3)^2 up
-    to 0, its point reflection 1 - 9/2 (x - 1/3)^2 up to 1/3, then 1.
-    Satisfies q(x) + q(-x) = 1.  Accepts scalars or arrays.
-    """
-    x = np.asarray(x, dtype=float)
-    third = 1.0 / 3.0
-    out = np.where(
-        x <= 0.0,
-        np.where(x <= -third, 0.0, 4.5 * (x + third) ** 2),
-        np.where(x >= third, 1.0, 1.0 - 4.5 * (x - third) ** 2),
-    )
-    return out if out.ndim else float(out)
-
-
 def mu_value(k, s: float):
     """Half-line frequency mu_k = k pi/2 - (1-s) pi/4.
 
@@ -331,20 +265,22 @@ def _g_log_ratio(t: np.ndarray, s: float) -> np.ndarray:
     return g_neg + (2.0 * s - 2.0) * np.maximum(t, 0.0)
 
 
-# One trapezoid rule of step h serves both integrals below.  In their log
-# variables both integrands are analytic in the strip |Im| < pi/2 and decay
+# The density's inner integral is a trapezoid rule of step h.  In its log
+# variable the integrand is analytic in the strip |Im| < pi/2 and decays
 # exponentially, so the rule's error falls like exp(-pi^2 / h), about 1e-17.
 _TRAP_STEP = 0.25
 # nodes tau in [-36, 36] of the density's inner integral, with their
 # weights h sech(tau) / 2
 _TAU = _TRAP_STEP * np.arange(-144, 145)
 _TAU_WEIGHTS = _TRAP_STEP / (2.0 * np.cosh(_TAU))
-# left end x = log(y) of the Laplace integral, where its integrand is below e^-40
-_X_LO = -40.0
 
 
 def gamma_density(y, s: float):
-    """Density whose Laplace transform is the monotone correction term G.
+    """Density whose Laplace transform is the correction term G.
+
+    G is the completely monotone term of the half-line eigenfunctions of
+    the fractional Laplacian (Kwasnicki, J. Funct. Anal. 262, 2012); the
+    total mass of gamma is sin((1-s) pi/4), the limit of G at 0.
 
     gamma(y) = sqrt(4s) sin(s pi) y^(2s) / (2 pi (1 + y^(4s)
     - 2 y^(2s) cos(s pi))) * exp(I(y) / pi), where I(y) integrates
@@ -395,98 +331,3 @@ def gamma_density(y, s: float):
             )
         out[pos] = vals
     return out if out.ndim else float(out)
-
-
-def G_transform(xi, s: float):
-    """Laplace transform of :func:`gamma_density` at xi > 0.
-
-    Completely monotone, hence positive and decreasing, with decay
-    O(xi^(-1-2s)).  With y = e^x, G(xi) is the integral of
-    gamma(e^x) e^(x - xi e^x) over the real line.  The trapezoid rule of
-    step 1/4 evaluates it on one grid x = -40 + j/4 that all xi share,
-    up to log(40 / min xi), where e^(-xi y) is below e^-40; one matrix
-    product against gamma on that grid gives every G(xi).
-
-    Parameters
-    ----------
-    xi : scalar or ndarray
-        Positive evaluation points.
-    s : float
-        Fractional order in [0.01, 0.99], checked first.
-
-    Returns
-    -------
-    Same shape as xi.
-    """
-    s = _require_s(s)
-    xi_arr = np.asarray(xi, dtype=float)
-    if not (xi_arr > 0).all():
-        raise ValueError("xi must be positive")
-    # min over no points is inf, and G(inf) = 0 needs only the first node
-    x_hi = max(_X_LO, np.log(40.0) - np.log(xi_arr.min(initial=np.inf)))
-    y = np.exp(_X_LO + _TRAP_STEP * np.arange(int(np.ceil((x_hi - _X_LO) / _TRAP_STEP)) + 1))
-    out = np.exp(-xi_arr[..., None] * y) @ (_TRAP_STEP * y * gamma_density(y, s))
-    return out if out.ndim else float(out)
-
-
-def quasi_eigenfunction(k: int, op: DiscreteOperator) -> QuasiEigenfunction:
-    """Explicit approximate eigenfunction of index k on the grid.
-
-    Builds the profile q(-x) F(mu_k (1 + x)) + (-1)^(k+1) q(x)
-    F(mu_k (1 - x)) with F(xi) = sin(xi + (1-s) pi/4) - G(xi) for xi > 0
-    and 0 otherwise, where q is :func:`q_profile`.  The reflected term
-    carries the weight q(x) and the sign (-1)^(k+1) so that the two
-    halves match the single half-line profile on the overlap; in
-    particular the ground state k = 1 is even.
-
-    Parameters
-    ----------
-    k : int
-        Integer index >= 1; the grid must satisfy n_x >= 8 k to resolve the
-        oscillation.
-    op : DiscreteOperator
-
-    Returns
-    -------
-    QuasiEigenfunction
-        The residual is measured against the symbol-normalized operator
-        regardless of how ``op`` was normalized, since the target value
-        mu_k^(2s) is tied to that convention.
-    """
-    k = _check_count("k", k)
-    grid = op.grid
-    if grid.n_x < 8 * k:
-        raise ValueError(
-            f"grid too coarse for k={k}: need n_x >= {8 * k}, got {grid.n_x}"
-        )
-    s = op.s
-    mu = mu_value(k, s)
-    theta = (1.0 - s) * np.pi / 4.0
-    x = grid.nodes
-
-    def F(xi: np.ndarray) -> np.ndarray:
-        vals = np.zeros_like(xi)
-        pos = xi > 0.0
-        vals[pos] = np.sin(xi[pos] + theta) - G_transform(xi[pos], s)
-        return vals
-
-    sign = 1.0 if k % 2 == 1 else -1.0
-    values = q_profile(-x) * F(mu * (1.0 + x)) + sign * q_profile(x) * F(
-        mu * (1.0 - x)
-    )
-    values[0] = 0.0
-    values[-1] = 0.0
-
-    v_int = values[grid.interior]
-    Kv = op.stiffness @ v_int
-    if op.normalization != "symbol":
-        Kv *= normalization_constant(s)
-    resid = Kv / op.mass_lumped_diag - mu ** (2.0 * s) * v_int
-    values.setflags(write=False)
-    return QuasiEigenfunction(
-        k=k,
-        mu_k=float(mu),
-        values=values,
-        residual_norm=float(np.abs(resid).max()),
-    )
-

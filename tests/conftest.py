@@ -21,16 +21,18 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
-# unit-normalized eigenvalues, s = 0.8, n_x = 20, consistent mass
+# unit-normalized eigenvalues, s = 0.8, n_x = 20, lumped mass, from
+# numpy.linalg.eigvalsh of D K D with D = diag(m)^(-1/2), not from the
+# package's eigensolve
 FROZEN_LAMBDA_UNIT = [
-    6.4909867238284784,
-    21.652165024006944,
-    42.696484132362919,
-    68.998078124604675,
-    100.2108371031818,
-    136.35361477772733,
-    177.56808646401046,
-    224.18903992533615,
+    6.463712791154024,
+    21.294692233791213,
+    41.135862484799254,
+    64.5902135344991,
+    90.40788941764018,
+    117.59768360718012,
+    145.23388895428363,
+    172.54438154609394,
 ]
 
 

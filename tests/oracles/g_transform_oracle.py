@@ -1,13 +1,13 @@
-"""High-precision oracle for the density gamma and its Laplace transform G.
+"""High-precision oracle for the density gamma of the correction term G.
 
-Evaluates the printed formulas directly with mpmath nested quadrature at
+Evaluates the printed formula directly with mpmath nested quadrature at
 30 significant digits, independent of the package's trapezoid rule: the
-inner integral in r is split at the removable singularity r = 1/y, and the
-Laplace integral is split at the density's knee.  Every value printed here
-is frozen into the spectral tests.
+inner integral in r is split at the removable singularity r = 1/y.  Every
+value printed here is frozen into the spectral tests.
 
 Checks the analytic mass identity: the total integral of gamma equals
-sin((1-s) pi / 4), which is the xi -> 0 limit of G.
+sin((1-s) pi / 4), which is the xi -> 0 limit of G, the Laplace transform
+of gamma.
 
 Run: python3 tests/oracles/g_transform_oracle.py
 """
@@ -39,14 +39,6 @@ def gamma_oracle(y, s):
     return pref * mp.exp(inner / mp.pi)
 
 
-def G_oracle(xi, s):
-    xi = mp.mpf(xi)
-    return mp.quad(
-        lambda y: mp.e ** (-xi * y) * gamma_oracle(y, s),
-        [0, mp.mpf(1) / 2, 1, 2, 5, 10, 30 / xi, mp.inf],
-    )
-
-
 def gamma_mass(s):
     return mp.quad(lambda y: gamma_oracle(y, s), [0, mp.mpf(1) / 2, 1, 2, 5, 20, mp.inf])
 
@@ -64,10 +56,3 @@ if __name__ == "__main__":
     ]:
         v = gamma_oracle(mp.mpf(y), mp.mpf(s))
         print(f"gamma({y}, s={s}) = {mp.nstr(v, 17)}")
-    print()
-    for (xi, s) in [
-        ("1", "0.8"), ("5", "0.8"), ("10", "0.5"), ("2", "0.3"), ("0.05", "0.8"),
-        ("1", "0.01"), ("0.05", "0.99"),
-    ]:
-        v = G_oracle(mp.mpf(xi), mp.mpf(s))
-        print(f"G({xi}, s={s}) = {mp.nstr(v, 17)}")

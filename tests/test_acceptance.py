@@ -188,7 +188,7 @@ def test_criterion_06_positivity_suite(op20_unit):
 
 
 def test_criterion_07_duhamel_halving(op20_unit, cos_profile):
-    basis = fh.eigendecompose(op20_unit, mass_kind="lumped")
+    basis = fh.eigendecompose(op20_unit)
     m = np.diag(op20_unit.mass_lumped)
     V = basis.eigenvectors
     z0 = 2.0 * cos_profile

@@ -87,32 +87,24 @@ def test_unit_normalization_rescales_stiffness():
 
 
 def test_mass_matrices():
-    g = fh.build_grid(10)
-    M = fh.assemble_mass(g)
-    M_l = fh.assemble_mass(g, lumped=True)
-    h = g.h
-    n = g.n_interior
-    assert M.shape == (n, n)
-    assert np.allclose(np.diag(M), 2 * h / 3)
-    assert np.allclose(np.diag(M, 1), h / 6)
-    # lumping preserves total mass row by row
-    assert np.allclose(np.diag(M_l), M.sum(axis=1) + np.r_[h / 6, np.zeros(n - 2), h / 6])
-    assert np.allclose(M_l, np.diag(np.diag(M_l)))
+    # row-sum lumping gives each interior node the integral of its hat, h;
+    # the dense matrix and the stored diagonal are the same mass
+    op = fh.build_operator(fh.build_grid(10), s=0.8)
+    n, h = op.n_dof, op.grid.h
+    assert op.mass_lumped.shape == (n, n)
+    assert np.array_equal(op.mass_lumped, np.diag(np.full(n, h)))
+    assert np.array_equal(op.mass_lumped_diag, np.diag(op.mass_lumped))
 
 
 def test_build_operator_bundles_consistently(op20_symbol):
     g = op20_symbol.grid
     assert op20_symbol.n_dof == g.n_interior
-    assert np.allclose(op20_symbol.mass, fh.assemble_mass(g))
-    assert np.allclose(op20_symbol.mass_lumped, fh.assemble_mass(g, lumped=True))
-    assert np.array_equal(op20_symbol.mass_lumped_diag, np.diag(op20_symbol.mass_lumped))
-    X = np.random.default_rng(0).standard_normal((op20_symbol.n_dof, 3))
-    assert np.allclose(op20_symbol.mass_times(X), op20_symbol.mass @ X, rtol=1e-14)
+    assert np.array_equal(op20_symbol.mass_lumped_diag, np.full(g.n_interior, g.h))
     assert op20_symbol.s == 0.8
 
 
 def test_operator_holds_one_dense_matrix():
-    # the masses are stored by their structure: only the stiffness is n x n,
+    # the mass is stored as its diagonal: only the stiffness is n x n,
     # and it is assembled in its own buffer with no second copy
     fh.build_operator(fh.build_grid(8), s=0.8)  # fills the quadrature caches
     op, held, peak = traced(lambda: fh.build_operator(fh.build_grid(400), s=0.8))

@@ -14,7 +14,7 @@ from conftest import traced
 
 def modal_reference(op, z0, control, T):
     """Exact semigroup solution of the lumped semi-discrete system."""
-    basis = fh.eigendecompose(op, mass_kind="lumped")
+    basis = fh.eigendecompose(op)
     m = np.diag(op.mass_lumped)
     V = basis.eigenvectors
     z0c = V.T @ (m * z0)
@@ -117,7 +117,7 @@ def test_implicit_lumped_positivity_property(seed):
 
 
 def test_duhamel_spectral_pure_decay(op20_unit, cos_profile):
-    basis = fh.eigendecompose(op20_unit, mass_kind="lumped")
+    basis = fh.eigendecompose(op20_unit)
     m = np.diag(op20_unit.mass_lumped)
     z0c = basis.eigenvectors.T @ (m * cos_profile)
     out = fh.duhamel_spectral(basis, z0c, None, 0.3)
@@ -130,7 +130,7 @@ def test_duhamel_spectral_pure_decay(op20_unit, cos_profile):
 
 def test_duhamel_spectral_constant_control(op20_unit):
     # a constant modal control integrates to u (1 - e^{-lam t}) / lam
-    basis = fh.eigendecompose(op20_unit, k_max=4, mass_kind="lumped")
+    basis = fh.eigendecompose(op20_unit, k_max=4)
     lam = basis.eigenvalues
     u = np.ones((8, 4)) * 0.7
     out = fh.duhamel_spectral(basis, np.zeros(4), u, 0.9)

@@ -30,20 +30,17 @@ FROZEN_ALL = [
     "DiscreteOperator",
     "FixedTimeOutcome",
     "FracheatError",
-    "G_transform",
     "GapReport",
     "Grid",
     "HorizonMode",
     "MinimalTimeReport",
     "QuadratureError",
-    "QuasiEigenfunction",
     "ScenarioConfig",
     "ScenarioResult",
     "SolverError",
     "SpectralBasis",
     "Trajectory",
     "__version__",
-    "assemble_mass",
     "assemble_stiffness",
     "blowup_curve",
     "blowup_curve_to_csv",
@@ -67,8 +64,6 @@ FROZEN_ALL = [
     "nodes_in_interval",
     "normalization_constant",
     "parse_config",
-    "q_profile",
-    "quasi_eigenfunction",
     "run_scenario",
     "simulate",
     "solve_constrained_fixed_time",
@@ -116,7 +111,6 @@ ARRAY_RECORDS = {
     "DiscreteOperator": lambda: _case1().op,
     "SpectralBasis": lambda: fh.eigendecompose(_case1().op),
     "GapReport": lambda: fh.gap_statistics(fh.eigendecompose(_case1().op)),
-    "QuasiEigenfunction": lambda: fh.quasi_eigenfunction(1, _case1().op),
     "Trajectory": lambda: _case1().target_at(0.5, 20),
     "ControlField": lambda: fh.make_control(fh.build_grid(10), (-0.3, 0.8), 20, 0.1),
     "ControlProblem": _case1,
@@ -141,7 +135,6 @@ COUNT_ARGUMENTS = {
     "build_grid": ("n_x", 2, lambda prob, n: fh.build_grid(n)),
     "simulate": ("n_t", 1, lambda prob, n: fh.simulate(prob.op, prob.z0, None, 0.5, n)),
     "make_control": ("n_t", 1, lambda prob, n: fh.make_control(prob.op.grid, prob.omega, n, 0.1)),
-    "quasi_eigenfunction": ("k", 1, lambda prob, n: fh.quasi_eigenfunction(n, prob.op)),
     "eigendecompose": ("k_max", 1, lambda prob, n: fh.eigendecompose(prob.op, k_max=n)),
     "blowup_curve": (
         "K", 1, lambda prob, n: fh.blowup_curve(fh.mu_value(np.arange(1, 5), 0.8), [2.0, 0.5], n)

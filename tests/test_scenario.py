@@ -117,6 +117,38 @@ def test_minimal_time_run_summary(tmp_path, schema):
     )
 
 
+@pytest.mark.parametrize(
+    "horizon", [{"fixed": 0.9}, {"minimal_time": {"bracket": [0.2, 0.9], "tol": 0.3}}]
+)
+def test_run_solves_one_eigenproblem(tmp_path, monkeypatch, horizon):
+    # the summary's spectrum is the leading pairs of the basis the solvers
+    # step in, so a run, fixed or bisecting, solves exactly one eigenproblem
+    import scipy.linalg
+
+    eigh, build = scipy.linalg.eigh, fh.scenario.build_problem_from_config
+    calls, problems = [], []
+
+    def counted_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    def recorded_build(config):
+        problems.append(build(config))
+        return problems[-1]
+
+    monkeypatch.setattr("scipy.linalg.eigh", counted_eigh)
+    monkeypatch.setattr("fracheat.scenario.build_problem_from_config", recorded_build)
+    cfg = fh.parse_config(
+        json.dumps(
+            {"n_x": 20, "n_t": 30, "horizon_mode": horizon, "output_dir": str(tmp_path)}
+        )
+    )
+    summary = fh.run_scenario(cfg).summary
+    assert calls == [(19, 19)]
+    (problem,) = problems
+    assert summary["lambda"] == problem.op.lumped_basis.eigenvalues[:8].tolist()
+
+
 def test_schema_declares_every_basis(schema):
     assert schema["definitions"]["basis"]["enum"] == list(BASES)
     ref = {"$ref": "#/definitions/basis"}

@@ -1,4 +1,6 @@
-"""Spectral decomposition, gap statistics, and heat-kernel correction term."""
+"""Spectral decomposition against the lumped mass, gap statistics, the
+asymptotic eigenvalue law, and the density of the half-line correction
+term."""
 
 from __future__ import annotations
 
@@ -6,14 +8,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import fracheat as fh
 from conftest import FROZEN_LAMBDA_UNIT, traced
 
-# gamma_density / G_transform values frozen from tests/oracles/
-# g_transform_oracle.py (mpmath, 30-digit working precision)
+# gamma_density values frozen from tests/oracles/g_transform_oracle.py
+# (mpmath, 30-digit working precision)
 FROZEN_GAMMA = {
     (0.5, 0.8): 0.030243065669621736,
     (2.0, 0.8): 0.026328117854490876,
@@ -21,15 +22,6 @@ FROZEN_GAMMA = {
     (0.05, 0.3): 0.024212783683936022,
     (1.0, 0.01): 0.085835337151094443,
     (0.3, 0.05): 0.087232564179726524,
-}
-FROZEN_G = {
-    (1.0, 0.8): 0.024307758149195393,
-    (5.0, 0.8): 0.0020879622462852298,
-    (10.0, 0.5): 0.001828907039754192,
-    (2.0, 0.3): 0.030473497020083976,
-    (0.05, 0.8): 0.11733971716118192,
-    (1.0, 0.01): 0.073184830514546517,
-    (0.05, 0.99): 0.0063459837400954944,
 }
 
 
@@ -42,14 +34,9 @@ def test_frozen_unit_eigenvalues(basis20):
     assert basis20.eigenvalues == pytest.approx(FROZEN_LAMBDA_UNIT, rel=1e-12)
 
 
-def test_eigendecompose_rejects_unknown_mass_kind(op20_unit):
-    with pytest.raises(ValueError, match="mass kind"):
-        fh.eigendecompose(op20_unit, mass_kind="weird")
-
-
 def test_eigenvectors_mass_orthonormal(basis20, op20_unit):
     V = basis20.eigenvectors
-    G = V.T @ op20_unit.mass @ V
+    G = V.T @ (op20_unit.mass_lumped_diag[:, None] * V)
     assert np.allclose(G, np.eye(8), atol=1e-10)
 
 
@@ -68,31 +55,23 @@ def op200_unit():
     return fh.build_operator(fh.build_grid(200), s=0.8, normalization="unit")
 
 
-@pytest.mark.parametrize("mass_kind", ["consistent", "lumped"])
-def test_partial_eigensolve_matches_full(op200_unit, mass_kind):
-    part = fh.eigendecompose(op200_unit, k_max=8, mass_kind=mass_kind)
-    full = fh.eigendecompose(op200_unit, mass_kind=mass_kind)
+def test_partial_eigensolve_matches_full(op200_unit):
+    part = fh.eigendecompose(op200_unit, k_max=8)
+    full = fh.eigendecompose(op200_unit)
     assert part.k_max == 8
     assert part.eigenvalues == pytest.approx(full.eigenvalues[:8], rel=1e-12)
     assert np.abs(part.eigenvectors - full.eigenvectors[:, :8]).max() <= 1e-9
 
 
 def test_eigensolve_peak_memory(op20_unit, op400_symbol):
-    # LAPACK overwrites the one dense matrix built for it: M for the
-    # consistent solve, D K D for the lumped one; K is copied only where it
-    # is LAPACK's input.  The full lumped basis holds V beside D K D, and
-    # its residual is checked a block of columns at a time
+    # LAPACK overwrites the one dense matrix built for it, D K D.  The full
+    # basis holds V beside D K D, and its residual is checked a block of
+    # columns at a time
     fh.eigendecompose(op20_unit, k_max=3)  # imports scipy.linalg untraced
     n2 = 8.0 * op400_symbol.n_dof ** 2
-    for mass_kind, k_max, bound in (
-        ("consistent", 8, 2.2),
-        ("lumped", 8, 1.25),
-        ("lumped", None, 2.2),
-    ):
-        _, _, peak = traced(
-            lambda: fh.eigendecompose(op400_symbol, k_max=k_max, mass_kind=mass_kind)
-        )
-        assert peak <= bound * n2, (mass_kind, k_max)
+    for k_max, bound in ((8, 1.25), (None, 2.2)):
+        _, _, peak = traced(lambda: fh.eigendecompose(op400_symbol, k_max=k_max))
+        assert peak <= bound * n2, k_max
 
 
 def test_lumped_basis_is_the_full_solve(op200_unit):
@@ -100,24 +79,29 @@ def test_lumped_basis_is_the_full_solve(op200_unit):
 
 
 def test_lumped_basis_close_to_consistent(op20_unit, basis20):
-    basis_l = fh.eigendecompose(op20_unit, k_max=8, mass_kind="lumped")
-    # lumping perturbs lambda_k at O((k h)^2) relative; k = 3 on this grid
-    # sits below 4 percent
-    assert basis_l.eigenvalues[:3] == pytest.approx(basis20.eigenvalues[:3], rel=0.04)
-    assert basis_l.mass_kind == "lumped"
+    # the consistent P1 mass, tridiagonal with 2h/3 and h/6, is built here
+    # as the Galerkin reference; lumping perturbs lambda_k at O((k h)^2)
+    # relative, and k = 3 on this grid sits below 4 percent
+    from scipy.linalg import eigh
+
+    n, h = op20_unit.n_dof, op20_unit.grid.h
+    M = np.diag(np.full(n, 2.0 * h / 3.0))
+    M += np.diag(np.full(n - 1, h / 6.0), 1) + np.diag(np.full(n - 1, h / 6.0), -1)
+    consistent = eigh(op20_unit.stiffness, M, eigvals_only=True)
+    assert basis20.eigenvalues[:3] == pytest.approx(consistent[:3], rel=0.04)
 
 
 def test_gap_statistics_frozen(basis20):
     report = fh.gap_statistics(basis20)
     assert report.resolved_count == 6
-    assert report.min_gap == pytest.approx(15.161178300178467, rel=1e-12)
+    assert report.min_gap == pytest.approx(14.83097944263719, rel=1e-12)
     assert report.partial_sums[0] == pytest.approx(1.0 / FROZEN_LAMBDA_UNIT[0])
     assert np.all(np.diff(report.partial_sums) > 0)
 
 
 def test_l1_lower_bound_frozen(basis20):
     beta = fh.l1_lower_bound(basis20, (-0.3, 0.8))
-    assert beta == pytest.approx(0.68055518652950397, rel=1e-12)
+    assert beta == pytest.approx(0.6470503520761145, rel=1e-12)
     assert beta > 0
     # monotone in the observation window
     assert fh.l1_lower_bound(basis20, (-0.5, 0.9)) >= beta
@@ -133,6 +117,15 @@ def test_mu_value_and_lambda_asymptotic():
     arr = fh.lambda_asymptotic(np.arange(1, 5), 0.5)
     assert arr.shape == (4,)
     assert np.all(np.diff(arr) > 0)
+    # NaN fails the range checks
+    with pytest.raises(ValueError, match="k must be"):
+        fh.mu_value(np.array([1.0, np.nan]), 0.8)
+    # s outside [0.01, 0.99], or NaN, is refused first: lambda_asymptotic
+    # returned 283.1 at s = 1.7
+    for f in (fh.mu_value, fh.lambda_asymptotic):
+        for s in (0.0, 1.5, 1.7, -0.5, np.nan):
+            with pytest.raises(ValueError, match="^s must lie in"):
+                f(3, s)
 
 
 def test_asymptotic_law_tracks_discrete_spectrum():
@@ -152,27 +145,6 @@ def test_gamma_density_matches_oracle(y, s):
     assert fh.gamma_density(y, s) == pytest.approx(FROZEN_GAMMA[(y, s)], rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize(("xi", "s"), sorted(FROZEN_G))
-def test_g_transform_matches_oracle(xi, s):
-    assert fh.G_transform(xi, s) == pytest.approx(FROZEN_G[(xi, s)], rel=1e-12, abs=0.0)
-
-
-@pytest.mark.parametrize("s", [0.01, 0.5, 0.99])
-def test_g_transform_batch_matches_pointwise(s):
-    # a batch shares one grid, sized by its smallest xi; each single call
-    # sizes its own, and the two agree to roundoff
-    xi = np.geomspace(1e-3, 1e3, 60)
-    pointwise = np.array([fh.G_transform(x, s) for x in xi])
-    assert fh.G_transform(xi, s) == pytest.approx(pointwise, rel=1e-13, abs=0.0)
-
-
-def test_g_transform_empty_and_infinite_xi():
-    empty = fh.G_transform(np.array([]), 0.8)
-    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
-    assert fh.G_transform(np.inf, 0.8) == 0.0
-    assert fh.G_transform(np.array([1.0, np.inf]), 0.8)[1] == 0.0
-
-
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
 def test_gamma_total_mass_identity(s):
     # integral of gamma over (0, inf) equals sin((1 - s) pi / 4)
@@ -181,134 +153,16 @@ def test_gamma_total_mass_identity(s):
     assert total == pytest.approx(math.sin((1.0 - s) * math.pi / 4.0), rel=1e-7)
 
 
-@pytest.mark.parametrize("s", [0.3, 0.5, 0.99])
-def test_g_transform_tends_to_gamma_mass(s):
-    # G(xi) -> sin((1 - s) pi / 4) as xi -> 0, the gap shrinking like xi^s
-    mass = math.sin((1.0 - s) * math.pi / 4.0)
-    assert fh.G_transform(1e-60, s) == pytest.approx(mass, rel=1e-12, abs=0.0)
-
-
-def test_g_transform_positive_decreasing():
-    xi = np.linspace(0.2, 15.0, 40)
-    vals = fh.G_transform(xi, 0.8)
-    assert (vals > 0).all()
-    assert np.all(np.diff(vals) < 0)
-
-
 def test_gamma_density_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         fh.gamma_density(-0.1, 0.8)
-    with pytest.raises(ValueError, match="positive"):
-        fh.G_transform(0.0, 0.8)
-    # NaN fails every range check, so it cannot set the end of G's grid
+    # NaN fails the range check
     with pytest.raises(ValueError, match="nonnegative"):
         fh.gamma_density(np.nan, 0.8)
-    with pytest.raises(ValueError, match="positive"):
-        fh.G_transform(np.array([1.0, np.nan]), 0.8)
-    with pytest.raises(ValueError, match="k must be"):
-        fh.mu_value(np.array([1.0, np.nan]), 0.8)
     assert fh.gamma_density(0.0, 0.8) == 0.0
     assert fh.gamma_density(np.inf, 0.8) == 0.0
-    assert fh.G_transform(np.inf, 0.8) == 0.0
-    # s outside [0.01, 0.99], or NaN, is refused first: lambda_asymptotic
-    # returned 283.1 at s = 1.7, G_transform -0.0973 at s = 1.5, and
-    # gamma_density raised a QuadratureError that did not name s
-    for f, arg in (
-        (fh.mu_value, 3),
-        (fh.lambda_asymptotic, 3),
-        (fh.gamma_density, 1.0),
-        (fh.G_transform, 1.0),
-    ):
-        for s in (0.0, 1.5, 1.7, -0.5, np.nan):
-            with pytest.raises(ValueError, match="^s must lie in"):
-                f(arg, s)
-
-
-@given(st.floats(-1.0, 1.0, allow_nan=False))
-def test_q_profile_point_symmetry(x):
-    assert fh.q_profile(x) + fh.q_profile(-x) == pytest.approx(1.0, abs=1e-12)
-    assert -1e-12 <= fh.q_profile(x) <= 1.0 + 1e-12
-
-
-def test_q_profile_ramp_shape():
-    x = np.linspace(-1.0, 1.0, 201)
-    q = fh.q_profile(x)
-    assert np.all(q[x <= -1.0 / 3.0] == 0.0)
-    assert np.all(q[x >= 1.0 / 3.0] == 1.0)
-    assert np.all(np.diff(q) >= 0)
-
-
-def test_quasi_eigenfunction_structure(op400_symbol):
-    q = fh.quasi_eigenfunction(1, op400_symbol)
-    g = op400_symbol.grid
-    assert q.values.shape == (g.n_x + 1,)
-    assert q.values[0] == 0.0 and q.values[-1] == 0.0
-    assert q.mu_k == pytest.approx(fh.mu_value(1, 0.8))
-    # first profile resembles the ground state: single sign
-    assert (q.values[g.interior] > 0).all()
-
-
-def test_quasi_eigenfunction_residual_small_vs_eigenvalue(op400_symbol):
-    # the k=1 sup-norm residual is well below the eigenvalue scale
-    q = fh.quasi_eigenfunction(1, op400_symbol)
-    assert q.residual_norm == pytest.approx(0.620612, rel=1e-4)
-    assert q.residual_norm < fh.lambda_asymptotic(1, 0.8)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="whole-domain sup residual grows with k on the discrete grid: "
-    "the profile's boundary layer is steeper for larger k and the nodal "
-    "residual there dominates, so the O(1/mu_k) decay is not visible "
-    "without excluding nodes near the endpoints",
-)
-def test_quasi_eigenfunction_residual_decays_with_k(op400_symbol):
-    r1 = fh.quasi_eigenfunction(1, op400_symbol).residual_norm
-    r4 = fh.quasi_eigenfunction(4, op400_symbol).residual_norm
-    mu1 = fh.mu_value(1, 0.8)
-    mu4 = fh.mu_value(4, 0.8)
-    assert r4 <= r1 * (mu1 / mu4) * 5.0
-
-
-def test_quasi_eigenfunction_interior_residual_decays(op400_symbol):
-    # away from the endpoints (|x| <= 0.9) the residual does decay in k
-    g = op400_symbol.grid
-    K = op400_symbol.stiffness
-    m = np.diag(op400_symbol.mass_lumped)
-    window = np.abs(g.interior_nodes) <= 0.9
-
-    def windowed_residual(k):
-        q = fh.quasi_eigenfunction(k, op400_symbol)
-        v = q.values[g.interior]
-        res = np.abs((K @ v) / m - q.mu_k ** (2 * 0.8) * v)
-        return float(res[window].max())
-
-    r1 = windowed_residual(1)
-    r4 = windowed_residual(4)
-    assert r1 == pytest.approx(0.0622197, rel=1e-4)
-    assert r4 == pytest.approx(0.0128129, rel=1e-4)
-    assert r4 < r1
-
-
-def test_quasi_eigenfunction_at_smallest_s():
-    op = fh.build_operator(fh.build_grid(40), s=0.01, normalization="symbol")
-    q = fh.quasi_eigenfunction(1, op)
-    assert np.isfinite(q.values).all()
-    assert np.isfinite(q.residual_norm)
-
-
-def test_quasi_eigenfunction_residual_ignores_normalization():
-    # the residual is taken against the symbol-normalized operator either way
-    g = fh.build_grid(40)
-    r_sym = fh.quasi_eigenfunction(1, fh.build_operator(g, 0.8, "symbol")).residual_norm
-    r_unit = fh.quasi_eigenfunction(1, fh.build_operator(g, 0.8, "unit")).residual_norm
-    assert r_unit == pytest.approx(r_sym, rel=1e-12, abs=0.0)
-
-
-def test_quasi_eigenfunction_validation(op400_symbol):
-    # mu_k is taken at k itself, so a fractional k would give a record
-    # whose k and mu_k disagree
-    for k in (0, 1.5, 1.0, np.float64(2.0), True):
-        with pytest.raises(ValueError, match="^k must be an integer >= 1"):
-            fh.quasi_eigenfunction(k, op400_symbol)
-    assert fh.quasi_eigenfunction(np.int64(2), op400_symbol).k == 2
+    # s outside [0.01, 0.99], or NaN, is refused first: gamma_density
+    # once raised a QuadratureError that did not name s
+    for s in (0.0, 1.5, 1.7, -0.5, np.nan):
+        with pytest.raises(ValueError, match="^s must lie in"):
+            fh.gamma_density(1.0, s)
