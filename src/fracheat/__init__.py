@@ -2,7 +2,7 @@
 
 P1 finite-element discretization of the fractional Laplacian with
 exterior Dirichlet condition, lumped-mass implicit Euler time marching,
-which preserves positivity for s above about 0.23, spectral and
+which preserves positivity for s >= 0.2374, spectral and
 observability diagnostics, and control synthesis with nonnegativity
 constraints, including minimal-horizon estimation by bisection.  Every
 control a solver returns comes with one verdict, a

@@ -336,8 +336,8 @@ class DiscreteOperator:
         hence an M-matrix, for every dt > 0, so each lumped implicit Euler
         step (M_lumped + dt K)^{-1} M_lumped is entrywise nonnegative and
         nonnegative data and controls keep every state nonnegative.  The
-        assembled stiffness has this sign pattern for s above about 0.23;
-        for smaller s its adjacent off-diagonals are positive and the step
+        assembled stiffness has this sign pattern for s >= 0.2374; for
+        smaller s its adjacent off-diagonals are positive and the step
         can turn nonnegative data negative.
         """
         return bool((np.triu(self.stiffness, 1) <= 0.0).all())

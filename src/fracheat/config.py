@@ -25,7 +25,7 @@ Accepted keys::
     horizon_mode    {"fixed": T} or
                     {"minimal_time": {"bracket": [lo, hi], "tol": t}}
     constraints     {"nonneg_control": bool, "nonneg_state": bool}; the
-                    state constraint needs s of about 0.24 or more, and
+                    state constraint needs s >= 0.2374, and
                     minimal_time needs the control constraint
     output_dir      directory receiving the result files
     emit_plots      also write plot.py, which renders the artifacts

@@ -27,7 +27,7 @@ trajectory, the one each verdict checks and a run writes, comes from
 
 The state constraint z >= 0 is accepted only with z0 >= 0 and an
 operator whose step matrix is entrywise nonnegative
-(``DiscreteOperator.positivity_preserving``, s of about 0.24 or more).
+(``DiscreteOperator.positivity_preserving``, s >= 0.2374).
 Then nonnegative controls keep every state nonnegative, so the
 constrained solver needs only the terminal map.
 """
@@ -203,8 +203,6 @@ class MinimalTimeReport:
         bound proved it or the budget ran out.
     T_hi : float
         Smallest horizon whose probe was feasible.
-    T_min_estimate : float
-        Midpoint of the final bracket.
     history : tuple of (T, feasible, residual)
         All probes in evaluation order, one per probed horizon.
     bases : tuple of str
@@ -215,10 +213,14 @@ class MinimalTimeReport:
 
     T_lo: float
     T_hi: float
-    T_min_estimate: float
     history: tuple[tuple[float, bool, float], ...]
     bases: tuple[str, ...]
     outcome: FixedTimeOutcome = field(repr=False)
+
+    @property
+    def T_min_estimate(self) -> float:
+        """Midpoint of the final bracket."""
+        return 0.5 * (self.T_lo + self.T_hi)
 
 
 class _ModalStepper:
@@ -716,7 +718,6 @@ def minimal_time_search(
     return MinimalTimeReport(
         T_lo=T_lo,
         T_hi=T_hi,
-        T_min_estimate=0.5 * (T_lo + T_hi),
         history=tuple(history),
         bases=tuple(bases),
         outcome=hi_out,

@@ -41,13 +41,15 @@ class Trajectory:
         Uniform grid t_j = j T / n_t with times[-1] = T exactly.
     states : ndarray, shape (n_t + 1, n_interior)
         Row j holds the nodal values at t_j; row 0 is the initial datum.
-    min_value : float
-        Minimum entry over all rows.
     """
 
     times: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)
-    min_value: float
+
+    @property
+    def min_value(self) -> float:
+        """Minimum entry over all rows."""
+        return float(self.states.min())
 
     @property
     def n_t(self) -> int:
@@ -167,8 +169,8 @@ def simulate(
     mass M and a Cholesky factor computed once.  z0 is checked for NaN and
     inf before the march, and a ControlField is finite by construction.
     The step matrix is entrywise nonnegative, hence positivity-preserving,
-    for every dt when ``op.positivity_preserving`` holds (s above about
-    0.23); otherwise small steps can turn nonnegative data negative.
+    for every dt when ``op.positivity_preserving`` holds (s >= 0.2374);
+    otherwise small steps can turn nonnegative data negative.
 
     Parameters
     ----------
@@ -197,7 +199,7 @@ def simulate(
     if z0.shape != (n,):
         raise ValueError(f"z0 must have shape ({n},), got {z0.shape}")
     if not np.isfinite(z0).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise ValueError("z0 must be finite")
     if control is not None and control.n_t != n_t:
         raise ValueError(f"control has {control.n_t} time cells, simulation has {n_t}")
     u_full = None if control is None else control.expand()
@@ -230,7 +232,7 @@ def simulate(
     states.setflags(write=False)
     times = _time_grid(T, n_t)
     times.setflags(write=False)
-    return Trajectory(times=times, states=states, min_value=float(states.min()))
+    return Trajectory(times=times, states=states)
 
 
 def duhamel_spectral(

@@ -140,9 +140,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     # step in, so a run solves one eigenproblem
     full = op.lumped_basis
     k_max = min(8, op.n_dof)
-    basis = SpectralBasis(
-        full.eigenvalues[:k_max], full.eigenvectors[:, :k_max], k_max, op.s, grid
-    )
+    basis = SpectralBasis(full.eigenvalues[:k_max], full.eigenvectors[:, :k_max], grid)
 
     summary: dict = {
         "resolved_config": config.to_dict(),

@@ -3,13 +3,11 @@
 Provides the eigensolve of the stiffness against the lumped mass, the
 package's one mass matrix, together with the diagnostics used throughout
 the package: gap and summability statistics of the spectrum, L1 lower
-bounds of eigenfunctions over a control region, the eigenvalue law
+bounds of eigenfunctions over a control region, and the eigenvalue law
 lambda_k ~ (k pi/2 - (1-s) pi/4)^(2s) of the operator on the interval
-(Kwasnicki, J. Funct. Anal. 262, 2012), and the density of the
-completely monotone correction term in the half-line eigenfunctions of
-the same paper, evaluated by one trapezoid rule in a log variable.
-scipy.linalg is imported by :func:`eigendecompose`, its one user here,
-when it first runs, so that importing the package loads no scipy.
+(Kwasnicki, J. Funct. Anal. 262, 2012).  scipy.linalg is imported by
+:func:`eigendecompose`, its one user here, when it first runs, so that
+importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DiscreteOperator, _require_s
-from .errors import QuadratureError, SolverError, _check_count
+from .errors import SolverError, _check_count
 from .grid import Grid, trapezoid_weights
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "l1_lower_bound",
     "mu_value",
     "lambda_asymptotic",
-    "gamma_density",
 ]
 
 # Fraction of the computed spectrum treated as resolved; the top of a P1
@@ -59,18 +56,17 @@ class SpectralBasis:
         entries are a mirror pair of opposite sign, and roundoff would
         pick between them; the left half, middle DOF included, holds one
         entry of each pair.
-    k_max : int
-        Number of retained pairs.
-    s : float
-        Fractional order of the underlying operator.
     grid : Grid
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    k_max: int
-    s: float
     grid: Grid
+
+    @property
+    def k_max(self) -> int:
+        """Number of retained pairs."""
+        return self.eigenvalues.size
 
     @property
     def resolved_count(self) -> int:
@@ -166,7 +162,7 @@ def eigendecompose(op: DiscreteOperator, k_max: int | None = None) -> SpectralBa
         )
     lam.setflags(write=False)
     V.setflags(write=False)
-    return SpectralBasis(eigenvalues=lam, eigenvectors=V, k_max=k_max, s=op.s, grid=op.grid)
+    return SpectralBasis(eigenvalues=lam, eigenvectors=V, grid=op.grid)
 
 
 def gap_statistics(basis: SpectralBasis) -> GapReport:
@@ -249,85 +245,3 @@ def lambda_asymptotic(k, s: float):
     (k pi/2 - (1-s) pi/4)^(2s) with an O(1/k) remainder.
     """
     return mu_value(k, s) ** (2.0 * s)
-
-
-def _g_log_ratio(t: np.ndarray, s: float) -> np.ndarray:
-    """log((1 - u^(2s)) / (1 - u^2)) at u = e^t, stable for all t.
-
-    The ratio has a removable singularity at t = 0 with value s.  The map
-    u -> 1/u gives g(t) = (2s - 2) t + g(-t), so only g at -|t| is
-    evaluated, where expm1 keeps full relative accuracy; -|t| is capped at
-    -1e-200, where the ratio is s to roundoff.
-    """
-    t = np.asarray(t, dtype=float)
-    a = np.minimum(-np.abs(t), -1e-200)
-    g_neg = np.log(np.expm1(2.0 * s * a) / np.expm1(2.0 * a))
-    return g_neg + (2.0 * s - 2.0) * np.maximum(t, 0.0)
-
-
-# The density's inner integral is a trapezoid rule of step h.  In its log
-# variable the integrand is analytic in the strip |Im| < pi/2 and decays
-# exponentially, so the rule's error falls like exp(-pi^2 / h), about 1e-17.
-_TRAP_STEP = 0.25
-# nodes tau in [-36, 36] of the density's inner integral, with their
-# weights h sech(tau) / 2
-_TAU = _TRAP_STEP * np.arange(-144, 145)
-_TAU_WEIGHTS = _TRAP_STEP / (2.0 * np.cosh(_TAU))
-
-
-def gamma_density(y, s: float):
-    """Density whose Laplace transform is the correction term G.
-
-    G is the completely monotone term of the half-line eigenfunctions of
-    the fractional Laplacian (Kwasnicki, J. Funct. Anal. 262, 2012); the
-    total mass of gamma is sin((1-s) pi/4), the limit of G at 0.
-
-    gamma(y) = sqrt(4s) sin(s pi) y^(2s) / (2 pi (1 + y^(4s)
-    - 2 y^(2s) cos(s pi))) * exp(I(y) / pi), where I(y) integrates
-    log((1 - r^(2s) y^(2s)) / (1 - r^2 y^2)) / (1 + r^2) over r > 0.  The
-    integrand's singularity at r = 1/y is removable.  With r = e^tau,
-    I(y) is the integral of g(log y + tau) sech(tau) / 2 over the real
-    line, g the log ratio, and the trapezoid rule of step 1/4 on
-    tau in [-36, 36] evaluates it.  The prefactor is evaluated as
-    sqrt(4s) sin(s pi) / (2 pi ((y^-s - y^s)^2 + 4 sin^2(s pi / 2))),
-    which neither cancels at small s nor overflows at large y.  gamma is
-    nonnegative, vanishes at 0, and decays at infinity.
-
-    Parameters
-    ----------
-    y : scalar or ndarray
-        Nonnegative evaluation points.
-    s : float
-        Fractional order in [0.01, 0.99], checked first.
-
-    Returns
-    -------
-    Same shape as y.
-    """
-    s = _require_s(s)
-    y_arr = np.asarray(y, dtype=float)
-    if not (y_arr >= 0).all():
-        raise ValueError("y must be nonnegative")
-    out = np.zeros_like(y_arr, dtype=float)
-    pos = y_arr > 0.0
-    if pos.any():
-        yp = y_arr[pos]
-        log_y = np.log(yp)
-        inner = np.empty_like(yp)
-        for a in range(0, yp.size, 256):
-            t = log_y[a : a + 256, None] + _TAU
-            inner[a : a + 256] = _g_log_ratio(t, s) @ _TAU_WEIGHTS
-        w = yp**s
-        pref = (
-            np.sqrt(4.0 * s)
-            * np.sin(s * np.pi)
-            / (2.0 * np.pi * ((1.0 / w - w) ** 2 + 4.0 * np.sin(s * np.pi / 2.0) ** 2))
-        )
-        vals = pref * np.exp(inner / np.pi)
-        if not np.isfinite(vals).all():
-            bad = yp[~np.isfinite(vals)]
-            raise QuadratureError(
-                f"density evaluation failed for y in [{bad.min():.3g}, {bad.max():.3g}]"
-            )
-        out[pos] = vals
-    return out if out.ndim else float(out)

@@ -39,7 +39,7 @@ def test_simulate_validation(op20_unit, cos_profile):
     # in z0 by simulate, in a control when the control is built
     z_nan = cos_profile.copy()
     z_nan[3] = np.nan
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(ValueError, match="^z0 must be finite$"):
         fh.simulate(op20_unit, z_nan, None, T=1.0, n_t=10)
     u_inf = np.zeros((12, 10))
     u_inf[4, 7] = np.inf
@@ -249,7 +249,7 @@ def test_csv_writers_match_savetxt(tmp_path):
     )
     states[0, :5] = [0.0, -0.0, 1.0 / 3.0, 5e-324, -1e300]
     times = np.arange(n_t + 1) * (0.7 / n_t)
-    traj = fh.Trajectory(times=times, states=states, min_value=float(states.min()))
+    traj = fh.Trajectory(times=times, states=states)
     fh.trajectory_to_csv(traj, grid, tmp_path / "traj.csv")
     full = np.zeros((n_t + 1, grid.nodes.size))
     full[:, grid.interior] = states

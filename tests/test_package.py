@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +53,6 @@ FROZEN_ALL = [
     "duhamel_spectral",
     "eigendecompose",
     "flattening_ratio",
-    "gamma_density",
     "gap_statistics",
     "generate_target_trajectory",
     "impulse_analysis",
@@ -94,6 +95,28 @@ def test_package_all_is_the_union_of_the_modules():
         union.update(mod.__all__)
     assert set(fh.__all__) == union
     assert sorted(fh.__all__) == FROZEN_ALL
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_public_name_has_a_reader():
+    # a public name is read by the package, a demo, the benchmark or an
+    # acceptance criterion.  Its definition and its __all__ string are not
+    # reads, and the unit tests do not count: a name only they call is code
+    # that nothing needs
+    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").rglob("*.py")]
+    bench_tests = ROOT / "bench" / "tests"
+    files += [f for f in (ROOT / "bench").rglob("*.py") if bench_tests not in f.parents]
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    read = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"), filename=str(f))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(set(fh.__all__) - read - {"__version__"}) == []
 
 
 def _case1():

@@ -1,6 +1,5 @@
-"""Spectral decomposition against the lumped mass, gap statistics, the
-asymptotic eigenvalue law, and the density of the half-line correction
-term."""
+"""Spectral decomposition against the lumped mass, gap statistics and the
+asymptotic eigenvalue law."""
 
 from __future__ import annotations
 
@@ -8,21 +7,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import fracheat as fh
 from conftest import FROZEN_LAMBDA_UNIT, traced
-
-# gamma_density values frozen from tests/oracles/g_transform_oracle.py
-# (mpmath, 30-digit working precision)
-FROZEN_GAMMA = {
-    (0.5, 0.8): 0.030243065669621736,
-    (2.0, 0.8): 0.026328117854490876,
-    (1.0, 0.5): 0.070700802465071781,
-    (0.05, 0.3): 0.024212783683936022,
-    (1.0, 0.01): 0.085835337151094443,
-    (0.3, 0.05): 0.087232564179726524,
-}
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +48,15 @@ def test_partial_eigensolve_matches_full(op200_unit):
     assert part.k_max == 8
     assert part.eigenvalues == pytest.approx(full.eigenvalues[:8], rel=1e-12)
     assert np.abs(part.eigenvectors - full.eigenvectors[:, :8]).max() <= 1e-9
+
+
+def test_basis_size_is_read_from_its_arrays(op200_unit):
+    # a slice of the full basis, as a run's summary takes, has k_max pairs
+    # by construction, so its resolved range cannot disagree with them
+    full = op200_unit.lumped_basis
+    part = fh.SpectralBasis(full.eigenvalues[:8], full.eigenvectors[:, :8], full.grid)
+    assert part.k_max == 8
+    assert fh.gap_statistics(part).resolved_count == 6
 
 
 def test_eigensolve_peak_memory(op20_unit, op400_symbol):
@@ -138,31 +134,3 @@ def test_asymptotic_law_tracks_discrete_spectrum():
     rel = np.abs(pred - lam) / lam
     assert rel[0] < 0.01
     assert rel[2] < rel[0]
-
-
-@pytest.mark.parametrize(("y", "s"), sorted(FROZEN_GAMMA))
-def test_gamma_density_matches_oracle(y, s):
-    assert fh.gamma_density(y, s) == pytest.approx(FROZEN_GAMMA[(y, s)], rel=1e-12, abs=0.0)
-
-
-@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
-def test_gamma_total_mass_identity(s):
-    # integral of gamma over (0, inf) equals sin((1 - s) pi / 4)
-    total, err = quad(lambda y: fh.gamma_density(y, s), 0.0, np.inf, limit=200)
-    assert err < 1e-9
-    assert total == pytest.approx(math.sin((1.0 - s) * math.pi / 4.0), rel=1e-7)
-
-
-def test_gamma_density_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        fh.gamma_density(-0.1, 0.8)
-    # NaN fails the range check
-    with pytest.raises(ValueError, match="nonnegative"):
-        fh.gamma_density(np.nan, 0.8)
-    assert fh.gamma_density(0.0, 0.8) == 0.0
-    assert fh.gamma_density(np.inf, 0.8) == 0.0
-    # s outside [0.01, 0.99], or NaN, is refused first: gamma_density
-    # once raised a QuadratureError that did not name s
-    for s in (0.0, 1.5, 1.7, -0.5, np.nan):
-        with pytest.raises(ValueError, match="^s must lie in"):
-            fh.gamma_density(1.0, s)
