@@ -295,29 +295,22 @@ class DiscreteOperator:
     The operator is frozen, and :func:`build_operator` makes its one
     dense n x n array, the stiffness, read-only, so its cached properties
     cannot go stale.  The mass is the row-sum lumped P1 mass, the one
-    that keeps implicit Euler positivity-preserving; it is diagonal, h at
-    every interior DOF, and stored as that diagonal, which every solver
-    and the eigensolve read.
+    that keeps implicit Euler positivity-preserving; on the uniform grid
+    it is h I, so it is not stored: every solver and the eigensolve scale
+    by ``grid.h``.
 
     Attributes
     ----------
     grid : Grid
     s : float
         Fractional order.
-    normalization : str
-        "symbol" or "unit"; see :func:`assemble_stiffness`.  A "unit"
-        stiffness times :func:`normalization_constant` is the "symbol" one.
     stiffness : ndarray, shape (n_interior, n_interior)
         Read-only stiffness matrix over interior DOFs.
-    mass_lumped_diag : ndarray, shape (n_interior,)
-        Read-only diagonal of the lumped mass, h at every interior DOF.
     """
 
     grid: Grid
     s: float
-    normalization: str
     stiffness: np.ndarray = field(repr=False)
-    mass_lumped_diag: np.ndarray = field(repr=False)
 
     @property
     def n_dof(self) -> int:
@@ -325,8 +318,8 @@ class DiscreteOperator:
 
     @property
     def mass_lumped(self) -> np.ndarray:
-        """Dense lumped mass matrix, built on each read."""
-        return np.diag(self.mass_lumped_diag)
+        """Dense lumped mass matrix h I, h read from ``grid.h``, built on each read."""
+        return np.diag(np.full(self.n_dof, self.grid.h))
 
     @cached_property
     def positivity_preserving(self) -> bool:
@@ -358,10 +351,8 @@ class DiscreteOperator:
 
 
 def build_operator(grid: Grid, s: float, normalization: str = "symbol") -> DiscreteOperator:
-    """Assemble a :class:`DiscreteOperator`: its read-only stiffness and mass diagonal."""
+    """Assemble a :class:`DiscreteOperator` with its read-only stiffness."""
     s = _require_s(s)
     stiffness = assemble_stiffness(grid, s, normalization)
-    mass_lumped_diag = np.full(grid.n_interior, grid.h)
     stiffness.setflags(write=False)
-    mass_lumped_diag.setflags(write=False)
-    return DiscreteOperator(grid, s, normalization, stiffness, mass_lumped_diag)
+    return DiscreteOperator(grid, s, stiffness)

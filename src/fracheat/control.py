@@ -89,20 +89,20 @@ class ControlProblem:
     demand by :meth:`target_at`, so probing different horizons regenerates
     the target rather than truncating it.
 
-    Construction, direct or by ``dataclasses.replace``, coerces z0 and
-    zhat0 to float arrays, uhat to a float and omega to a tuple.  It
-    raises ValueError unless omega lies strictly inside (-1, 1) and holds
-    an interior node, z0 and zhat0 are one finite value per interior
-    node, zhat0 > 0, uhat is finite and >= 0, and, with nonneg_state,
-    z0 >= 0 and the operator is positivity-preserving.
+    Construction, direct or by ``dataclasses.replace``, copies z0 and
+    zhat0 into read-only float arrays, coerces uhat to a float and omega
+    to a tuple, and raises ValueError unless omega lies strictly inside
+    (-1, 1) and holds an interior node, z0 and zhat0 are one finite value
+    per interior node, zhat0 > 0, uhat is finite and >= 0, and, with
+    nonneg_state, z0 >= 0 and the operator is positivity-preserving.
 
     Attributes
     ----------
     op : DiscreteOperator
     z0 : ndarray
-        Initial nodal values of the controlled state.
+        Read-only initial nodal values of the controlled state.
     zhat0 : ndarray
-        Strictly positive initial datum of the target trajectory.
+        Read-only, strictly positive initial datum of the target trajectory.
     uhat : float
         Constant nonnegative control defining the target trajectory.
     omega : tuple
@@ -133,9 +133,10 @@ class ControlProblem:
         put("omega", (lo, hi))
         put("support", support)
         for name in ("z0", "zhat0"):
-            v = np.asarray(getattr(self, name), dtype=float)
+            v = np.array(getattr(self, name), dtype=float)
             if v.shape != (op.n_dof,):
                 raise ValueError(f"{name} must have shape ({op.n_dof},), got {v.shape}")
+            v.flags.writeable = False
             put(name, v)
         if not np.isfinite(self.z0).all():
             raise ValueError("z0 must be finite")
@@ -253,7 +254,7 @@ class _ModalStepper:
         support = slice(rows[0], rows[-1] + 1)
         basis = op.lumped_basis
         self.dt = T / n_t
-        self.m = op.mass_lumped_diag
+        self.h = op.grid.h
         self.V = basis.eigenvectors
         self.d = 1.0 / (1.0 + self.dt * basis.eigenvalues)
         # E[k, j] = d_k^(n_t - j), flushed below 1e-150 so that no product
@@ -261,8 +262,7 @@ class _ModalStepper:
         self.E = self.d[:, None] ** np.arange(n_t, 0, -1)
         self.E[self.E < 1e-150] = 0.0
         self.V_sup = self.V[support]
-        self.m_sup = self.m[support]
-        self.dt_m_sup = self.dt * self.m_sup
+        self.dt_h = self.dt * self.h
         # live[j]: the modes up to column j's last nonzero
         live = self.d.size - np.argmax(self.E[::-1] != 0.0, axis=0)
         starts = [0]
@@ -276,12 +276,12 @@ class _ModalStepper:
 
     def free(self, z0: np.ndarray) -> np.ndarray:
         """Modal coordinates V^T M z(T) of the uncontrolled final state."""
-        return self.E[:, 0] * ((self.m * z0) @ self.V)
+        return self.E[:, 0] * ((self.h * z0) @ self.V)
 
     def forced(self, u_sup: np.ndarray) -> np.ndarray:
         """Modal coordinates of the control's part of z(T); u_sup is
         (support nodes, n_t)."""
-        mu = self.m_sup[:, None] * u_sup
+        mu = self.h * u_sup
         c = np.zeros(self.d.size)
         for a, b, K in self.blocks:
             w = self.V_sup[:, :K].T @ mu[:, a:b]
@@ -298,11 +298,11 @@ class _ModalStepper:
     def control_matrix(self) -> np.ndarray:
         """Modal matrix A of the control term of :meth:`terminal`.
 
-        A[k, (i, j)] = dt m_i V[i, k] E[k, j] over support node i and cell
+        A[k, (i, j)] = dt h V[i, k] E[k, j] over support node i and cell
         j, so A u = V^T M terminal(0, u) and A^T V^T r = gradient(r)
         with u and the gradient flattened node-major.
         """
-        A = self.V_sup.T * self.dt_m_sup
+        A = self.V_sup.T * self.dt_h
         return (A[:, :, None] * self.E[:, None, :]).reshape(self.d.size, -1)
 
     def gradient(self, r_weighted: np.ndarray) -> np.ndarray:
@@ -313,17 +313,17 @@ class _ModalStepper:
         (support nodes, n_t).
         """
         rho = r_weighted @ self.V
-        g = np.empty((self.m_sup.size, self.E.shape[1]))
+        g = np.empty((self.V_sup.shape[0], self.E.shape[1]))
         for a, b, K in self.blocks:
             np.matmul(
                 self.V_sup[:, :K], self.E[:K, a:b] * rho[:K, None], out=g[:, a:b]
             )
-        g *= self.dt_m_sup[:, None]
+        g *= self.dt_h
         return g
 
 
-def _m_norm(v: np.ndarray, m: np.ndarray) -> float:
-    return float(np.sqrt(v @ (m * v)))
+def _m_norm(v: np.ndarray, h: float) -> float:
+    return float(np.sqrt(v @ (h * v)))
 
 
 def _outcome(
@@ -347,9 +347,9 @@ def _outcome(
     solver's account, passed through.
     """
     traj = simulate(problem.op, problem.z0, control, T, n_t)
-    m = problem.op.mass_lumped_diag
-    residual = _m_norm(traj.final - zhat_T, m)
-    feasible = residual <= EPS_TARGET_FRACTION * _m_norm(zhat_T, m)
+    h = problem.op.grid.h
+    residual = _m_norm(traj.final - zhat_T, h)
+    feasible = residual <= EPS_TARGET_FRACTION * _m_norm(zhat_T, h)
     if problem.nonneg_state:
         feasible = feasible and traj.min_value >= -EPS_CONS
     if not signed:
@@ -382,7 +382,7 @@ def unconstrained_dual_details(
     The LP's equality duals y are modal adjoint terminal data: the
     adjoint on cell j is p_j = V (d^(n_t - j) o y), and A^T y = dt M p on
     the support.  LP duality gives ||u||_inf = max_y <y, c> / D(y), where
-    D(y) = dt sum_j sum_omega m |p_j| is the adjoint's space-time L1 norm
+    D(y) = dt h sum_j sum_omega |p_j| is the adjoint's space-time L1 norm
     over omega.  The returned adjoint is the LP's y scaled to minimize
     the dual functional (1/2) D(p)^2 - <p, c>, and the returned D is its
     L1 norm <y, c> / D(y): the dual's value, computed from the duals
@@ -405,12 +405,12 @@ def unconstrained_dual_details(
             stacklevel=2,
         )
     stepper = _ModalStepper(problem.op, T, n_t, problem.support)
-    dt, m, V, mask = stepper.dt, stepper.m, stepper.V, problem.support
-    n, n_sup = problem.op.n_dof, stepper.m_sup.size
+    dt, h, V, mask = stepper.dt, stepper.h, stepper.V, problem.support
+    n, n_sup = problem.op.n_dof, stepper.V_sup.shape[0]
     # the target through the same map as the free state, so that a free
     # state already on target leaves c exactly zero
     zhat_T = stepper.terminal(problem.zhat0, np.full((n_sup, n_t), problem.uhat))
-    c = (m * (zhat_T - stepper.terminal(problem.z0, None))) @ V
+    c = (h * (zhat_T - stepper.terminal(problem.z0, None))) @ V
     if not c.any():
         return ControlField(np.zeros((n_sup, n_t)), problem.support), np.zeros((n, n_t)), 0.0
 
@@ -441,7 +441,7 @@ def unconstrained_dual_details(
     y *= np.sign(y @ c)
     yc = float(y @ c)
     p_cells = V @ (stepper.E * y[:, None])
-    D_y = dt * float(np.abs(p_cells[mask]).sum(axis=1) @ m[mask])
+    D_y = dt * float(np.abs(p_cells[mask]).sum(axis=1) @ np.full(n_sup, h))
     return control, (yc / D_y**2) * p_cells, yc / D_y
 
 
@@ -499,11 +499,12 @@ def _projected_gradient(stepper, z0, zhat_T, eps_target, alpha0, max_iter):
     iteration stops once L exceeds the tolerance; the bound only reads g
     and q, so it leaves the iterates untouched.
     """
-    m, V = stepper.m, stepper.V
+    h, V = stepper.h, stepper.V
     c_free = stepper.free(z0)
-    c = (m * zhat_T) @ V - c_free
-    y0 = m @ V
-    a0 = stepper.gradient(m)
+    c = (h * zhat_T) @ V - c_free
+    m1 = np.full(V.shape[0], h)  # M 1, a vector so that y0 and a0 sum h v_i
+    y0 = m1 @ V
+    a0 = stepper.gradient(m1)
     if not (a0 > 0.0).all():
         # the bound needs a0 > 0 on every cell; go without it
         a0 = None
@@ -511,7 +512,7 @@ def _projected_gradient(stepper, z0, zhat_T, eps_target, alpha0, max_iter):
     def evaluate(u_s):
         """Returns (r^T M r, M r) for the terminal residual r."""
         r = stepper.V @ (c_free + stepper.forced(u_s)) - zhat_T
-        mr = m * r
+        mr = h * r
         return float(r @ mr), mr
 
     def lower_bound(mr, g):
@@ -521,7 +522,7 @@ def _projected_gradient(stepper, z0, zhat_T, eps_target, alpha0, max_iter):
         norm_y = float(np.linalg.norm(y))
         return float(y @ c) / norm_y if norm_y > 0.0 else 0.0
 
-    u_sup = np.zeros((stepper.m_sup.size, stepper.E.shape[1]))
+    u_sup = np.zeros((stepper.V_sup.shape[0], stepper.E.shape[1]))
     rr, mr = evaluate(u_sup)
     g = stepper.gradient(mr)
     residual = np.sqrt(rr)
@@ -626,14 +627,15 @@ def solve_constrained_fixed_time(
     max_iter = _check_count("max_iter", max_iter)
     stepper = _ModalStepper(problem.op, T, n_t, problem.support)
     zhat_T = problem.target_at(T, n_t).final
-    eps_target = EPS_TARGET_FRACTION * _m_norm(zhat_T, stepper.m)
-    alpha0 = 1.0 / (stepper.dt * T * problem.op.grid.h)
+    eps_target = EPS_TARGET_FRACTION * _m_norm(zhat_T, stepper.h)
+    alpha0 = 1.0 / (stepper.dt * T * stepper.h)
     # the iteration's arrays are freed before the verdict's dense simulate
     u_sup, total_iters, basis, bound = _projected_gradient(
         stepper, problem.z0, zhat_T, eps_target, alpha0, max_iter
     )
-
+    # the control holds a copy of u_sup, which is dropped before the simulate too
     control = ControlField(u_sup, problem.support)
+    del u_sup
     return _outcome(
         problem, T, n_t, control, zhat_T, total_iters, basis=basis, lower_bound=bound
     )

@@ -65,24 +65,25 @@ class Trajectory:
 class ControlField:
     """Piecewise-constant-in-time control supported on a subinterval.
 
-    Construction, direct or by ``dataclasses.replace``, raises ValueError
-    unless values (coerced to float, not copied) is finite and 2-D and
-    support_mask is a 1-D bool array with a True for each row of values.
+    Construction, direct or by ``dataclasses.replace``, stores read-only
+    copies of values (as float) and support_mask, and raises ValueError
+    unless values is finite and 2-D and support_mask is a 1-D bool array
+    with a True for each row of values.
 
     Attributes
     ----------
     values : ndarray, shape (n_support, n_t)
-        Rows follow the interior nodes inside omega, columns the time
-        cells [t_j, t_{j+1}).
+        Read-only; rows follow the interior nodes inside omega, columns
+        the time cells [t_j, t_{j+1}).
     support_mask : ndarray of bool, shape (n_interior,)
-        True for interior nodes inside omega.
+        Read-only; True for interior nodes inside omega.
     """
 
     values: np.ndarray = field(repr=False)
     support_mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        u, mask = np.asarray(self.values, dtype=float), self.support_mask
+        u, mask = np.array(self.values, dtype=float), self.support_mask
         if u.ndim != 2 or not np.isfinite(u).all():
             raise ValueError(f"control values must be finite and 2-D, got {u.shape}")
         if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.ndim != 1:
@@ -91,7 +92,10 @@ class ControlField:
             raise ValueError("control support contains no interior nodes")
         if u.shape[0] != mask.sum():
             raise ValueError(f"control values must have shape ({mask.sum()}, n_t), got {u.shape}")
+        mask = np.array(mask)
+        u.flags.writeable = mask.flags.writeable = False
         object.__setattr__(self, "values", u)
+        object.__setattr__(self, "support_mask", mask)
 
     @property
     def n_t(self) -> int:
@@ -166,11 +170,12 @@ def simulate(
     """March the semi-discrete system over [0, T] by lumped implicit Euler.
 
     Each step solves (M + dt K) z_{j+1} = M (z_j + dt u_j) with the lumped
-    mass M and a Cholesky factor computed once.  z0 is checked for NaN and
-    inf before the march, and a ControlField is finite by construction.
-    The step matrix is entrywise nonnegative, hence positivity-preserving,
-    for every dt when ``op.positivity_preserving`` holds (s >= 0.2374);
-    otherwise small steps can turn nonnegative data negative.
+    mass M = h I, h read from ``op.grid.h``, and a Cholesky factor
+    computed once.  z0 is checked for NaN and inf before the march, and a
+    ControlField is finite by construction.  The step matrix is entrywise
+    nonnegative, hence positivity-preserving, for every dt when
+    ``op.positivity_preserving`` holds (s >= 0.2374); otherwise small
+    steps can turn nonnegative data negative.
 
     Parameters
     ----------
@@ -208,22 +213,22 @@ def simulate(
     states = np.empty((n_t + 1, n))
     states[0] = z0
     z = z0
-    # the lumped mass is diagonal: scale by it, not by a dense product
-    m = op.mass_lumped_diag
+    # the lumped mass is h I: scale by h, not by a dense product
+    h = op.grid.h
     from scipy.linalg import cho_factor, get_lapack_funcs
 
     # M + dt K, built once in LAPACK's column-major layout, which the
     # Cholesky factor then overwrites instead of copying
     factor = np.multiply(dt, op.stiffness, order="F")
-    factor[np.diag_indices(n)] += m
+    factor[np.diag_indices(n)] += h
     factor, lower = cho_factor(factor, overwrite_a=True)
     # the LAPACK triangular solve behind cho_solve, resolved once per call
     # instead of once per step
     (potrs,) = get_lapack_funcs(("potrs",), (factor,))
     for j in range(n_t):
-        rhs = m * z
+        rhs = h * z
         if u_full is not None:
-            rhs = rhs + dt * (m * u_full[:, j])
+            rhs = rhs + dt * (h * u_full[:, j])
         z, info = potrs(factor, rhs, lower=lower, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")

@@ -58,13 +58,10 @@ class ScenarioResult:
         The content written to summary.json.
     output_dir : Path
         Directory the files were written into.
-    files : tuple of str
-        Names of the files written, in write order.
     """
 
     summary: dict
     output_dir: Path
-    files: tuple[str, ...]
 
 
 def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
@@ -178,25 +175,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     # made only now, so a refused config or a failed solve leaves nothing
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    files: list[str] = []
-
     trajectory_to_csv(traj, grid, outdir / "trajectory.csv")
-    files.append("trajectory.csv")
-
     control_to_csv(control, grid, T, outdir / "control.csv")
-    files.append("control.csv")
-
     if config.emit_plots:
         (outdir / "plot.py").write_text(_PLOT_SCRIPT, encoding="utf-8")
-        files.append("plot.py")
 
     summary["wall_time_seconds"] = time.perf_counter() - t_start
     with open(outdir / "summary.json", "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
-    files.append("summary.json")
 
-    return ScenarioResult(summary=summary, output_dir=outdir, files=tuple(files))
+    return ScenarioResult(summary=summary, output_dir=outdir)
 
 
 _PLOT_SCRIPT = '''\

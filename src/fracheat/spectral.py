@@ -49,7 +49,7 @@ class SpectralBasis:
         Increasing positive eigenvalues.
     eigenvectors : ndarray, shape (n_interior, k_max)
         Columns are discrete eigenfunctions over interior DOFs,
-        orthonormal in the lumped mass (V^T diag(m) V = I), each signed
+        orthonormal in the lumped mass (h V^T V = I), each signed
         so that its entry of largest magnitude among the first
         (n + 1) // 2 of the n DOFs is positive.  On the symmetric grid
         each mode is even or odd, so over all DOFs an odd mode's largest
@@ -85,25 +85,23 @@ class GapReport:
     partial_sums : ndarray, shape (k_max,)
         Partial sums of reciprocal eigenvalues, entry K-1 holding
         sum_{k<=K} 1/lambda_k.
-    resolved_count : int
-        Length of the resolved range the gap was taken over.
     """
 
     min_gap: float
     partial_sums: np.ndarray
-    resolved_count: int
 
 
 def eigendecompose(op: DiscreteOperator, k_max: int | None = None) -> SpectralBasis:
     """Solve the eigenproblem K v = lambda M v with the lumped mass M.
 
-    M = diag(m) is diagonal, so with D = M^(-1/2) the problem is the
-    standard symmetric one D K D w = lambda w, and v = D w.  With k_max
-    below the number of interior DOFs only the k_max smallest pairs are
-    computed (``eigh``'s ``subset_by_index``), about three times as fast
-    on fine grids.  They agree with the leading pairs of the full solve,
-    which :attr:`DiscreteOperator.lumped_basis` caches, to roundoff but
-    not bit for bit.
+    M = h I, with the mesh size h read from ``op.grid.h``, so with
+    d = h^(-1/2) the problem is the standard symmetric one
+    d K d w = lambda w, and v = d w.  With k_max below the number of
+    interior DOFs only the k_max smallest pairs are computed (``eigh``'s
+    ``subset_by_index``), about three times as fast on fine grids.  They
+    agree with the leading pairs of the full solve, which
+    :attr:`DiscreteOperator.lumped_basis` caches, to roundoff but not bit
+    for bit.
 
     Parameters
     ----------
@@ -131,16 +129,16 @@ def eigendecompose(op: DiscreteOperator, k_max: int | None = None) -> SpectralBa
 
     K = op.stiffness
     subset = None if k_max == n else [0, k_max - 1]
-    m = op.mass_lumped_diag
-    d = 1.0 / np.sqrt(m)
-    # D K D is built once, in LAPACK's column-major layout, and
+    h = op.grid.h
+    d = 1.0 / np.sqrt(h)
+    # d K d is built once, in LAPACK's column-major layout, and
     # overwritten in place
-    A = np.multiply(d[:, None], K, order="F")
+    A = np.multiply(d, K, order="F")
     A *= d
     lam, V = eigh(A, subset_by_index=subset, overwrite_a=True)
     del A
     # exactly k_max pairs, stored in C order
-    V = np.multiply(d[:, None], V, order="C")
+    V = np.multiply(d, V, order="C")
     flip = V[np.abs(V[: (n + 1) // 2]).argmax(axis=0), np.arange(k_max)] < 0.0
     V[:, flip] *= -1.0
 
@@ -149,7 +147,7 @@ def eigendecompose(op: DiscreteOperator, k_max: int | None = None) -> SpectralBa
     rel = np.empty(k_max)
     for j in range(0, k_max, _RESIDUAL_BLOCK):
         b = slice(j, j + _RESIDUAL_BLOCK)
-        resid = m[:, None] * V[:, b]
+        resid = h * V[:, b]
         scale = lam[b] * np.linalg.norm(resid, axis=0)
         resid *= lam[None, b]
         resid -= K @ V[:, b]
@@ -184,7 +182,7 @@ def gap_statistics(basis: SpectralBasis) -> GapReport:
     min_gap = float(np.diff(lam[:r]).min())
     partial_sums = np.cumsum(1.0 / lam)
     partial_sums.setflags(write=False)
-    return GapReport(min_gap=min_gap, partial_sums=partial_sums, resolved_count=r)
+    return GapReport(min_gap=min_gap, partial_sums=partial_sums)
 
 
 def flattening_ratio(report: GapReport) -> float:

@@ -220,7 +220,7 @@ def test_criterion_08_gradient_checks(prob_case1):
 
     stepper = _ModalStepper(prob_case1.op, 0.9, 120, prob_case1.support)
     zhat_T = prob_case1.target_at(0.9, 120).final
-    m = stepper.m
+    m = stepper.h
 
     def objective(u):
         r = stepper.terminal(prob_case1.z0, u) - zhat_T

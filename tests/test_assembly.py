@@ -84,22 +84,22 @@ def test_unit_normalization_rescales_stiffness():
     K_unit = fh.assemble_stiffness(g, s=0.8, normalization="unit")
     c = fh.normalization_constant(0.8)
     assert np.allclose(K_unit * c, K_sym, rtol=1e-13)
+    with pytest.raises(ValueError, match=r"^normalization must be one of \('symbol', 'unit'\)"):
+        fh.assemble_stiffness(g, s=0.8, normalization="weird")
 
 
 def test_mass_matrices():
-    # row-sum lumping gives each interior node the integral of its hat, h;
-    # the dense matrix and the stored diagonal are the same mass
+    # row-sum lumping gives each interior node the integral of its hat, h
     op = fh.build_operator(fh.build_grid(10), s=0.8)
     n, h = op.n_dof, op.grid.h
     assert op.mass_lumped.shape == (n, n)
     assert np.array_equal(op.mass_lumped, np.diag(np.full(n, h)))
-    assert np.array_equal(op.mass_lumped_diag, np.diag(op.mass_lumped))
 
 
 def test_build_operator_bundles_consistently(op20_symbol):
     g = op20_symbol.grid
     assert op20_symbol.n_dof == g.n_interior
-    assert np.array_equal(op20_symbol.mass_lumped_diag, np.full(g.n_interior, g.h))
+    assert np.array_equal(op20_symbol.mass_lumped, np.diag(np.full(g.n_interior, g.h)))
     assert op20_symbol.s == 0.8
 
 

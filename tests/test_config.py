@@ -135,6 +135,11 @@ def test_unknown_keys_rejected():
             "horizon_mode.minimal_time",
         ),
         ('{"constraints": {"nonneg": true}}', "constraints"),
+        ('{"constraints": 1}', "^constraints: expected an object, got 1"),
+        (
+            '{"horizon_mode": {"minimal_time": 1}}',
+            "^horizon_mode.minimal_time: expected an object, got 1",
+        ),
         ('{"constraints": {"nonneg_state": 1}}', "constraints.nonneg_state"),
         ('{"output_dir": ""}', "output_dir"),
         ('{"emit_plots": "yes"}', "emit_plots"),

@@ -73,6 +73,20 @@ def test_control_problem_validation(op20_unit, cos_profile, how):
     assert not prob.support.flags.writeable
 
 
+def test_control_problem_owns_its_arrays(op20_unit, cos_profile):
+    # the caller's arrays are copied, so writing into them afterwards
+    # cannot undo the construction checks: here z0 >= 0 under nonneg_state
+    z0, zhat0 = 2.0 * cos_profile, 0.05 * cos_profile
+    prob = fh.ControlProblem(op20_unit, z0, zhat0, uhat=0.2, omega=(-0.3, 0.8))
+    z0[:] = -1.0
+    zhat0[:] = np.nan
+    assert np.array_equal(prob.z0, 2.0 * cos_profile)
+    assert np.array_equal(prob.zhat0, 0.05 * cos_profile)
+    assert not prob.z0.flags.writeable and not prob.zhat0.flags.writeable
+    out = fh.solve_constrained_fixed_time(prob, 0.9, 50)
+    assert out.trajectory.min_value >= 0.0
+
+
 def test_control_problem_defaults(prob_case1):
     assert prob_case1.nonneg_state
     # regenerating the target at another horizon keeps the initial datum
@@ -86,7 +100,7 @@ def test_primal_gradient_matches_finite_differences(prob_case1):
     # stepper's closed-form adjoint
     stepper = _ModalStepper(prob_case1.op, 0.9, 60, prob_case1.support)
     zhat_T = prob_case1.target_at(0.9, 60).final
-    m = stepper.m
+    m = stepper.h
 
     def objective(u):
         r = stepper.terminal(prob_case1.z0, u) - zhat_T
@@ -157,13 +171,13 @@ def test_blocked_products_match_the_dense_ones(n_x, rel_tol):
     # blocked ones are the same BLAS calls; at n_x = 200 (4 blocks, 44%
     # of E nonzero) they sum in another order
     op, _, stepper, z0, u = _modal_case(n_x, 300)
-    E, V, V_sup, m_sup = stepper.E, stepper.V, stepper.V_sup, stepper.m_sup
+    E, V, V_sup, h = stepper.E, stepper.V, stepper.V_sup, stepper.h
     dt = stepper.dt
-    c = E[:, 0] * ((stepper.m * z0) @ V)
-    c += dt * np.einsum("kj,kj->k", E, V_sup.T @ (m_sup[:, None] * u))
+    c = E[:, 0] * ((h * z0) @ V)
+    c += dt * np.einsum("kj,kj->k", E, V_sup.T @ (h * u))
     dense_T = V @ c
     r = np.random.default_rng(6).standard_normal(op.n_dof)
-    dense_g = (dt * m_sup)[:, None] * (V_sup @ (E * (r @ V)[:, None]))
+    dense_g = (dt * h) * (V_sup @ (E * (r @ V)[:, None]))
     pairs = ((stepper.terminal(z0, u), dense_T), (stepper.gradient(r), dense_g))
     for blocked, dense in pairs:
         assert np.abs(blocked - dense).max() <= rel_tol * np.abs(dense).max()
@@ -202,7 +216,7 @@ def test_lp_matrix_is_the_modal_terminal_map(n_x):
     op, mask, stepper, z0, u = _modal_case(n_x, n_t)
     A = stepper.control_matrix()
     assert A.shape == (op.n_dof, u.size)
-    ref = (stepper.m * stepper.terminal(0.0 * z0, u)) @ stepper.V
+    ref = (stepper.h * stepper.terminal(0.0 * z0, u)) @ stepper.V
     Au = A @ u.ravel()
     assert np.abs(Au - ref).max() <= 1e-12 * np.abs(ref).max()
     r = np.random.default_rng(14).standard_normal(op.n_dof)
@@ -217,7 +231,7 @@ def test_modal_stepper_fine_mesh_finite_and_nonnegative():
     z_T = stepper.terminal(z0, u)
     assert np.isfinite(z_T).all()
     assert z_T.min() >= -1e-12
-    grad = stepper.gradient(stepper.m * z_T)
+    grad = stepper.gradient(stepper.h * z_T)
     assert np.isfinite(grad).all()
 
 
@@ -366,9 +380,9 @@ def _nnls_optimum(problem, T, n_t):
     """Exact least residual ||A u - c|| over u >= 0, and eps_target."""
     stepper = _ModalStepper(problem.op, T, n_t, problem.support)
     zhat_T = problem.target_at(T, n_t).final
-    c = (stepper.m * zhat_T) @ stepper.V - stepper.free(problem.z0)
+    c = (stepper.h * zhat_T) @ stepper.V - stepper.free(problem.z0)
     _, optimum = nnls(stepper.control_matrix(), c)
-    return optimum, 1e-3 * m_norm(zhat_T, stepper.m)
+    return optimum, 1e-3 * m_norm(zhat_T, stepper.h)
 
 
 @pytest.mark.parametrize(("T", "optimum_eps"), [(0.7, 11.72), (0.65, 123.8)])

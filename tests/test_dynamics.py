@@ -149,6 +149,8 @@ def test_make_control_variants(grid20):
     assert not full[~const.support_mask].any()
     with pytest.raises(ValueError, match="shape"):
         fh.make_control(grid20, (-0.3, 0.8), 5, values=np.ones((3, 5)))
+    with pytest.raises(ValueError, match=r"^control values must have 5 time cells, got \(12, 4\)"):
+        fh.make_control(grid20, (-0.3, 0.8), 5, values=np.ones((12, 4)))
     with pytest.raises(ValueError, match="no interior nodes"):
         fh.make_control(grid20, (0.51, 0.54), 5, values=0.0)
 
@@ -158,7 +160,8 @@ def test_control_field_is_valid_by_construction(grid20):
     assert mask.sum() == 12
     good = np.ones((12, 5))
     ctrl = fh.ControlField(good, mask)
-    assert ctrl.values is good and ctrl.n_t == 5
+    assert ctrl.values is not good and np.array_equal(ctrl.values, good)
+    assert not ctrl.values.flags.writeable and ctrl.n_t == 5
     nan, inf = good.copy(), good.copy()
     nan[2, 3], inf[5, 0] = np.nan, -np.inf
     for values in (nan, inf, np.ones(12), np.ones((12, 5, 1))):
@@ -176,6 +179,25 @@ def test_control_field_is_valid_by_construction(grid20):
     # dataclasses.replace runs the same checks
     with pytest.raises(ValueError, match="^control values must be finite"):
         replace(ctrl, values=nan)
+
+
+def test_control_field_owns_its_values(grid20):
+    # a NaN written into the caller's array after construction does not
+    # reach the control, which was checked finite
+    mask = fh.nodes_in_interval(grid20, (-0.3, 0.8))
+    u = np.ones((12, 5))
+    ctrl = fh.ControlField(u, mask)
+    u[2, 3] = np.nan
+    assert np.isfinite(ctrl.values).all()
+    with pytest.raises(ValueError, match="read-only"):
+        ctrl.values[0, 0] = np.nan
+    # clearing mask nodes of the caller's array leaves the control's mask
+    # with a node for each of its 12 rows
+    mask[np.flatnonzero(mask)[:3]] = False
+    assert ctrl.support_mask.sum() == 12
+    assert ctrl.expand().shape == (grid20.n_interior, 5)
+    with pytest.raises(ValueError, match="read-only"):
+        ctrl.support_mask[0] = True
 
 
 def test_generate_target_trajectory(op20_unit, cos_profile):

@@ -48,6 +48,8 @@ def test_nodes_in_interval_case_region():
     assert mask.sum() == 12
     assert np.all(x[mask] >= -0.3 - 1e-12)
     assert np.all(x[mask] <= 0.8 + 1e-12)
+    with pytest.raises(ValueError, match=r"^interval must satisfy -1 <= lo < hi <= 1"):
+        fh.nodes_in_interval(g, (0.5, 0.2))
 
 
 def test_trapezoid_weights_full_interval():
@@ -63,6 +65,8 @@ def test_trapezoid_weights_aligned_interior_interval_exact():
     w = fh.trapezoid_weights(g, (-0.3, 0.5))
     # node-aligned interior interval: trapezoid rule integrates 1 exactly
     assert w.sum() == pytest.approx(0.8, rel=1e-12)
+    with pytest.raises(ValueError, match=r"^interval \(0.51, 0.54\) contains no interior nodes"):
+        fh.trapezoid_weights(g, (0.51, 0.54))
 
 
 @given(

@@ -23,7 +23,7 @@ def test_frozen_unit_eigenvalues(basis20):
 
 def test_eigenvectors_mass_orthonormal(basis20, op20_unit):
     V = basis20.eigenvectors
-    G = V.T @ (op20_unit.mass_lumped_diag[:, None] * V)
+    G = V.T @ (op20_unit.grid.h * V)
     assert np.allclose(G, np.eye(8), atol=1e-10)
 
 
@@ -56,7 +56,7 @@ def test_basis_size_is_read_from_its_arrays(op200_unit):
     full = op200_unit.lumped_basis
     part = fh.SpectralBasis(full.eigenvalues[:8], full.eigenvectors[:, :8], full.grid)
     assert part.k_max == 8
-    assert fh.gap_statistics(part).resolved_count == 6
+    assert part.resolved_count == 6
 
 
 def test_eigensolve_peak_memory(op20_unit, op400_symbol):
@@ -87,12 +87,18 @@ def test_lumped_basis_close_to_consistent(op20_unit, basis20):
     assert basis20.eigenvalues[:3] == pytest.approx(consistent[:3], rel=0.04)
 
 
-def test_gap_statistics_frozen(basis20):
+def test_gap_statistics_frozen(basis20, op20_unit):
     report = fh.gap_statistics(basis20)
-    assert report.resolved_count == 6
+    assert basis20.resolved_count == 6
     assert report.min_gap == pytest.approx(14.83097944263719, rel=1e-12)
     assert report.partial_sums[0] == pytest.approx(1.0 / FROZEN_LAMBDA_UNIT[0])
     assert np.all(np.diff(report.partial_sums) > 0)
+    pair = fh.SpectralBasis(basis20.eigenvalues[:2], basis20.eigenvectors[:, :2], basis20.grid)
+    with pytest.raises(ValueError, match="^need k_max >= 3 for gap statistics, got 2"):
+        fh.gap_statistics(pair)
+    # the full basis on 20 cells has 19 pairs, short of the ratio's 80
+    with pytest.raises(ValueError, match="^need partial sums up to K=80, have 19"):
+        fh.flattening_ratio(fh.gap_statistics(op20_unit.lumped_basis))
 
 
 def test_l1_lower_bound_frozen(basis20):
