@@ -35,10 +35,10 @@ print(f"\nk = 3 relative error at n_x = 400: {abs(pred3 - lam3) / lam3:.2e}")
 # below they keep growing like a harmonic series
 for order in (0.8, 0.4):
     op_o = fh.build_operator(grid, s=order, normalization="symbol")
-    report = fh.gap_statistics(fh.eigendecompose(op_o, k_max=80))
-    flat = fh.flattening_ratio(report)
+    basis = fh.eigendecompose(op_o, k_max=80)
+    flat = fh.flattening_ratio(basis)
     verdict = "flattening (summable-like)" if flat <= 0.5 else "harmonic-like"
     print(
-        f"s = {order}: min gap {report.min_gap:.4f}, "
+        f"s = {order}: min gap {fh.min_gap(basis):.4f}, "
         f"late/early partial-sum growth {flat:.4f} -> {verdict}"
     )

@@ -292,12 +292,13 @@ def assemble_stiffness(grid: Grid, s: float, normalization: str = "symbol") -> n
 class DiscreteOperator:
     """Discrete fractional Laplacian with its lumped mass.
 
-    The operator is frozen, and :func:`build_operator` makes its one
-    dense n x n array, the stiffness, read-only, so its cached properties
-    cannot go stale.  The mass is the row-sum lumped P1 mass, the one
-    that keeps implicit Euler positivity-preserving; on the uniform grid
-    it is h I, so it is not stored: every solver and the eigensolve scale
-    by ``grid.h``.
+    The operator is frozen, and construction, direct or by
+    :func:`build_operator`, raises ValueError unless s lies in
+    [0.01, 0.99] and the stiffness is a read-only (n_dof, n_dof) array,
+    so its cached properties cannot go stale.  The mass is the row-sum
+    lumped P1 mass, the one that keeps implicit Euler
+    positivity-preserving; on the uniform grid it is h I, so it is not
+    stored: every solver and the eigensolve scale by ``grid.h``.
 
     Attributes
     ----------
@@ -311,6 +312,15 @@ class DiscreteOperator:
     grid: Grid
     s: float
     stiffness: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "s", _require_s(self.s))
+        K, n = self.stiffness, self.n_dof
+        if not isinstance(K, np.ndarray) or K.shape != (n, n):
+            shape = getattr(K, "shape", type(K).__name__)
+            raise ValueError(f"stiffness must be a ({n}, {n}) ndarray, got {shape}")
+        if K.flags.writeable:
+            raise ValueError("stiffness must be read-only")
 
     @property
     def n_dof(self) -> int:
@@ -352,7 +362,6 @@ class DiscreteOperator:
 
 def build_operator(grid: Grid, s: float, normalization: str = "symbol") -> DiscreteOperator:
     """Assemble a :class:`DiscreteOperator` with its read-only stiffness."""
-    s = _require_s(s)
     stiffness = assemble_stiffness(grid, s, normalization)
     stiffness.setflags(write=False)
     return DiscreteOperator(grid, s, stiffness)

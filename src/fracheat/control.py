@@ -197,13 +197,10 @@ class FixedTimeOutcome:
 class MinimalTimeReport:
     """Bisection record for the minimal feasible horizon.
 
+    The final bracket [T_lo, T_hi] is read from the history.
+
     Attributes
     ----------
-    T_lo : float
-        Largest horizon whose probe was infeasible; bases says whether a
-        bound proved it or the budget ran out.
-    T_hi : float
-        Smallest horizon whose probe was feasible.
     history : tuple of (T, feasible, residual)
         All probes in evaluation order, one per probed horizon.
     bases : tuple of str
@@ -212,11 +209,20 @@ class MinimalTimeReport:
         The feasible solve at T_hi.
     """
 
-    T_lo: float
-    T_hi: float
     history: tuple[tuple[float, bool, float], ...]
     bases: tuple[str, ...]
     outcome: FixedTimeOutcome = field(repr=False)
+
+    @property
+    def T_lo(self) -> float:
+        """Largest horizon whose probe was infeasible; bases says whether a
+        bound proved it or the budget ran out."""
+        return max(T for T, feasible, _ in self.history if not feasible)
+
+    @property
+    def T_hi(self) -> float:
+        """Smallest horizon whose probe was feasible."""
+        return min(T for T, feasible, _ in self.history if feasible)
 
     @property
     def T_min_estimate(self) -> float:
@@ -717,13 +723,7 @@ def minimal_time_search(
     else:
         raise SolverError("probe budget exhausted before reaching tol_T")
 
-    return MinimalTimeReport(
-        T_lo=T_lo,
-        T_hi=T_hi,
-        history=tuple(history),
-        bases=tuple(bases),
-        outcome=hi_out,
-    )
+    return MinimalTimeReport(history=tuple(history), bases=tuple(bases), outcome=hi_out)
 
 
 def impulse_analysis(control: ControlField, grid, T: float) -> dict:

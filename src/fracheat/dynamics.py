@@ -37,14 +37,20 @@ class Trajectory:
 
     Attributes
     ----------
-    times : ndarray, shape (n_t + 1,)
-        Uniform grid t_j = j T / n_t with times[-1] = T exactly.
+    T : float
+        Final time.
     states : ndarray, shape (n_t + 1, n_interior)
-        Row j holds the nodal values at t_j; row 0 is the initial datum.
+        Row j holds the nodal values at t_j = j T / n_t; row 0 is the
+        initial datum.
     """
 
-    times: np.ndarray = field(repr=False)
+    T: float
     states: np.ndarray = field(repr=False)
+
+    @property
+    def times(self) -> np.ndarray:
+        """Uniform grid t_j = j T / n_t, shape (n_t + 1,), with times[-1] = T exactly."""
+        return _time_grid(self.T, self.n_t)
 
     @property
     def min_value(self) -> float:
@@ -53,7 +59,7 @@ class Trajectory:
 
     @property
     def n_t(self) -> int:
-        return len(self.times) - 1
+        return len(self.states) - 1
 
     @property
     def final(self) -> np.ndarray:
@@ -151,12 +157,18 @@ def _time_grid(T: float, n_t: int) -> np.ndarray:
     return times
 
 
+def _check_on_grid(control: ControlField, grid: Grid) -> None:
+    """Raise ValueError unless the control's mask covers the grid's interior nodes."""
+    size = control.support_mask.size
+    if size != grid.n_interior:
+        raise ValueError(f"control mask has {size} nodes, grid has {grid.n_interior}")
+
+
 def _control_cells(control: ControlField, grid: Grid, T: float):
     """Coordinates of a control's support nodes and time-cell midpoints at T."""
     _check_horizon(T, control.n_t)
+    _check_on_grid(control, grid)
     mask = control.support_mask
-    if mask.size != grid.n_interior:
-        raise ValueError(f"control mask has {mask.size} nodes, grid has {grid.n_interior}")
     return grid.interior_nodes[mask], (np.arange(control.n_t) + 0.5) * (T / control.n_t)
 
 
@@ -205,9 +217,12 @@ def simulate(
         raise ValueError(f"z0 must have shape ({n},), got {z0.shape}")
     if not np.isfinite(z0).all():
         raise ValueError("z0 must be finite")
-    if control is not None and control.n_t != n_t:
-        raise ValueError(f"control has {control.n_t} time cells, simulation has {n_t}")
-    u_full = None if control is None else control.expand()
+    u_full = None
+    if control is not None:
+        if control.n_t != n_t:
+            raise ValueError(f"control has {control.n_t} time cells, simulation has {n_t}")
+        _check_on_grid(control, op.grid)
+        u_full = control.expand()
 
     dt = T / n_t
     states = np.empty((n_t + 1, n))
@@ -235,9 +250,7 @@ def simulate(
         states[j + 1] = z
 
     states.setflags(write=False)
-    times = _time_grid(T, n_t)
-    times.setflags(write=False)
-    return Trajectory(times=times, states=states)
+    return Trajectory(T=T, states=states)
 
 
 def duhamel_spectral(
@@ -337,11 +350,15 @@ def trajectory_to_csv(traj: Trajectory, grid: Grid, path) -> None:
     """Write a trajectory in long format with header t,x,z.
 
     Boundary nodes are included with their zero values so each time slice
-    covers the full grid.
+    covers the full grid.  Raises ValueError unless the trajectory has one
+    value per interior node of the grid.
     """
+    n_nodes = traj.states.shape[1]
+    if n_nodes != grid.n_interior:
+        raise ValueError(f"trajectory has {n_nodes} nodes, grid has {grid.n_interior}")
     x = grid.nodes
     full = np.zeros((traj.states.shape[0], x.size))
-    full[:, grid.interior] = traj.states
+    full[:, 1:-1] = traj.states
     _write_long_csv(path, "t,x,z", traj.times, x, full)
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,22 +21,35 @@ __all__ = [
 class Grid:
     """Uniform partition of (-1, 1) into ``n_x`` subintervals.
 
+    The grid stores its cell count only; construction raises ValueError
+    unless n_x is an integer >= 2, so that the grid has interior degrees
+    of freedom.  Its mesh size and nodes are derived on read.
+
     Attributes
     ----------
     n_x : int
         Number of subintervals.
-    nodes : ndarray, shape (n_x + 1,)
-        Node coordinates x_i = -1 + 2 i / n_x, including the endpoints.
-    h : float
-        Mesh size 2 / n_x.
-    interior : ndarray, shape (n_x - 1,)
-        Indices of the nodes strictly inside (-1, 1).
     """
 
     n_x: int
-    nodes: np.ndarray = field(repr=False)
-    h: float
-    interior: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_x", _check_count("n_x", self.n_x, minimum=2))
+
+    @property
+    def h(self) -> float:
+        """Mesh size 2 / n_x."""
+        return 2.0 / self.n_x
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """Read-only node coordinates x_i = -1 + 2 i / n_x, i = 0..n_x,
+        with the endpoints pinned so they are exact regardless of rounding."""
+        nodes = -1.0 + 2.0 * np.arange(self.n_x + 1) / self.n_x
+        nodes[0] = -1.0
+        nodes[-1] = 1.0
+        nodes.setflags(write=False)
+        return nodes
 
     @property
     def n_interior(self) -> int:
@@ -45,37 +59,12 @@ class Grid:
     @property
     def interior_nodes(self) -> np.ndarray:
         """Coordinates of the interior nodes."""
-        return self.nodes[self.interior]
+        return self.nodes[1:-1]
 
 
 def build_grid(n_x: int) -> Grid:
-    """Build the uniform grid x_i = -1 + 2 i / n_x, i = 0..n_x.
-
-    Parameters
-    ----------
-    n_x : int
-        Number of subintervals; must be at least 2 so that the grid has
-        interior degrees of freedom.
-
-    Returns
-    -------
-    Grid
-
-    Raises
-    ------
-    ValueError
-        If n_x is not an integer >= 2.
-    """
-    n_x = _check_count("n_x", n_x, minimum=2)
-    nodes = -1.0 + 2.0 * np.arange(n_x + 1) / n_x
-    # Pin the endpoints so they are exact regardless of rounding.
-    nodes[0] = -1.0
-    nodes[-1] = 1.0
-    interior = np.arange(1, n_x)
-    grid = Grid(n_x=n_x, nodes=nodes, h=2.0 / n_x, interior=interior)
-    grid.nodes.setflags(write=False)
-    grid.interior.setflags(write=False)
-    return grid
+    """The uniform grid x_i = -1 + 2 i / n_x, i = 0..n_x: ``Grid(n_x)``."""
+    return Grid(n_x)
 
 
 def _in_closed_interval(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
@@ -105,7 +94,7 @@ def nodes_in_interval(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
     -------
     ndarray of bool, shape (n_interior,)
     """
-    return _in_closed_interval(grid, interval)[grid.interior]
+    return _in_closed_interval(grid, interval)[1:-1]
 
 
 def trapezoid_weights(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
@@ -131,7 +120,7 @@ def trapezoid_weights(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
     ndarray, shape (n_interior,)
     """
     in_closed = _in_closed_interval(grid, interval)
-    mask = in_closed[grid.interior]
+    mask = in_closed[1:-1]
     if not mask.any():
         raise ValueError(f"interval {interval!r} contains no interior nodes")
     left_in = in_closed[:-2]

@@ -62,16 +62,18 @@ class BlowupCurve:
     C_lower : ndarray, shape (n,)
         Best ratio per horizon; each equals the ratio recomputed on its
         witness.
-    C_envelope : ndarray, shape (n,)
-        Running maxima toward small T, nonincreasing in T.
     witnesses : ndarray, shape (n, K)
         Row i holds the coefficients that achieve C_lower[i].
     """
 
     T_values: np.ndarray
     C_lower: np.ndarray
-    C_envelope: np.ndarray
     witnesses: np.ndarray
+
+    @property
+    def C_envelope(self) -> np.ndarray:
+        """Running maxima of C_lower toward small T, nonincreasing in T."""
+        return np.maximum.accumulate(self.C_lower)
 
 
 def l1_norm_exp_sum(coefficients, exponents, T: float) -> float:
@@ -363,10 +365,9 @@ def blowup_curve(mu: np.ndarray, T_list, K: int) -> BlowupCurve:
     mu = _leading_exponents(mu, K)
     T = _horizons(T_list).copy()
     C, witnesses = _best_witnesses(mu, T)
-    curve = BlowupCurve(T, C, np.maximum.accumulate(C), witnesses)
-    for a in (curve.T_values, curve.C_lower, curve.C_envelope, curve.witnesses):
+    for a in (T, C, witnesses):
         a.setflags(write=False)
-    return curve
+    return BlowupCurve(T, C, witnesses)
 
 
 def blowup_curve_to_csv(curve: BlowupCurve, path) -> None:

@@ -39,7 +39,7 @@ from .control import (
 from .dynamics import trajectory_to_csv
 from .errors import ConfigError
 from .grid import build_grid
-from .spectral import SpectralBasis, gap_statistics, l1_lower_bound
+from .spectral import SpectralBasis, l1_lower_bound, min_gap
 
 __all__ = [
     "ScenarioResult",
@@ -56,12 +56,14 @@ class ScenarioResult:
     ----------
     summary : dict
         The content written to summary.json.
-    output_dir : Path
-        Directory the files were written into.
     """
 
     summary: dict
-    output_dir: Path
+
+    @property
+    def output_dir(self) -> Path:
+        """Directory the files were written into, the resolved config's."""
+        return Path(self.summary["resolved_config"]["output_dir"])
 
 
 def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
@@ -142,7 +144,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     summary: dict = {
         "resolved_config": config.to_dict(),
         "lambda": basis.eigenvalues.tolist(),
-        "min_gap": gap_statistics(basis).min_gap,
+        "min_gap": min_gap(basis),
         "beta_hat": l1_lower_bound(basis, config.omega),
     }
 
@@ -185,7 +187,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    return ScenarioResult(summary=summary, output_dir=outdir)
+    return ScenarioResult(summary=summary)
 
 
 _PLOT_SCRIPT = '''\

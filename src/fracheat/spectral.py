@@ -22,9 +22,8 @@ from .grid import Grid, trapezoid_weights
 
 __all__ = [
     "SpectralBasis",
-    "GapReport",
     "eigendecompose",
-    "gap_statistics",
+    "min_gap",
     "flattening_ratio",
     "l1_lower_bound",
     "mu_value",
@@ -72,23 +71,6 @@ class SpectralBasis:
     def resolved_count(self) -> int:
         """Number of leading eigenvalues treated as grid-resolved."""
         return max(1, int(np.floor(RESOLVED_FRACTION * self.k_max)))
-
-
-@dataclass(frozen=True, eq=False)
-class GapReport:
-    """Gap and summability statistics of a spectral basis.
-
-    Attributes
-    ----------
-    min_gap : float
-        Smallest consecutive eigenvalue gap over the resolved range.
-    partial_sums : ndarray, shape (k_max,)
-        Partial sums of reciprocal eigenvalues, entry K-1 holding
-        sum_{k<=K} 1/lambda_k.
-    """
-
-    min_gap: float
-    partial_sums: np.ndarray
 
 
 def eigendecompose(op: DiscreteOperator, k_max: int | None = None) -> SpectralBasis:
@@ -163,39 +145,30 @@ def eigendecompose(op: DiscreteOperator, k_max: int | None = None) -> SpectralBa
     return SpectralBasis(eigenvalues=lam, eigenvectors=V, grid=op.grid)
 
 
-def gap_statistics(basis: SpectralBasis) -> GapReport:
-    """Minimum spectral gap over the resolved range and reciprocal sums.
+def min_gap(basis: SpectralBasis) -> float:
+    """Smallest consecutive eigenvalue gap over the resolved range.
 
     Parameters
     ----------
     basis : SpectralBasis
         Needs k_max >= 3.
-
-    Returns
-    -------
-    GapReport
     """
     if basis.k_max < 3:
         raise ValueError(f"need k_max >= 3 for gap statistics, got {basis.k_max}")
-    r = basis.resolved_count
-    lam = basis.eigenvalues
-    min_gap = float(np.diff(lam[:r]).min())
-    partial_sums = np.cumsum(1.0 / lam)
-    partial_sums.setflags(write=False)
-    return GapReport(min_gap=min_gap, partial_sums=partial_sums)
+    return float(np.diff(basis.eigenvalues[: basis.resolved_count]).min())
 
 
-def flattening_ratio(report: GapReport) -> float:
+def flattening_ratio(basis: SpectralBasis) -> float:
     """Ratio of late to early growth of the reciprocal partial sums.
 
     Computes (S_80 - S_40) / (S_50 - S_10) where S_K denotes
-    sum_{k<=K} 1/lambda_k.  Values at or below 0.5 indicate the sums are
-    flattening (summable-like spectrum); values near or above 1 indicate
-    harmonic-like growth.
+    sum_{k<=K} 1/lambda_k over the basis's eigenvalues.  Values at or
+    below 0.5 indicate the sums are flattening (summable-like spectrum);
+    values near or above 1 indicate harmonic-like growth.
     """
-    S = report.partial_sums
-    if len(S) < 80:
-        raise ValueError(f"need partial sums up to K=80, have {len(S)}")
+    if basis.k_max < 80:
+        raise ValueError(f"need partial sums up to K=80, have {basis.k_max}")
+    S = np.cumsum(1.0 / basis.eigenvalues)
     return float((S[79] - S[39]) / (S[49] - S[9]))
 
 

@@ -152,18 +152,17 @@ def flattening_at(s):
     g = fh.build_grid(200)
     op = fh.build_operator(g, s=s, normalization="symbol")
     basis = fh.eigendecompose(op, k_max=80)
-    report = fh.gap_statistics(basis)
-    return report, fh.flattening_ratio(report)
+    return fh.min_gap(basis), fh.flattening_ratio(basis)
 
 
 def test_criterion_05_gap_and_flattening():
-    report08, flat08 = flattening_at(0.8)
+    gap08, flat08 = flattening_at(0.8)
     _, flat04 = flattening_at(0.4)
     print(
-        f"criterion 5: s=0.8 min_gap={report08.min_gap:.6g}, "
+        f"criterion 5: s=0.8 min_gap={gap08:.6g}, "
         f"flattening={flat08:.6g}; s=0.4 flattening={flat04:.6g}"
     )
-    assert report08.min_gap > 0.0
+    assert gap08 > 0.0
     assert flat08 <= 0.5
     assert flat04 > 0.5
 

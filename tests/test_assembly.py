@@ -126,6 +126,20 @@ def test_operator_is_frozen():
     assert op.s == 0.8 and op.lumped_basis.eigenvalues[0] == lam1
 
 
+def test_operator_checks_its_inputs_however_built(op20_unit):
+    grid20, K20 = op20_unit.grid, op20_unit.stiffness
+    with pytest.raises(ValueError, match=r"^s must lie in \[0.01, 0.99\], got 1.5$"):
+        fh.DiscreteOperator(grid20, 1.5, K20)
+    # a stiffness of another grid's size
+    with pytest.raises(ValueError, match=r"^stiffness must be a \(9, 9\) ndarray, got \(19, 19\)$"):
+        fh.DiscreteOperator(fh.build_grid(10), 0.8, K20)
+    # a writable stiffness could change under the cached basis
+    with pytest.raises(ValueError, match="^stiffness must be read-only$"):
+        fh.DiscreteOperator(grid20, 0.8, K20.copy())
+    op = fh.DiscreteOperator(grid20, np.float64(0.8), K20)
+    assert type(op.s) is float and op.stiffness is K20
+
+
 def test_build_operator_rejects_bad_s():
     g = fh.build_grid(8)
     with pytest.raises(ValueError, match="s"):

@@ -241,6 +241,19 @@ def test_trajectory_to_csv(tmp_path, op20_unit, cos_profile):
     assert not boundary[:, 2].any()
 
 
+def test_trajectory_to_csv_refuses_another_grid(tmp_path, op20_unit, cos_profile):
+    traj = fh.simulate(op20_unit, cos_profile, None, 0.2, 5)
+    with pytest.raises(ValueError, match="^trajectory has 19 nodes, grid has 9$"):
+        fh.trajectory_to_csv(traj, fh.build_grid(10), tmp_path / "traj.csv")
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_simulate_refuses_a_control_on_another_grid(op20_unit, cos_profile):
+    control = fh.make_control(fh.build_grid(10), (-0.3, 0.8), 5, values=0.1)
+    with pytest.raises(ValueError, match="^control mask has 9 nodes, grid has 19$"):
+        fh.simulate(op20_unit, cos_profile, control, 0.2, 5)
+
+
 def test_positivity_preserving_holds_only_for_larger_s(op20_unit):
     # s = 0.8: no positive off-diagonal, and nonnegative data stays >= 0
     assert op20_unit.positivity_preserving
@@ -270,11 +283,11 @@ def test_csv_writers_match_savetxt(tmp_path):
         -300, 300, (n_t + 1, grid.n_interior)
     )
     states[0, :5] = [0.0, -0.0, 1.0 / 3.0, 5e-324, -1e300]
-    times = np.arange(n_t + 1) * (0.7 / n_t)
-    traj = fh.Trajectory(times=times, states=states)
+    traj = fh.Trajectory(T=0.7, states=states)
+    times = traj.times
     fh.trajectory_to_csv(traj, grid, tmp_path / "traj.csv")
     full = np.zeros((n_t + 1, grid.nodes.size))
-    full[:, grid.interior] = states
+    full[:, 1:-1] = states
     ref = np.column_stack(
         [np.repeat(times, grid.nodes.size), np.tile(grid.nodes, n_t + 1), full.ravel()]
     )

@@ -87,18 +87,15 @@ def test_lumped_basis_close_to_consistent(op20_unit, basis20):
     assert basis20.eigenvalues[:3] == pytest.approx(consistent[:3], rel=0.04)
 
 
-def test_gap_statistics_frozen(basis20, op20_unit):
-    report = fh.gap_statistics(basis20)
+def test_min_gap_frozen(basis20, op20_unit):
     assert basis20.resolved_count == 6
-    assert report.min_gap == pytest.approx(14.83097944263719, rel=1e-12)
-    assert report.partial_sums[0] == pytest.approx(1.0 / FROZEN_LAMBDA_UNIT[0])
-    assert np.all(np.diff(report.partial_sums) > 0)
+    assert fh.min_gap(basis20) == pytest.approx(14.83097944263719, rel=1e-12)
     pair = fh.SpectralBasis(basis20.eigenvalues[:2], basis20.eigenvectors[:, :2], basis20.grid)
     with pytest.raises(ValueError, match="^need k_max >= 3 for gap statistics, got 2"):
-        fh.gap_statistics(pair)
+        fh.min_gap(pair)
     # the full basis on 20 cells has 19 pairs, short of the ratio's 80
     with pytest.raises(ValueError, match="^need partial sums up to K=80, have 19"):
-        fh.flattening_ratio(fh.gap_statistics(op20_unit.lumped_basis))
+        fh.flattening_ratio(op20_unit.lumped_basis)
 
 
 def test_l1_lower_bound_frozen(basis20):
