@@ -23,7 +23,7 @@ print("modal exponents:", np.array2string(mu, precision=3))
 # sweep the horizon from long to short; the envelope is nonincreasing
 # in T and the short-horizon bounds grow explosively
 horizons = np.geomspace(4.0, 0.05, 10)
-curve = fh.blowup_curve(mu, horizons, K=8)
+curve = fh.blowup_curve(mu, horizons)
 
 # each bound is certified by its witness: the ratio of the weighted final
 # value to the L1 norm of the exponential sum, recomputed on the witness

@@ -42,9 +42,10 @@ import json
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .assembly import NORMALIZATIONS, S_MAX, S_MIN
-from .config import _check_int, _check_number, _fail, parse_config
+from .config import _DEFAULTS, _check_int, _check_number, _fail, parse_config
 from .errors import ConfigError, SolverError
 
 __all__ = ["build_parser", "main"]
@@ -79,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument(
         "--normalization",
         choices=NORMALIZATIONS,
-        default="unit",
-        help="operator normalization (default unit)",
+        default=_DEFAULTS["normalization"],
+        help="operator normalization (default %(default)s)",
     )
 
     p_obs = sub.add_parser(
@@ -114,14 +115,14 @@ def _cmd_run(args) -> int:
 
     from .scenario import run_scenario
 
-    result = run_scenario(config)
+    summary = run_scenario(config)
     line = {
-        "summary_json": str(result.output_dir / "summary.json"),
-        "feasible": result.summary["feasible"],
+        "summary_json": str(Path(config.output_dir) / "summary.json"),
+        "feasible": summary["feasible"],
     }
     for key in ("T_min_estimate", "final_residual"):
-        if key in result.summary:
-            line[key] = result.summary[key]
+        if key in summary:
+            line[key] = summary[key]
     print(json.dumps(line, sort_keys=True))
     return EXIT_OK
 
@@ -160,7 +161,7 @@ def _cmd_obs_curve(args) -> int:
     ks = np.arange(1, args.kmax + 1)
     mu = lambda_asymptotic(ks, args.s)
     T_values = np.geomspace(args.tmax, args.tmin, args.points)
-    curve = blowup_curve(mu, T_values, K=args.kmax)
+    curve = blowup_curve(mu, T_values)
     blowup_curve_to_csv(curve, sys.stdout)
     return EXIT_OK
 

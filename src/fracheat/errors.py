@@ -7,7 +7,6 @@ import numpy as np
 __all__ = [
     "FracheatError",
     "ConfigError",
-    "QuadratureError",
     "SolverError",
 ]
 
@@ -18,10 +17,6 @@ class FracheatError(Exception):
 
 class ConfigError(FracheatError):
     """Invalid scenario configuration (bad schema, out-of-range field)."""
-
-
-class QuadratureError(FracheatError):
-    """Singular-integral quadrature failed an internal consistency check."""
 
 
 class SolverError(FracheatError):

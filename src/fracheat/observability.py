@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, _check_count
+from .errors import SolverError
 
 __all__ = ["BlowupCurve", "l1_norm_exp_sum", "blowup_curve", "blowup_curve_to_csv"]
 
@@ -87,7 +87,7 @@ def l1_norm_exp_sum(coefficients, exponents, T: float) -> float:
     ----------
     coefficients : array_like, shape (K,)
     exponents : array_like, shape (K,)
-        Positive strictly increasing rates.
+        Nonempty, positive, strictly increasing rates.
     T : float
         Finite positive horizon.
 
@@ -107,7 +107,7 @@ def l1_norm_exp_sum(coefficients, exponents, T: float) -> float:
     mu = np.atleast_1d(np.asarray(exponents, dtype=float))
     if c.shape != mu.shape or c.ndim != 1:
         raise ValueError("coefficients and exponents must be 1-D of equal length")
-    mu = _leading_exponents(mu, mu.size)
+    mu = _exponents(mu)
     return float(_l1_norms(c[None, :], mu, _horizons([T]))[0])
 
 
@@ -304,12 +304,11 @@ def _best_witnesses(mu: np.ndarray, T_values: np.ndarray) -> tuple[np.ndarray, n
     )
 
 
-def _leading_exponents(mu: np.ndarray, K: int) -> np.ndarray:
+def _exponents(mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
-    mu = mu[: _check_count("K", K, maximum=mu.size)]
     # written so that NaN fails too
-    if not ((mu > 0).all() and (np.diff(mu) > 0).all()):
-        raise ValueError("exponents must be positive and strictly increasing")
+    if not (mu.ndim == 1 and mu.size and (mu > 0).all() and (np.diff(mu) > 0).all()):
+        raise ValueError("exponents must be nonempty, 1-D, positive and strictly increasing")
     return mu
 
 
@@ -324,21 +323,21 @@ def _horizons(T_list) -> np.ndarray:
     return T
 
 
-def blowup_curve(mu: np.ndarray, T_list, K: int) -> BlowupCurve:
+def blowup_curve(mu: np.ndarray, T_list) -> BlowupCurve:
     """Observability lower bounds, and their witnesses, over horizons.
 
     At each horizon T, maximizes (sum |c_k| e^(-mu_k T)) /
     ||sum c_k e^(-mu_k t)||_{L1(0,T)} over the near-cancellation solves of
     the exponential Gram system of the leading m exponents, for every
-    m = 1..K, each zero-padded to length K, with the L1 norm in closed
-    form between the sum's roots.  A witness whose computed norm is
-    within its own rounding error of zero counts with ratio 0.  Every
-    horizon's witnesses are evaluated in one batch, and since rows do not
-    interact each bound equals the one computed for its horizon alone.
-    The nonincreasing envelope is the running maximum toward small T.
-    The bounds are deterministic, and the candidate set for K contains
-    the padded set for every smaller K, so each bound is nondecreasing
-    in K.
+    m = 1..K with K = len(mu), each zero-padded to length K, with the L1
+    norm in closed form between the sum's roots.  A witness whose
+    computed norm is within its own rounding error of zero counts with
+    ratio 0.  Every horizon's witnesses are evaluated in one batch, and
+    since rows do not interact each bound equals the one computed for its
+    horizon alone.  The nonincreasing envelope is the running maximum
+    toward small T.  The bounds are deterministic, and the candidate set
+    for K contains the padded set for every smaller K, so each bound is
+    nondecreasing in K; pass mu[:K] to truncate.
 
     Single-mode vectors, alternating-sign geometric profiles, random
     draws and the zero-padded prefixes of every candidate are not tried:
@@ -352,17 +351,15 @@ def blowup_curve(mu: np.ndarray, T_list, K: int) -> BlowupCurve:
     Parameters
     ----------
     mu : ndarray
-        Positive strictly increasing exponents, at least K of them.
+        Nonempty, positive, strictly increasing exponents; all are used.
     T_list : sequence of float
         Nonempty, strictly decreasing, finite positive horizons.
-    K : int
-        Truncation: number of leading exponents to use.
 
     Returns
     -------
     BlowupCurve
     """
-    mu = _leading_exponents(mu, K)
+    mu = _exponents(mu)
     T = _horizons(T_list).copy()
     C, witnesses = _best_witnesses(mu, T)
     for a in (T, C, witnesses):

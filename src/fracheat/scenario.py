@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,28 +41,9 @@ from .grid import build_grid
 from .spectral import SpectralBasis, l1_lower_bound, min_gap
 
 __all__ = [
-    "ScenarioResult",
     "run_scenario",
     "build_problem_from_config",
 ]
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Artifacts of one scenario run.
-
-    Attributes
-    ----------
-    summary : dict
-        The content written to summary.json.
-    """
-
-    summary: dict
-
-    @property
-    def output_dir(self) -> Path:
-        """Directory the files were written into, the resolved config's."""
-        return Path(self.summary["resolved_config"]["output_dir"])
 
 
 def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
@@ -104,7 +84,7 @@ def build_problem_from_config(config: ScenarioConfig) -> ControlProblem:
     )
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+def run_scenario(config: ScenarioConfig) -> dict:
     """Run one scenario and write its artifacts.
 
     The output directory is made after the solve, just before the first
@@ -118,7 +98,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     Returns
     -------
-    ScenarioResult
+    dict
+        The summary written to ``summary.json`` in ``config.output_dir``.
 
     Raises
     ------
@@ -187,7 +168,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    return ScenarioResult(summary=summary)
+    return summary
 
 
 _PLOT_SCRIPT = '''\

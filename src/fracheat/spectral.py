@@ -26,7 +26,6 @@ __all__ = [
     "min_gap",
     "flattening_ratio",
     "l1_lower_bound",
-    "mu_value",
     "lambda_asymptotic",
 ]
 
@@ -195,24 +194,17 @@ def l1_lower_bound(basis: SpectralBasis, omega: tuple[float, float]) -> float:
     return float(vals.min())
 
 
-def mu_value(k, s: float):
-    """Half-line frequency mu_k = k pi/2 - (1-s) pi/4.
+def lambda_asymptotic(k, s: float):
+    """Asymptotic eigenvalue law mu_k^(2s), accurate to O(1/k).
 
-    Consecutive values are spaced exactly pi/2 apart.  Accepts scalar or
-    array k >= 1, and s in [0.01, 0.99], checked first.
+    mu_k = k pi/2 - (1-s) pi/4 is the half-line frequency; consecutive
+    values are spaced exactly pi/2 apart.  Under the symbol normalization
+    the k-th eigenvalue approaches mu_k^(2s) with an O(1/k) remainder.
+    Accepts scalar or array k >= 1, and s in [0.01, 0.99], checked first.
     """
     s = _require_s(s)
     k = np.asarray(k)
     if not (k >= 1).all():
         raise ValueError("k must be >= 1")
-    out = k * (np.pi / 2.0) - (1.0 - s) * (np.pi / 4.0)
-    return out if out.ndim else float(out)
-
-
-def lambda_asymptotic(k, s: float):
-    """Asymptotic eigenvalue law mu_k^(2s), accurate to O(1/k).
-
-    Under the symbol normalization the k-th eigenvalue approaches
-    (k pi/2 - (1-s) pi/4)^(2s) with an O(1/k) remainder.
-    """
-    return mu_value(k, s) ** (2.0 * s)
+    mu = k * (np.pi / 2.0) - (1.0 - s) * (np.pi / 4.0)
+    return (mu if mu.ndim else float(mu)) ** (2.0 * s)

@@ -75,6 +75,17 @@ def main():
         (0.95, 10, 1),
         (0.5, 20, 0),
         (0.5, 20, 4),
+        # the ends and the middle of the admissible range of s, where the
+        # fixed element-pair rules are least accurate
+        (0.01, 10, 0),
+        (0.01, 10, 1),
+        (0.01, 10, 2),
+        (0.2, 10, 0),
+        (0.2, 10, 1),
+        (0.2, 10, 2),
+        (0.99, 10, 0),
+        (0.99, 10, 1),
+        (0.99, 10, 2),
     ]
     print("# (s, n_x, |i-j|) -> E(psi_i, psi_j), grid h = 2/n_x")
     for s, n_x, m in cases:

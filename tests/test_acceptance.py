@@ -245,7 +245,7 @@ def test_criterion_08_gradient_checks(prob_case1):
 @pytest.fixture(scope="module")
 def observability_constants():
     mu = fh.lambda_asymptotic(np.arange(1, 9), 0.8)
-    curve = fh.blowup_curve(mu, [4.0, 2.0, 1.0, 0.05], 8)
+    curve = fh.blowup_curve(mu, [4.0, 2.0, 1.0, 0.05])
     return dict(zip(curve.T_values.tolist(), curve.C_lower.tolist()))
 
 

@@ -30,10 +30,23 @@ FROZEN_STIFFNESS = {
     (0.95, 10, 1): -3.6533211172452199,
     (0.5, 20, 0): 0.88254240061060637,
     (0.5, 20, 4): -0.02127031863122254,
+    # the ends and the middle of the range of s: the fixed element-pair
+    # rules are checked here, not on every assembly, since their error
+    # depends on s alone (each block scales as h^(1-2s)) and is largest
+    # at s = 0.99
+    (0.01, 10, 0): 0.13737017462999074,
+    (0.01, 10, 1): 0.032732925593881952,
+    (0.01, 10, 2): -0.001126390897256819,
+    (0.2, 10, 0): 0.26117769134857943,
+    (0.2, 10, 1): 0.0093167438576485576,
+    (0.2, 10, 2): -0.029057342316369902,
+    (0.99, 10, 0): 9.4711271989829478,
+    (0.99, 10, 1): -4.6944757754616395,
+    (0.99, 10, 2): -0.032139287396339783,
 }
 
 
-@pytest.mark.parametrize("key", sorted(FROZEN_STIFFNESS))
+@pytest.mark.parametrize("key", list(FROZEN_STIFFNESS))
 def test_stiffness_matches_fourier_oracle(key):
     s, n_x, offset = key
     g = fh.build_grid(n_x)
@@ -86,11 +99,15 @@ def test_unit_normalization_rescales_stiffness():
     assert np.allclose(K_unit * c, K_sym, rtol=1e-13)
     with pytest.raises(ValueError, match=r"^normalization must be one of \('symbol', 'unit'\)"):
         fh.assemble_stiffness(g, s=0.8, normalization="weird")
+    # no library default: a caller states the normalization it means
+    for build in (fh.assemble_stiffness, fh.build_operator):
+        with pytest.raises(TypeError, match="normalization"):
+            build(g, s=0.8)
 
 
 def test_mass_matrices():
     # row-sum lumping gives each interior node the integral of its hat, h
-    op = fh.build_operator(fh.build_grid(10), s=0.8)
+    op = fh.build_operator(fh.build_grid(10), s=0.8, normalization="symbol")
     n, h = op.n_dof, op.grid.h
     assert op.mass_lumped.shape == (n, n)
     assert np.array_equal(op.mass_lumped, np.diag(np.full(n, h)))
@@ -106,8 +123,10 @@ def test_build_operator_bundles_consistently(op20_symbol):
 def test_operator_holds_one_dense_matrix():
     # the mass is stored as its diagonal: only the stiffness is n x n,
     # and it is assembled in its own buffer with no second copy
-    fh.build_operator(fh.build_grid(8), s=0.8)  # fills the quadrature caches
-    op, held, peak = traced(lambda: fh.build_operator(fh.build_grid(400), s=0.8))
+    fh.build_operator(fh.build_grid(8), s=0.8, normalization="symbol")  # fills the quadrature caches
+    op, held, peak = traced(
+        lambda: fh.build_operator(fh.build_grid(400), s=0.8, normalization="symbol")
+    )
     assert held <= 1.1 * 8.0 * op.n_dof ** 2
     assert peak <= 1.2 * 8.0 * op.n_dof ** 2
 
@@ -115,7 +134,7 @@ def test_operator_holds_one_dense_matrix():
 def test_operator_is_frozen():
     # the cached basis and sign test are computed from the stiffness once,
     # so neither the stiffness nor any field may change after that
-    op = fh.build_operator(fh.build_grid(10), s=0.8)
+    op = fh.build_operator(fh.build_grid(10), s=0.8, normalization="symbol")
     lam1 = op.lumped_basis.eigenvalues[0]
     assert op.lumped_basis is op.lumped_basis and op.positivity_preserving
     assert not op.stiffness.flags.writeable
@@ -143,6 +162,6 @@ def test_operator_checks_its_inputs_however_built(op20_unit):
 def test_build_operator_rejects_bad_s():
     g = fh.build_grid(8)
     with pytest.raises(ValueError, match="s"):
-        fh.build_operator(g, s=1.2)
+        fh.build_operator(g, s=1.2, normalization="symbol")
     with pytest.raises(ValueError, match="s"):
-        fh.build_operator(g, s=0.0)
+        fh.build_operator(g, s=0.0, normalization="symbol")

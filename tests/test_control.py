@@ -248,18 +248,36 @@ def test_unconstrained_dual_steers_and_is_bang_bang(prob_case1, lumped_diag):
     assert p_cells.shape == (prob_case1.op.n_dof, 100)
 
 
-def test_unconstrained_steers_on_a_finer_mesh():
-    # case-1 data at n_x = 80, where the re-simulated control must meet the
-    # target far inside the 1e-3 feasibility tolerance
+@pytest.fixture(scope="module")
+def finer_mesh_lp():
+    """Case-1 data at n_x = 80, and its one LP solve at T = 0.9, n_t = 300."""
     grid = fh.build_grid(80)
     op = fh.build_operator(grid, s=0.8, normalization="unit")
     cos = np.cos(np.pi * grid.interior_nodes / 2.0)
     prob = fh.ControlProblem(op, 2.0 * cos, 0.05 * cos, 0.2, (-0.3, 0.8))
-    control = fh.solve_unconstrained_Linf(prob, 0.9, 300).control
+    return prob, fh.unconstrained_dual_details(prob, 0.9, 300)
+
+
+def test_unconstrained_steers_on_a_finer_mesh(finer_mesh_lp):
+    # case-1 data at n_x = 80, where the re-simulated control must meet the
+    # target far inside the 1e-3 feasibility tolerance
+    prob, (control, _, _) = finer_mesh_lp
+    op = prob.op
     final = fh.simulate(op, prob.z0, control, 0.9, 300).final
     zhat_T = prob.target_at(0.9, 300).final
     m = np.diag(op.mass_lumped)
     assert m_norm(final - zhat_T, m) <= 1e-5 * m_norm(zhat_T, m)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at n_x = 80 the LP's primal and dual values disagree: ||u||_inf reads "
+    "0.20010208 against D = 0.19991901, 9.16e-4 relative (9.4e-8 at n_x = 20)",
+)
+def test_lp_primal_and_dual_values_agree_on_a_finer_mesh(finer_mesh_lp):
+    # strong duality makes the control's sup norm equal the dual's value
+    _, (control, _, D) = finer_mesh_lp
+    assert abs(np.abs(control.values).max() - D) / D <= 1e-6
 
 
 def test_unconstrained_outcome_is_an_independent_verdict(

@@ -84,9 +84,9 @@ def test_non_finite_horizons_are_rejected():
     mu = fh.lambda_asymptotic(np.arange(1, 5), 0.8)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            fh.blowup_curve(mu, [2.0, bad, 0.5], 4)
+            fh.blowup_curve(mu, [2.0, bad, 0.5])
         with pytest.raises(ValueError, match="finite"):
-            fh.blowup_curve(mu, [bad], 4)
+            fh.blowup_curve(mu, [bad])
         with pytest.raises(ValueError, match="finite"):
             fh.l1_norm_exp_sum([2.0, -1.0], [1.0, 3.0], bad)
 
@@ -213,20 +213,22 @@ def test_root_iteration_does_not_creep_at_flat_roots(monkeypatch):
     # against at most 13 now
     monkeypatch.setattr(obs, "_ROOT_STEPS", 16)
     mu = fh.lambda_asymptotic(np.arange(1, 13), 0.3)
-    assert (fh.blowup_curve(mu, np.geomspace(4.0, 0.01, 25), 12).C_lower > 0.0).all()
+    assert (fh.blowup_curve(mu, np.geomspace(4.0, 0.01, 25)).C_lower > 0.0).all()
 
 
 def test_estimator_validation():
-    mu = np.array([1.0, 2.0, 3.0])
-    for K in (0, 4, 2.5, True):
-        with pytest.raises(ValueError, match="K"):
-            fh.blowup_curve(mu, [1.0], K)
+    # K is the number of exponents, so an empty list is refused
+    for mu in (np.array([]), np.array([[1.0, 2.0]])):
+        with pytest.raises(ValueError, match="nonempty, 1-D"):
+            fh.blowup_curve(mu, [1.0])
     with pytest.raises(ValueError, match="positive"):
-        fh.blowup_curve(mu, [-1.0], 2)
+        fh.blowup_curve(np.array([1.0, 2.0, 3.0]), [-1.0])
+    with pytest.raises(ValueError, match="positive"):
+        fh.blowup_curve(np.array([0.0, 2.0]), [1.0])
     with pytest.raises(ValueError, match="increasing"):
-        fh.blowup_curve(np.array([2.0, 1.0]), [1.0], 2)
+        fh.blowup_curve(np.array([2.0, 1.0]), [1.0])
     with pytest.raises(ValueError, match="increasing"):
-        fh.blowup_curve(np.array([1.0, math.nan]), [1.0], 2)
+        fh.blowup_curve(np.array([1.0, math.nan]), [1.0])
 
 
 def test_estimator_single_mode_closed_form():
@@ -234,7 +236,7 @@ def test_estimator_single_mode_closed_form():
     # yields mu e^(-mu T) / (1 - e^(-mu T))
     mu = np.array([1.8])
     T = 0.7
-    curve = fh.blowup_curve(mu, [T], 1)
+    curve = fh.blowup_curve(mu, [T])
     exact = 1.8 * math.exp(-1.8 * T) / (1.0 - math.exp(-1.8 * T))
     assert curve.C_lower[0] == pytest.approx(exact, rel=1e-10)
     assert list(curve.T_values) == [T]
@@ -242,7 +244,7 @@ def test_estimator_single_mode_closed_form():
 
 def test_estimator_bound_is_certified_by_witness():
     mu = fh.lambda_asymptotic(np.arange(1, 5), 0.8)
-    curve = fh.blowup_curve(mu, [2.0, 0.5, 0.1], 4)
+    curve = fh.blowup_curve(mu, [2.0, 0.5, 0.1])
     assert curve.witnesses.shape == (3, 4)
     for T, C, c in zip(curve.T_values, curve.C_lower, curve.witnesses):
         numer = float(np.abs(c) @ np.exp(-mu * T))
@@ -253,7 +255,7 @@ def test_estimator_nondecreasing_in_K():
     mu = fh.lambda_asymptotic(np.arange(1, 9), 0.8)
     prev = 0.0
     for K in range(1, 9):
-        C = fh.blowup_curve(mu, [0.4], K).C_lower[0]
+        C = fh.blowup_curve(mu[:K], [0.4]).C_lower[0]
         assert C >= prev - 1e-12
         prev = C
 
@@ -268,7 +270,7 @@ def test_estimate_is_the_best_ladder_witness():
         for v in _cancellation_candidates(mu[:m], T):
             candidates.append(np.pad(v, (0, K - m)))
     best = max(ratio(c, mu[:K], T) for c in candidates)
-    C = fh.blowup_curve(mu, [T], K).C_lower[0]
+    C = fh.blowup_curve(mu[:K], [T]).C_lower[0]
     assert C == best
     assert C == pytest.approx(6.578, rel=1e-3)
 
@@ -277,27 +279,27 @@ def test_estimator_at_underflowing_horizon():
     # at T = 1e-20 every Gram entry (1 - e^(-2 mu T)) / (2 mu) rounds to 0;
     # e_1 still gives the ratio e^(-mu_1 T) / T, about 1e20
     mu = np.array([1.0, 2.0, 3.0])
-    C = fh.blowup_curve(mu, [1e-20], 3).C_lower[0]
+    C = fh.blowup_curve(mu, [1e-20]).C_lower[0]
     assert C >= 0.5e20 and np.isfinite(C)
 
 
 def test_blowup_curve_validation():
     mu = np.array([1.0, 2.0])
     with pytest.raises(ValueError, match="nonempty"):
-        fh.blowup_curve(mu, [], 2)
+        fh.blowup_curve(mu, [])
     with pytest.raises(ValueError, match="nonempty"):
-        fh.blowup_curve(mu, [[1.0, 0.5]], 2)
+        fh.blowup_curve(mu, [[1.0, 0.5]])
     with pytest.raises(ValueError, match="decreasing"):
-        fh.blowup_curve(mu, [1.0, 1.0], 2)
+        fh.blowup_curve(mu, [1.0, 1.0])
     with pytest.raises(ValueError, match="decreasing"):
-        fh.blowup_curve(mu, [0.5, 1.0, 2.0], 2)
+        fh.blowup_curve(mu, [0.5, 1.0, 2.0])
     with pytest.raises(ValueError, match="positive"):
-        fh.blowup_curve(mu, [1.0, 0.5, -0.1], 2)
+        fh.blowup_curve(mu, [1.0, 0.5, -0.1])
 
 
 def test_blowup_curve_envelope_and_slope():
     mu = fh.lambda_asymptotic(np.arange(1, 5), 0.8)
-    curve = fh.blowup_curve(mu, [2.0, 1.0, 0.5, 0.2, 0.1], 4)
+    curve = fh.blowup_curve(mu, [2.0, 1.0, 0.5, 0.2, 0.1])
     assert curve.T_values == pytest.approx([2.0, 1.0, 0.5, 0.2, 0.1])
     # the envelope is the running max toward small horizons
     assert np.all(np.diff(curve.C_envelope) >= 0)
@@ -334,7 +336,7 @@ def test_l1_norm_of_a_sum_cancelled_to_roundoff():
     assert np.isfinite(norm) and 0.0 <= norm <= 1e-24
     # the estimator treats such a sum as a degenerate witness
     assert ratio(c, mu, T) == 0.0
-    C = fh.blowup_curve(mu, [T], 3).C_lower[0]
+    C = fh.blowup_curve(mu, [T]).C_lower[0]
     assert np.isfinite(C) and C > 0.0
 
 
@@ -344,9 +346,9 @@ def test_witness_alone_reproduces_its_batched_ratio():
     # is the same float
     mu = fh.lambda_asymptotic(np.arange(1, 9), 0.8)
     T_values = np.geomspace(4.0, 0.05, 9)
-    curve = fh.blowup_curve(mu, T_values, 8)
+    curve = fh.blowup_curve(mu, T_values)
     for T, C, w in zip(T_values, curve.C_lower, curve.witnesses):
-        alone = fh.blowup_curve(mu, [T], 8)
+        alone = fh.blowup_curve(mu, [T])
         assert alone.C_lower[0] == C
         assert np.array_equal(alone.witnesses[0], w)
         assert ratio(w, mu, T) == C
@@ -357,7 +359,7 @@ def test_witness_alone_reproduces_its_batched_ratio():
 
 def test_blowup_curve_to_csv(tmp_path):
     mu = np.array([1.0, 3.0, 6.0])
-    curve = fh.blowup_curve(mu, [1.0, 0.5, 0.25], 3)
+    curve = fh.blowup_curve(mu, [1.0, 0.5, 0.25])
     path = tmp_path / "curve.csv"
     fh.blowup_curve_to_csv(curve, path)
     lines = path.read_text().splitlines()

@@ -36,9 +36,7 @@ FROZEN_ALL = [
     "Grid",
     "HorizonMode",
     "MinimalTimeReport",
-    "QuadratureError",
     "ScenarioConfig",
-    "ScenarioResult",
     "SolverError",
     "SpectralBasis",
     "Trajectory",
@@ -61,7 +59,6 @@ FROZEN_ALL = [
     "make_control",
     "min_gap",
     "minimal_time_search",
-    "mu_value",
     "nodes_in_interval",
     "normalization_constant",
     "parse_config",
@@ -138,7 +135,7 @@ ARRAY_RECORDS = {
     "ControlProblem": _case1,
     "FixedTimeOutcome": lambda: fh.solve_constrained_fixed_time(_case1(), 0.9, 20),
     "MinimalTimeReport": lambda: fh.minimal_time_search(_case1(), (0.7, 1.5), 1.0, 20),
-    "BlowupCurve": lambda: fh.blowup_curve(fh.mu_value(np.arange(1, 5), 0.8), [2.0, 0.5], 4),
+    "BlowupCurve": lambda: fh.blowup_curve(np.arange(1.0, 5.0), [2.0, 0.5]),
 }
 
 
@@ -158,7 +155,6 @@ RECORD_FIELDS = {
     "Trajectory": ("T", "states"),
     "MinimalTimeReport": ("history", "bases", "outcome"),
     "BlowupCurve": ("T_values", "C_lower", "witnesses"),
-    "ScenarioResult": ("summary",),
 }
 
 
@@ -175,9 +171,6 @@ COUNT_ARGUMENTS = {
     "simulate": ("n_t", 1, lambda prob, n: fh.simulate(prob.op, prob.z0, None, 0.5, n)),
     "make_control": ("n_t", 1, lambda prob, n: fh.make_control(prob.op.grid, prob.omega, n, 0.1)),
     "eigendecompose": ("k_max", 1, lambda prob, n: fh.eigendecompose(prob.op, k_max=n)),
-    "blowup_curve": (
-        "K", 1, lambda prob, n: fh.blowup_curve(fh.mu_value(np.arange(1, 5), 0.8), [2.0, 0.5], n)
-    ),
     "solve_constrained_fixed_time": (
         "max_iter", 1, lambda prob, n: fh.solve_constrained_fixed_time(prob, 0.9, 20, max_iter=n)
     ),
@@ -192,9 +185,8 @@ def _work_started(*args, **kwargs):
 def test_every_count_is_an_integer_checked_before_any_work(function, monkeypatch):
     name, least, call = COUNT_ARGUMENTS[function]
     prob = _case1()
-    # a refused count starts no eigensolve and no witness root search
+    # a refused count starts no eigensolve
     monkeypatch.setattr("scipy.linalg.eigh", _work_started)
-    monkeypatch.setattr("fracheat.observability._best_witnesses", _work_started)
     for bad in (least - 1, 2.5, True, np.float64(2.0)):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             call(prob, bad)

@@ -44,15 +44,15 @@ def schema():
 def fixed_run(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("fixed")
     cfg = replace(fh.parse_config(FAST_FIXED), output_dir=str(outdir))
-    return fh.run_scenario(cfg)
+    return outdir, fh.run_scenario(cfg)
 
 
 def test_fixed_run_artifacts(fixed_run):
-    assert _listing(fixed_run.output_dir) == ["control.csv", "summary.json", "trajectory.csv"]
+    assert _listing(fixed_run[0]) == ["control.csv", "summary.json", "trajectory.csv"]
 
 
 def test_fixed_run_summary_content(fixed_run):
-    s = fixed_run.summary
+    s = fixed_run[1]
     assert s["feasible"] is True
     assert 0.0 <= s["final_residual"]
     assert s["iterations"] >= 1
@@ -69,14 +69,14 @@ def test_fixed_run_summary_content(fixed_run):
 
 
 def test_fixed_run_summary_validates_against_schema(fixed_run, schema):
-    on_disk = json.loads((fixed_run.output_dir / "summary.json").read_text())
+    on_disk = json.loads((fixed_run[0] / "summary.json").read_text())
     jsonschema.validate(on_disk, schema)
 
 
 def test_fixed_run_csv_shapes(fixed_run):
-    traj = np.loadtxt(fixed_run.output_dir / "trajectory.csv", delimiter=",", skiprows=1)
+    traj = np.loadtxt(fixed_run[0] / "trajectory.csv", delimiter=",", skiprows=1)
     assert traj.shape == (31 * 11, 3)
-    ctrl = np.loadtxt(fixed_run.output_dir / "control.csv", delimiter=",", skiprows=1)
+    ctrl = np.loadtxt(fixed_run[0] / "control.csv", delimiter=",", skiprows=1)
     n_sup = int(fh.nodes_in_interval(fh.build_grid(10), (-0.3, 0.8)).sum())
     assert ctrl.shape == (n_sup * 30, 3)
 
@@ -106,8 +106,7 @@ def test_minimal_time_run_summary(tmp_path, schema):
             "output_dir": str(tmp_path / "mt"),
         }
     )
-    result = fh.run_scenario(fh.parse_config(cfg_text))
-    s = result.summary
+    s = fh.run_scenario(fh.parse_config(cfg_text))
     assert s["feasible"] is True
     assert 0.2 <= s["T_lo"] < s["T_hi"] <= 0.9
     assert s["T_min_estimate"] == pytest.approx(0.5 * (s["T_lo"] + s["T_hi"]))
@@ -116,7 +115,7 @@ def test_minimal_time_run_summary(tmp_path, schema):
         assert probe["basis"] in BASES
     assert "final_residual" not in s
     jsonschema.validate(
-        json.loads((result.output_dir / "summary.json").read_text()), schema
+        json.loads((tmp_path / "mt" / "summary.json").read_text()), schema
     )
 
 
@@ -146,7 +145,7 @@ def test_run_solves_one_eigenproblem(tmp_path, monkeypatch, horizon):
             {"n_x": 20, "n_t": 30, "horizon_mode": horizon, "output_dir": str(tmp_path)}
         )
     )
-    summary = fh.run_scenario(cfg).summary
+    summary = fh.run_scenario(cfg)
     assert calls == [(19, 19)]
     (problem,) = problems
     assert summary["lambda"] == problem.op.lumped_basis.eigenvalues[:8].tolist()
@@ -205,10 +204,10 @@ def test_unconstrained_fixed_run(tmp_path):
             "output_dir": str(tmp_path / "unc"),
         }
     )
-    result = fh.run_scenario(fh.parse_config(cfg_text))
-    assert result.summary["feasible"] is True
+    summary = fh.run_scenario(fh.parse_config(cfg_text))
+    assert summary["feasible"] is True
     # the sup-norm solver may go negative; the files are still complete
-    assert _listing(result.output_dir) == ["control.csv", "summary.json", "trajectory.csv"]
+    assert _listing(tmp_path / "unc") == ["control.csv", "summary.json", "trajectory.csv"]
 
 
 @pytest.mark.parametrize("nonneg_state", [True, False])
@@ -223,11 +222,11 @@ def test_unconstrained_fixed_run_checks_the_state_constraint(tmp_path, nonneg_st
             "output_dir": str(tmp_path / "unc"),
         }
     )
-    result = fh.run_scenario(fh.parse_config(cfg_text))
-    traj = np.loadtxt(result.output_dir / "trajectory.csv", delimiter=",", skiprows=1)
+    summary = fh.run_scenario(fh.parse_config(cfg_text))
+    traj = np.loadtxt(tmp_path / "unc" / "trajectory.csv", delimiter=",", skiprows=1)
     assert traj[:, 2].min() == pytest.approx(-2.49, abs=0.01)
-    assert result.summary["final_residual"] <= 1e-5
-    assert result.summary["feasible"] is (not nonneg_state)
+    assert summary["final_residual"] <= 1e-5
+    assert summary["feasible"] is (not nonneg_state)
 
 
 def test_written_trajectory_is_the_verdicts(tmp_path, monkeypatch, prob_case1):
@@ -264,13 +263,13 @@ def test_written_trajectory_is_the_verdicts(tmp_path, monkeypatch, prob_case1):
         simulated.clear()
         solved.clear()
         cfg["output_dir"] = str(tmp_path / name)
-        result = fh.run_scenario(fh.parse_config(json.dumps(cfg)))
+        summary = fh.run_scenario(fh.parse_config(json.dumps(cfg)))
         written = np.loadtxt(
-            result.output_dir / "trajectory.csv", delimiter=",", skiprows=1
+            tmp_path / name / "trajectory.csv", delimiter=",", skiprows=1
         )[:, 2].reshape(31, 11)[:, 1:-1]
         if name == "mt":
             assert len(simulated) == len(solved) > 2
-            T_hi = result.summary["T_hi"]
+            T_hi = summary["T_hi"]
             reported = [o for o in solved if o.feasible and o.trajectory.times[-1] == T_hi]
             assert np.array_equal(written, reported[-1].trajectory.states)
         else:
@@ -286,37 +285,39 @@ def test_impulses_sit_on_the_written_control_cells(tmp_path, horizon):
     # summary.json's impulses and control.csv read one map of the control's
     # cells, so each impulse is a cell the CSV writes, to the last bit
     cfg = {"case_preset": "case1", "horizon_mode": horizon, "output_dir": str(tmp_path)}
-    result = fh.run_scenario(fh.parse_config(json.dumps(cfg)))
+    summary = fh.run_scenario(fh.parse_config(json.dumps(cfg)))
     written = np.loadtxt(tmp_path / "control.csv", delimiter=",", skiprows=1)
     t_col, x_col = set(written[:, 0].tolist()), set(written[:, 1].tolist())
     on_disk = json.loads((tmp_path / "summary.json").read_text())
     impulses = on_disk["atomicity"]["top_impulses"]
-    assert result.summary["resolved_config"]["n_x"] == 20 and len(impulses) == 10
+    assert summary["resolved_config"]["n_x"] == 20 and len(impulses) == 10
     for imp in impulses:
         assert imp["x"] in x_col and imp["t"] in t_col
 
 
 @pytest.fixture
 def plot_run(tmp_path):
+    """The output directory of a run that emits plot.py."""
     cfg = {**json.loads(FAST_FIXED), "emit_plots": True, "output_dir": str(tmp_path / "plots")}
-    return fh.run_scenario(fh.parse_config(json.dumps(cfg)))
+    fh.run_scenario(fh.parse_config(json.dumps(cfg)))
+    return tmp_path / "plots"
 
 
 PNGS = ["control_heatmap.png", "impulse_map.png", "state_evolution.png"]
 
 
-def _render(run, env=None) -> list[str]:
-    assert _listing(run.output_dir) == ["control.csv", "plot.py", "summary.json", "trajectory.csv"]
+def _render(run_dir, env=None) -> list[str]:
+    assert _listing(run_dir) == ["control.csv", "plot.py", "summary.json", "trajectory.csv"]
     proc = subprocess.run(
         [sys.executable, "plot.py"],
-        cwd=run.output_dir,
+        cwd=run_dir,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return sorted(p.name for p in run.output_dir.glob("*.png"))
+    return sorted(p.name for p in run_dir.glob("*.png"))
 
 
 def test_emit_plots_scripts_render(plot_run):
@@ -353,7 +354,7 @@ def test_emit_plots_script_runs_on_stub_matplotlib(plot_run, tmp_path):
 
 def test_emit_plots_scripts_compile(plot_run):
     # runs without matplotlib, unlike the render tests above
-    compile((plot_run.output_dir / "plot.py").read_text(), "plot.py", "exec")
+    compile((plot_run / "plot.py").read_text(), "plot.py", "exec")
 
 
 def test_scipy_optimize_loads_only_for_the_lp(tmp_path):
@@ -361,21 +362,24 @@ def test_scipy_optimize_loads_only_for_the_lp(tmp_path):
     # has scipy.linalg loaded, and only the L-infinity LP needs it;
     # scipy.linalg costs more than that and only the Cholesky factor in
     # simulate and the eigensolve need it, so the package import and the
-    # observability estimate load no scipy at all
+    # observability estimate load no scipy at all.  Nor do they load
+    # numpy.polynomial, which only the stiffness assembly's quadrature
+    # rules need, built on the first assembly and not at import
     script = """
 import contextlib, io, json, sys
 import fracheat as fh
 from fracheat.control import BASES
 import fracheat.cli
 
-def scipy_modules():
-    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+def deferred_modules():
+    return [m for m in sys.modules
+            if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "polynomial"]]
 
-after_import = scipy_modules()
+after_import = deferred_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     code = fracheat.cli.main(["obs-curve", "--s", "0.8", "--tmin", "0.1",
                               "--tmax", "1", "--points", "3", "--kmax", "4"])
-after_obs_curve = scipy_modules()
+after_obs_curve = deferred_modules()
 loaded = ["scipy.optimize" in sys.modules]
 cfg = fh.parse_config(json.dumps({
     "n_x": 8, "n_t": 20, "horizon_mode": {"fixed": 0.9}, "output_dir": sys.argv[1],
@@ -383,11 +387,13 @@ cfg = fh.parse_config(json.dumps({
 fh.run_scenario(cfg)
 loaded.append("scipy.optimize" in sys.modules)
 linalg_after_run = "scipy.linalg" in sys.modules
+polynomial_after_run = "numpy.polynomial" in sys.modules
 fh.solve_unconstrained_Linf(fh.build_problem_from_config(cfg), 0.9, 20)
 loaded.append("scipy.optimize" in sys.modules)
 print(json.dumps({"loaded": loaded, "after_import": after_import, "code": code,
                   "after_obs_curve": after_obs_curve,
-                  "linalg_after_run": linalg_after_run}))
+                  "linalg_after_run": linalg_after_run,
+                  "polynomial_after_run": polynomial_after_run}))
 """
     env = dict(os.environ)
     src = str(Path(fh.__file__).resolve().parents[1])
@@ -405,7 +411,7 @@ print(json.dumps({"loaded": loaded, "after_import": after_import, "code": code,
     assert out["after_import"] == []
     assert out["code"] == 0
     assert out["after_obs_curve"] == []
-    assert out["linalg_after_run"]
+    assert out["linalg_after_run"] and out["polynomial_after_run"]
 
 
 def test_build_problem_from_config(prob_case1):

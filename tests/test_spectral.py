@@ -106,25 +106,24 @@ def test_l1_lower_bound_frozen(basis20):
     assert fh.l1_lower_bound(basis20, (-0.5, 0.9)) >= beta
 
 
-def test_mu_value_and_lambda_asymptotic():
+def test_lambda_asymptotic():
     # mu_k = k pi/2 - (1 - s) pi/4, lambda ~ mu_k^(2s)
     s = 0.8
     for k in (1, 2, 7):
         mu = k * math.pi / 2.0 - (1.0 - s) * math.pi / 4.0
-        assert fh.mu_value(k, s) == pytest.approx(mu, rel=1e-15)
         assert fh.lambda_asymptotic(k, s) == pytest.approx(mu ** (2 * s), rel=1e-15)
+    assert type(fh.lambda_asymptotic(3, s)) is float
     arr = fh.lambda_asymptotic(np.arange(1, 5), 0.5)
     assert arr.shape == (4,)
     assert np.all(np.diff(arr) > 0)
     # NaN fails the range checks
     with pytest.raises(ValueError, match="k must be"):
-        fh.mu_value(np.array([1.0, np.nan]), 0.8)
+        fh.lambda_asymptotic(np.array([1.0, np.nan]), 0.8)
     # s outside [0.01, 0.99], or NaN, is refused first: lambda_asymptotic
     # returned 283.1 at s = 1.7
-    for f in (fh.mu_value, fh.lambda_asymptotic):
-        for s in (0.0, 1.5, 1.7, -0.5, np.nan):
-            with pytest.raises(ValueError, match="^s must lie in"):
-                f(3, s)
+    for s in (0.0, 1.5, 1.7, -0.5, np.nan):
+        with pytest.raises(ValueError, match="^s must lie in"):
+            fh.lambda_asymptotic(3, s)
 
 
 def test_asymptotic_law_tracks_discrete_spectrum():
