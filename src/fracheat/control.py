@@ -378,12 +378,22 @@ def unconstrained_dual_details(
 
     In the modal coordinates of the terminal map, u steers z0 onto the
     target iff A u = c, with A from :meth:`_ModalStepper.control_matrix`
-    (A u = V^T M z_T(0, u)) and c = V^T M (zhat(T) - z_free(T)).  After
-    scaling each row of A and c by the row's largest entry, HiGHS's dual
-    simplex solves the homogenized LP: maximize sigma subject to
-    A v = sigma c, -1 <= v <= 1 and sigma >= 0.  Then u = v / sigma has
+    (A u = V^T M z_T(0, u)) and c = V^T M (zhat(T) - z_free(T)).  The LP
+    is the homogenized one: maximize sigma subject to A v = sigma c,
+    -1 <= v <= 1 and sigma >= 0.  Then u = v / sigma has
     ||u||_inf = 1 / sigma, and at the vertex optimum all but at most
     n_dof cells sit at +-||u||_inf (bang-bang).
+
+    HiGHS's dual simplex gets it scaled and without presolve.  Each row
+    of A and c is divided by the row's largest entry, then each column of
+    A by the column's largest entry r, so that column's variable is r v
+    with bounds +-r; v is recovered after the solve.  The column scaling
+    brings the simplex nearer the optimum (at n_x = 80 it halves the gap
+    between ||u||_inf and D below).  The model is dense and has nothing
+    to remove, so presolve would only copy it, and that copy sets the
+    solve's peak memory.  Scaling a column leaves the equality duals as
+    they are; dividing a row by its factor multiplies its dual by it,
+    and y below divides it out.
 
     The LP's equality duals y are modal adjoint terminal data: the
     adjoint on cell j is p_j = V (d^(n_t - j) o y), and A^T y = dt M p on
@@ -427,12 +437,15 @@ def unconstrained_dual_details(
     A = stepper.control_matrix()
     row_scale = np.abs(A).max(axis=1)
     A /= row_scale[:, None]
+    col_scale = np.abs(A).max(axis=0)
+    A /= col_scale
     res = linprog(
         np.r_[np.zeros(A.shape[1]), -1.0],
         A_eq=np.hstack([A, -(c / row_scale)[:, None]]),
         b_eq=np.zeros(n),
-        bounds=np.r_[np.tile([-1.0, 1.0], (A.shape[1], 1)), [[0.0, np.inf]]],
+        bounds=np.r_[np.c_[-col_scale, col_scale], [[0.0, np.inf]]],
         method="highs-ds",
+        options={"presolve": False},
     )
     if res.status != 0:
         raise SolverError(f"L-infinity LP not solved: {res.message}")
@@ -441,7 +454,8 @@ def unconstrained_dual_details(
         raise SolverError(
             f"L-infinity LP: the target is unreachable at T={T} ({res.message})"
         )
-    control = ControlField(res.x[:-1].reshape(n_sup, n_t) / sigma, problem.support)
+    v = res.x[:-1] / col_scale
+    control = ControlField(v.reshape(n_sup, n_t) / sigma, problem.support)
 
     y = res.eqlin.marginals / row_scale
     y *= np.sign(y @ c)
@@ -458,8 +472,10 @@ def solve_unconstrained_Linf(
 
     Among the cell controls on omega whose lumped implicit Euler state
     hits zhat(T) exactly, finds one of least sup norm, as the exact
-    optimum of the linear program in :func:`unconstrained_dual_details`.
-    It is bang-bang: all but at most n_dof cells take the values
+    optimum of the linear program in :func:`unconstrained_dual_details`,
+    which HiGHS's dual simplex solves row- and column-scaled and without
+    presolve, for a vertex nearer the optimum at less memory.  It is
+    bang-bang: all but at most n_dof cells take the values
     +-||u||_inf, and ||u||_inf equals the space-time L1 norm over omega
     of the optimal adjoint.
 

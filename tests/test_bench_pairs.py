@@ -39,6 +39,15 @@ def test_verdict_rules():
     assert noisy["parent_spread"] > 0.25 and noisy["verdict"] == "unresolved"
     # ... unless every change run reads better than every parent run
     assert verdict(wide, [0.5] * 10, "lower", 0.25)["verdict"] != "unresolved"
+    # one outlying parent run widens the full range past the bound but not
+    # the interquartile range: the verdict reads the latter, and the row is
+    # flagged because the two readings disagree
+    outlier = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.60, 0.99, 1.00, 1.00]
+    flagged = verdict(outlier, parent, "lower", 0.25)
+    assert flagged["parent_spread"] < 0.25 < flagged["parent_range_spread"]
+    assert flagged["verdict"] == "no regression" and flagged["spread_readings_disagree"]
+    assert not faster["spread_readings_disagree"] and not noisy["spread_readings_disagree"]
+    assert faster["parent_range_spread"] == pytest.approx(0.04)
     # fewer than ten pairs is no gain, even with a zero parent IQR
     assert verdict([1.0], [0.5], "lower", 0.25)["verdict"] == "no regression"
     assert verdict(parent[:5], [0.5] * 5, "lower", 0.25)["verdict"] == "no regression"

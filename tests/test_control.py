@@ -269,10 +269,17 @@ def test_unconstrained_steers_on_a_finer_mesh(finer_mesh_lp):
     assert m_norm(final - zhat_T, m) <= 1e-5 * m_norm(zhat_T, m)
 
 
+def test_lp_lands_near_its_optimum_on_a_finer_mesh(finer_mesh_lp):
+    # the column-scaled LP stops at 0.2000352; unscaled, HiGHS's dual
+    # simplex stopped at 0.2001021, above the optimum by more than this
+    _, (control, _, _) = finer_mesh_lp
+    assert np.abs(control.values).max() <= 0.20006
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="at n_x = 80 the LP's primal and dual values disagree: ||u||_inf reads "
-    "0.20010208 against D = 0.19991901, 9.16e-4 relative (9.4e-8 at n_x = 20)",
+    "0.20003518 against D = 0.19995676, 3.92e-4 relative (4.6e-8 at n_x = 20)",
 )
 def test_lp_primal_and_dual_values_agree_on_a_finer_mesh(finer_mesh_lp):
     # strong duality makes the control's sup norm equal the dual's value

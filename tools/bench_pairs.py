@@ -30,6 +30,16 @@ verdict per row:
   of the parent's runs, so one outlying run does not decide it);
 * ``no regression`` otherwise.
 
+Each row also gives the parent's full-range spread, (max - min) over its
+median, next to the interquartile one, and is marked ``range disagrees``
+when the unresolved test would answer differently on the full range: one
+outlying parent run then decides whether the metric can be judged.
+
+On a shared machine a ``gain`` row from one set of pairs can be drift: a
+change that keeps every output byte-identical and alters no arithmetic
+on a workload's path has read as a gain there.  Claim a gain only when a
+second, independent set of pairs, run after the first, reads it too.
+
 Nothing under ``bench/`` is changed; each run leaves its record in its
 tree's ``.bench_out/``.
 """
@@ -83,11 +93,13 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     scale = abs(p_med) if p_med != 0.0 else 1.0
     gap = sign * (c_med - p_med)  # > 0: the change reads worse
     spread = (p3 - p1) / scale
+    range_spread = (max(parent) - min(parent)) / scale
+    separated = max(sign * c for c in change) < min(sign * p for p in parent)
     if len(parent) >= PAIRS and wins >= GAIN_SHARE * len(parent) and -gap > p3 - p1:
         kind = "gain"
     elif gap > bound * scale:
         kind = "worse"
-    elif spread > bound and not max(sign * c for c in change) < min(sign * p for p in parent):
+    elif spread > bound and not separated:
         kind = "unresolved"
     else:
         kind = "no regression"
@@ -98,6 +110,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
         "pairs": len(parent),
         "relative_change": (c_med - p_med) / scale,
         "parent_spread": spread,
+        "parent_range_spread": range_spread,
+        "spread_readings_disagree": (spread > bound) != (range_spread > bound) and not separated,
         "verdict": kind,
     }
 
@@ -140,7 +154,8 @@ def main(argv: list[str] | None = None) -> int:
         "method": (
             f"{PAIRS} alternating pairs of `python3 bench/run.py --workload W --seed S --trace 0` "
             f"({spec['run_seconds']} s runs), seeds {FIRST_SEED}-{FIRST_SEED + PAIRS - 1}, "
-            "the parent first in even pairs; quartiles over the pairs' run medians"
+            "the parent first in even pairs; quartiles over the pairs' run medians; the parent's "
+            "spread is (q3 - q1) and, as its range spread, (max - min), each over its median"
         ),
         "workloads": {},
     }
@@ -165,14 +180,20 @@ def main(argv: list[str] | None = None) -> int:
             f"{w}: failed/attempted ops parent {ops['parent']['failed']}/{ops['parent']['attempted']}, "
             f"change {ops['change']['failed']}/{ops['change']['attempted']}"
         )
-        print(f"  {'metric':<20} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'wins':>6}  verdict")
+        print(
+            f"  {'metric':<20} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} "
+            f"{'wins':>6} {'spread iqr/range':>17}  verdict"
+        )
         for name, row in rows.items():
             cells = [
                 f"{row[side]['median']:.6g} [{row[side]['q1']:.6g}, {row[side]['q3']:.6g}]"
                 for side in ("parent", "change")
             ]
+            spreads = f"{row['parent_spread']:.3f}/{row['parent_range_spread']:.3f}"
+            flag = " (range disagrees)" if row["spread_readings_disagree"] else ""
             print(
-                f"  {name:<20} {cells[0]:>34} {cells[1]:>34} {row['wins']:>3}/{row['pairs']:<2}  {row['verdict']}"
+                f"  {name:<20} {cells[0]:>34} {cells[1]:>34} {row['wins']:>3}/{row['pairs']:<2} "
+                f"{spreads:>17}  {row['verdict']}{flag}"
             )
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
