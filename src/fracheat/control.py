@@ -34,6 +34,7 @@ constrained solver needs only the terminal map.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -371,6 +372,20 @@ def _outcome(
     )
 
 
+def _warn_below_half(s: float) -> None:
+    """Warn that s <= 1/2, attributed to the first caller outside this
+    module, so that the warning names the user's line whether it came
+    through :func:`solve_unconstrained_Linf` or not."""
+    level, frame = 2, sys._getframe(1)
+    while frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(
+        f"s = {s} <= 1/2: steering to trajectories is not expected to be "
+        "attainable; proceeding anyway",
+        stacklevel=level,
+    )
+
+
 def unconstrained_dual_details(
     problem: ControlProblem, T: float, n_t: int
 ) -> tuple[ControlField, np.ndarray, float]:
@@ -415,11 +430,7 @@ def unconstrained_dual_details(
         unreachable (sigma = 0); the message carries HiGHS's.
     """
     if problem.op.s <= 0.5:
-        warnings.warn(
-            f"s = {problem.op.s} <= 1/2: steering to trajectories is not "
-            "expected to be attainable; proceeding anyway",
-            stacklevel=2,
-        )
+        _warn_below_half(problem.op.s)
     stepper = _ModalStepper(problem.op, T, n_t, problem.support)
     dt, h, V, mask = stepper.dt, stepper.h, stepper.V, problem.support
     n, n_sup = problem.op.n_dof, stepper.V_sup.shape[0]

@@ -13,7 +13,6 @@ __all__ = [
     "Grid",
     "build_grid",
     "nodes_in_interval",
-    "trapezoid_weights",
 ]
 
 
@@ -67,22 +66,13 @@ def build_grid(n_x: int) -> Grid:
     return Grid(n_x)
 
 
-def _in_closed_interval(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
-    """Mask over all nodes, domain endpoints included, of [lo, hi] widened by 1e-12."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (-1.0 <= lo < hi <= 1.0):
-        raise ValueError(f"interval must satisfy -1 <= lo < hi <= 1, got ({lo}, {hi})")
-    x = grid.nodes
-    tol = 1e-12
-    return (x >= lo - tol) & (x <= hi + tol)
-
-
 def nodes_in_interval(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
-    """Interior-DOF mask of nodes lying in the closed interval.
+    """Interior-DOF mask of the nodes in the closed interval.
 
-    A node whose hat function overlaps the interval with positive measure on
-    both sides contributes a full trapezoid weight; nodes exactly at an
-    endpoint are included (they carry half weight in quadrature helpers).
+    The interval is widened by 1e-12 on each side, so a node that lies on
+    an endpoint up to roundoff is included.  This mask is the support of
+    every control on omega, and the package weighs each node in it by the
+    lumped mass h.
 
     Parameters
     ----------
@@ -94,36 +84,9 @@ def nodes_in_interval(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
     -------
     ndarray of bool, shape (n_interior,)
     """
-    return _in_closed_interval(grid, interval)[1:-1]
-
-
-def trapezoid_weights(grid: Grid, interval: tuple[float, float]) -> np.ndarray:
-    """Trapezoid quadrature weights for integrals over a subinterval.
-
-    Each interior node in the closed interval receives ``h/2`` for every
-    neighbouring node (including the domain endpoints, where functions
-    vanish) that also lies in the interval, so interior runs get weight
-    ``h`` and run ends get ``h/2``.  For node-aligned intervals this equals
-    exact integration of the piecewise linear interpolant.  The weight
-    vector covers all interior DOFs and is zero off the interval, and it is
-    elementwise monotone in the interval, so integrals of nonnegative nodal
-    functions are monotone in the interval as well.
-
-    Parameters
-    ----------
-    grid : Grid
-    interval : (float, float)
-        Interval (lo, hi) with -1 <= lo < hi <= 1.
-
-    Returns
-    -------
-    ndarray, shape (n_interior,)
-    """
-    in_closed = _in_closed_interval(grid, interval)
-    mask = in_closed[1:-1]
-    if not mask.any():
-        raise ValueError(f"interval {interval!r} contains no interior nodes")
-    left_in = in_closed[:-2]
-    right_in = in_closed[2:]
-    w = 0.5 * grid.h * mask * (left_in.astype(float) + right_in.astype(float))
-    return w
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (-1.0 <= lo < hi <= 1.0):
+        raise ValueError(f"interval must satisfy -1 <= lo < hi <= 1, got ({lo}, {hi})")
+    x = grid.interior_nodes
+    tol = 1e-12
+    return (x >= lo - tol) & (x <= hi + tol)

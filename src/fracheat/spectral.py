@@ -18,7 +18,7 @@ import numpy as np
 
 from .assembly import DiscreteOperator, _require_s
 from .errors import SolverError, _check_count
-from .grid import Grid, trapezoid_weights
+from .grid import Grid, nodes_in_interval
 
 __all__ = [
     "SpectralBasis",
@@ -29,7 +29,7 @@ __all__ = [
     "lambda_asymptotic",
 ]
 
-# Fraction of the computed spectrum treated as resolved; the top of a P1
+# Fraction of the grid's spectrum treated as resolved; the top of a P1
 # spectrum tracks the grid scale rather than the operator.
 RESOLVED_FRACTION = 0.8
 
@@ -68,8 +68,11 @@ class SpectralBasis:
 
     @property
     def resolved_count(self) -> int:
-        """Number of leading eigenvalues treated as grid-resolved."""
-        return max(1, int(np.floor(RESOLVED_FRACTION * self.k_max)))
+        """Number of leading pairs treated as grid-resolved: those among the
+        first RESOLVED_FRACTION of the grid's n_interior pairs, at least one,
+        and at most the k_max the basis holds."""
+        resolved = max(1, int(np.floor(RESOLVED_FRACTION * self.grid.n_interior)))
+        return min(self.k_max, resolved)
 
 
 def eigendecompose(op: DiscreteOperator, k_max: int | None = None) -> SpectralBasis:
@@ -145,7 +148,8 @@ def eigendecompose(op: DiscreteOperator, k_max: int | None = None) -> SpectralBa
 
 
 def min_gap(basis: SpectralBasis) -> float:
-    """Smallest consecutive eigenvalue gap over the resolved range.
+    """Smallest consecutive eigenvalue gap among the first
+    ``basis.resolved_count`` eigenvalues.
 
     Parameters
     ----------
@@ -172,7 +176,10 @@ def flattening_ratio(basis: SpectralBasis) -> float:
 
 
 def l1_lower_bound(basis: SpectralBasis, omega: tuple[float, float]) -> float:
-    """Smallest L1 norm over a subinterval among resolved eigenfunctions.
+    """Smallest discrete L1 norm over omega among resolved eigenfunctions.
+
+    Each node of omega, as :func:`~fracheat.grid.nodes_in_interval` picks
+    them, weighs the lumped mass h, as in every solver.
 
     Parameters
     ----------
@@ -184,14 +191,20 @@ def l1_lower_bound(basis: SpectralBasis, omega: tuple[float, float]) -> float:
     Returns
     -------
     float
-        min over k <= resolved_count of the nodal trapezoid approximation
-        of the integral of |phi_k| over omega.  Invariant under sign flips
-        of the eigenvectors and monotone in omega.
+        min over k <= resolved_count of h sum_{i in omega} |phi_k(x_i)|.
+        Invariant under sign flips of the eigenvectors and monotone in
+        omega.
+
+    Raises
+    ------
+    ValueError
+        If omega is not an interval of [-1, 1] or holds no interior node.
     """
-    w = trapezoid_weights(basis.grid, omega)
+    mask = nodes_in_interval(basis.grid, omega)
+    if not mask.any():
+        raise ValueError(f"interval {omega!r} contains no interior nodes")
     r = basis.resolved_count
-    vals = w @ np.abs(basis.eigenvectors[:, :r])
-    return float(vals.min())
+    return float(basis.grid.h * np.abs(basis.eigenvectors[mask, :r]).sum(axis=0).min())
 
 
 def lambda_asymptotic(k, s: float):

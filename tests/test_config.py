@@ -162,20 +162,23 @@ def test_field_errors_name_the_path(snippet, path):
         fh.parse_config(snippet)
 
 
-def test_omega_must_hold_a_grid_node(tmp_path, capsys):
+def test_omega_must_hold_a_grid_node(tmp_path, capsys, monkeypatch):
     # the interior nodes of the n_x = 4 grid are -0.5, 0 and 0.5
     with pytest.raises(fh.ConfigError, match=r"^omega: \[0.1, 0.2\] holds no interior node"):
         fh.parse_config('{"n_x": 4, "omega": [0.1, 0.2]}')
-    # a lone node without a neighbour in omega gets zero trapezoid weight,
-    # so every integral over omega, beta_hat included, would read 0
-    for lone in ('{"n_x": 4, "omega": [0.1, 0.5]}',
-                 '{"n_x": 4, "n_t": 20, "omega": [0.1, 0.55], "horizon_mode": {"fixed": 0.9}}'):
-        with pytest.raises(fh.ConfigError, match=r"^omega: .* no neighbour"):
-            fh.parse_config(lone)
+    # one node is enough: it is the control's support, as in ControlProblem
+    assert fh.parse_config('{"n_x": 4, "omega": [0.1, 0.5]}').omega == (0.1, 0.5)
+    lone = {"n_x": 4, "n_t": 20, "omega": [0.1, 0.55], "horizon_mode": {"fixed": 0.9}}
     config_path = tmp_path / "lone.json"
-    config_path.write_text(lone)
-    assert main(["run", "--config", str(config_path)]) == 2
-    assert "omega" in capsys.readouterr().err
+    config_path.write_text(json.dumps({**lone, "output_dir": str(tmp_path / "out")}))
+    monkeypatch.delenv("FRACHEAT_OUTPUT_DIR", raising=False)
+    assert main(["run", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    # beta_hat reads what the lone node x = 0.5 sees of the resolved modes
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    op = fh.build_operator(fh.build_grid(4), s=0.8, normalization="unit")
+    V = op.lumped_basis.eigenvectors
+    assert summary["beta_hat"] == op.grid.h * abs(V[2, :2]).min() > 0.0
     assert fh.parse_config('{"n_x": 4, "omega": [0.0, 0.5]}').omega == (0.0, 0.5)
     # the presets' and the benchmark's omega
     assert fh.parse_config('{"n_x": 20, "omega": [-0.3, 0.8]}').omega == (-0.3, 0.8)
@@ -294,7 +297,6 @@ def _change_id(value):
         ({"omega": (0.8, -0.3)}, "omega"),
         # the interior nodes of the n_x = 10 grid are -0.8, -0.6, ..., 0.8
         ({"omega": (0.05, 0.15)}, "omega"),
-        ({"omega": (0.1, 0.3)}, "omega"),
         ({"normalization": "weird"}, "normalization"),
         ({"z0_amplitude": -1}, "z0_amplitude"),
         ({"z0_amplitude": float("inf"), "nonneg_state": False}, "z0_amplitude"),

@@ -358,8 +358,12 @@ def test_solve_unconstrained_warns_below_half(grid20):
         0.1,
         (-0.3, 0.8),
     )
-    with pytest.warns(UserWarning, match="1/2"):
-        fh.solve_unconstrained_Linf(prob, 0.5, 20)
+    # the warning names the caller's line, also through the solver's call
+    # of the LP
+    for solve in (fh.solve_unconstrained_Linf, fh.unconstrained_dual_details):
+        with pytest.warns(UserWarning, match="1/2") as record:
+            solve(prob, 0.5, 20)
+        assert [w.filename for w in record] == [__file__], solve.__name__
 
 
 def test_constrained_solve_case1_feasible(prob_case1, lumped_diag):
@@ -399,6 +403,27 @@ def test_constrained_solve_budget_exhaustion_reports_infeasible(prob_case1):
     assert out.basis == "budget_exhausted"
     assert out.iterations == 20
     assert out.lower_bound is None
+
+
+def test_constrained_solve_without_the_bound(op20_unit, cos_profile):
+    # at s = 0.1, a0 = A^T y0 is not positive on every cell at T = 0.9, so
+    # the iteration runs without its infeasibility bound and ends on the
+    # budget; at T = 0.3 a0 > 0, and the bound proves infeasibility at once
+    op = fh.build_operator(op20_unit.grid, s=0.1, normalization="unit")
+    prob = fh.ControlProblem(
+        op, 2.0 * cos_profile, 0.05 * cos_profile, 0.2, (-0.3, 0.8), nonneg_state=False
+    )
+    m1 = np.full(op.n_dof, op.grid.h)
+    for T, a0_positive, basis, iterations in (
+        (0.9, False, "budget_exhausted", 200),
+        (0.3, True, "proved_infeasible", 0),
+    ):
+        a0 = _ModalStepper(op, T, 100, prob.support).gradient(m1)
+        assert (a0 > 0.0).all() == a0_positive, T
+        out = fh.solve_constrained_fixed_time(prob, T, 100, max_iter=200)
+        assert (out.basis, out.iterations) == (basis, iterations), T
+        assert not out.feasible
+        assert (out.lower_bound is None) == (not a0_positive), T
 
 
 def _nnls_optimum(problem, T, n_t):

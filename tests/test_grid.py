@@ -1,4 +1,4 @@
-"""Grid construction, interval masks, and quadrature weights."""
+"""Grid construction and interval masks."""
 
 from __future__ import annotations
 
@@ -65,57 +65,18 @@ def test_nodes_in_interval_case_region():
         fh.nodes_in_interval(g, (0.5, 0.2))
 
 
-def test_trapezoid_weights_full_interval():
-    g = fh.build_grid(40)
-    w = fh.trapezoid_weights(g, (-1.0, 1.0))
-    # interpolants vanish at the boundary, so the constant 1 integrates
-    # to the interval length minus one cell
-    assert w.sum() == pytest.approx(2.0 - g.h, rel=1e-12)
-
-
-def test_trapezoid_weights_aligned_interior_interval_exact():
-    g = fh.build_grid(20)
-    w = fh.trapezoid_weights(g, (-0.3, 0.5))
-    # node-aligned interior interval: trapezoid rule integrates 1 exactly
-    assert w.sum() == pytest.approx(0.8, rel=1e-12)
-    with pytest.raises(ValueError, match=r"^interval \(0.51, 0.54\) contains no interior nodes"):
-        fh.trapezoid_weights(g, (0.51, 0.54))
-
-
 @given(
     st.integers(min_value=4, max_value=80),
-    st.floats(min_value=-0.95, max_value=0.4),
-    st.floats(min_value=0.05, max_value=0.5),
-    st.sampled_from(["free", "nodes", "left_domain_end", "right_domain_end"]),
+    st.integers(min_value=0, max_value=80),
+    st.integers(min_value=1, max_value=80),
 )
-def test_trapezoid_weights_measure_subinterval(n_x, a, length, ends):
-    b = min(a + length, 0.95)
+def test_nodes_in_interval_holds_its_end_nodes(n_x, i, length):
+    # ends computed as -1 + i h land on nodes i and j up to roundoff, and
+    # the mask holds both of them when they are interior
+    i = min(i, n_x - 1)
+    j = min(i + length, n_x)
     g = fh.build_grid(n_x)
-    if ends == "nodes":
-        # -1 + i h lands on node i up to roundoff
-        a, b = (min(-1.0 + round((v + 1.0) / g.h) * g.h, 1.0) for v in (a, b))
-    elif ends == "left_domain_end":
-        a = -1.0
-    elif ends == "right_domain_end":
-        b = 1.0
-    assume(a < b)
-    mask = fh.nodes_in_interval(g, (a, b))
-    assume(mask.any())
-    w = fh.trapezoid_weights(g, (a, b))
-    assert w.shape == (g.n_interior,)
-    assert np.all(w >= 0)
-    # nodal trapezoid rule integrates the constant 1 up to cut cells
-    assert abs(w.sum() - (b - a)) <= 2 * g.h
-    # the weights live on the mask; a free-ended interval may also hold a
-    # lone node with no neighbour in it, which gets no weight
-    if ends == "free":
-        assert not w[~mask].any()
-    else:
-        assert np.array_equal(w > 0, mask)
-
-
-def test_trapezoid_weights_monotone_in_interval():
-    g = fh.build_grid(20)
-    w_small = fh.trapezoid_weights(g, (-0.2, 0.2))
-    w_big = fh.trapezoid_weights(g, (-0.6, 0.6))
-    assert np.all(w_big >= w_small - 1e-15)
+    a, b = (-1.0 + k * g.h for k in (i, j))
+    assume(-1.0 <= a < b <= 1.0)
+    k = np.arange(1, n_x)
+    assert np.array_equal(fh.nodes_in_interval(g, (a, b)), (k >= i) & (k <= j))

@@ -67,7 +67,6 @@ FROZEN_ALL = [
     "solve_constrained_fixed_time",
     "solve_unconstrained_Linf",
     "trajectory_to_csv",
-    "trapezoid_weights",
     "unconstrained_dual_details",
 ]
 

@@ -3,6 +3,7 @@ asymptotic eigenvalue law."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -56,7 +57,9 @@ def test_basis_size_is_read_from_its_arrays(op200_unit):
     full = op200_unit.lumped_basis
     part = fh.SpectralBasis(full.eigenvalues[:8], full.eigenvectors[:, :8], full.grid)
     assert part.k_max == 8
-    assert part.resolved_count == 6
+    assert part.resolved_count == 8
+    # the resolved range is the grid's: its first 80 percent of 199 pairs
+    assert full.resolved_count == 159
 
 
 def test_eigensolve_peak_memory(op20_unit, op400_symbol):
@@ -88,7 +91,7 @@ def test_lumped_basis_close_to_consistent(op20_unit, basis20):
 
 
 def test_min_gap_frozen(basis20, op20_unit):
-    assert basis20.resolved_count == 6
+    assert basis20.resolved_count == 8
     assert fh.min_gap(basis20) == pytest.approx(14.83097944263719, rel=1e-12)
     pair = fh.SpectralBasis(basis20.eigenvalues[:2], basis20.eigenvectors[:, :2], basis20.grid)
     with pytest.raises(ValueError, match="^need k_max >= 3 for gap statistics, got 2"):
@@ -100,10 +103,41 @@ def test_min_gap_frozen(basis20, op20_unit):
 
 def test_l1_lower_bound_frozen(basis20):
     beta = fh.l1_lower_bound(basis20, (-0.3, 0.8))
-    assert beta == pytest.approx(0.6470503520761145, rel=1e-12)
+    assert beta == pytest.approx(0.7297769317062565, rel=1e-12)
     assert beta > 0
     # monotone in the observation window
     assert fh.l1_lower_bound(basis20, (-0.5, 0.9)) >= beta
+    with pytest.raises(ValueError, match=r"^interval \(0.51, 0.54\) contains no interior nodes"):
+        fh.l1_lower_bound(basis20, (0.51, 0.54))
+
+
+def test_l1_lower_bound_weighs_omega_by_the_lumped_mass(op20_unit, basis20):
+    # each node of omega weighs h, as in the control operator: omega's end
+    # nodes -0.3 and 0.8 count in full
+    V = op20_unit.lumped_basis.eigenvectors[:, :8]
+    x = op20_unit.grid.interior_nodes
+    inside = (x > -0.3 - 1e-9) & (x < 0.8 + 1e-9)
+    by_hand = min(0.1 * sum(abs(V[i, k]) for i in range(19) if inside[i]) for k in range(8))
+    assert fh.l1_lower_bound(basis20, (-0.3, 0.8)) == pytest.approx(by_hand, rel=1e-13)
+
+
+def test_summary_reads_every_resolved_pair(tmp_path):
+    # on 12 cells, 8 of the 11 pairs are resolved, and the 8 pairs the
+    # summary lists set both statistics: the smallest gap is lambda_8 -
+    # lambda_7 and the smallest L1 norm over omega is phi_8's
+    cfg = fh.parse_config(json.dumps({
+        "n_x": 12, "n_t": 10, "omega": [-0.5, 0.5], "horizon_mode": {"fixed": 0.9},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    summary = fh.run_scenario(cfg)
+    op = fh.build_operator(fh.build_grid(12), s=0.8, normalization="unit")
+    lam = op.lumped_basis.eigenvalues[:8]
+    # omega holds the interior nodes 2..8, x = -0.5, ..., 0.5
+    norms = op.grid.h * np.abs(op.lumped_basis.eigenvectors[2:9, :8]).sum(axis=0)
+    assert summary["lambda"] == pytest.approx(lam, rel=1e-12)
+    assert np.diff(lam).argmin() == 6 and norms.argmin() == 7
+    assert summary["min_gap"] == pytest.approx(np.diff(lam).min(), rel=1e-12)
+    assert summary["beta_hat"] == pytest.approx(norms.min(), rel=1e-12)
 
 
 def test_lambda_asymptotic():
