@@ -50,7 +50,7 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         """Uniform grid t_j = j T / n_t, shape (n_t + 1,), with times[-1] = T exactly."""
-        return _time_grid(self.T, self.n_t)
+        return np.linspace(0.0, self.T, self.n_t + 1)
 
     @property
     def min_value(self) -> float:
@@ -107,12 +107,6 @@ class ControlField:
     def n_t(self) -> int:
         return self.values.shape[1]
 
-    def expand(self) -> np.ndarray:
-        """Zero-extended control over all interior nodes, shape (n_interior, n_t)."""
-        full = np.zeros((self.support_mask.size, self.values.shape[1]))
-        full[self.support_mask] = self.values
-        return full
-
 
 def make_control(
     grid: Grid,
@@ -149,12 +143,6 @@ def _check_horizon(T: float, n_t: int) -> None:
     if not 0 < T < np.inf:
         raise ValueError(f"T must be finite and positive, got {T}")
     _check_count("n_t", n_t)
-
-
-def _time_grid(T: float, n_t: int) -> np.ndarray:
-    times = np.arange(n_t + 1) * (T / n_t)
-    times[-1] = T
-    return times
 
 
 def _check_on_grid(control: ControlField, grid: Grid) -> None:
@@ -217,12 +205,10 @@ def simulate(
         raise ValueError(f"z0 must have shape ({n},), got {z0.shape}")
     if not np.isfinite(z0).all():
         raise ValueError("z0 must be finite")
-    u_full = None
     if control is not None:
         if control.n_t != n_t:
             raise ValueError(f"control has {control.n_t} time cells, simulation has {n_t}")
         _check_on_grid(control, op.grid)
-        u_full = control.expand()
 
     dt = T / n_t
     states = np.empty((n_t + 1, n))
@@ -242,8 +228,8 @@ def simulate(
     (potrs,) = get_lapack_funcs(("potrs",), (factor,))
     for j in range(n_t):
         rhs = h * z
-        if u_full is not None:
-            rhs = rhs + dt * (h * u_full[:, j])
+        if control is not None:
+            rhs[control.support_mask] += dt * (h * control.values[:, j])
         z, info = potrs(factor, rhs, lower=lower, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in {-info}th argument of internal potrs")
@@ -288,7 +274,7 @@ def duhamel_spectral(
     if control_coeffs is not None and t > 0:
         u = np.asarray(control_coeffs, dtype=float)
         n_t = u.shape[0]
-        edges = _time_grid(t, n_t)
+        edges = np.linspace(0.0, t, n_t + 1)
         # integral of e^{-lam (t - tau)} over [t_j, t_{j+1}]
         w = (
             np.exp(-lam[None, :] * (t - edges[1:, None]))
