@@ -42,11 +42,8 @@ class Grid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        """Read-only node coordinates x_i = -1 + 2 i / n_x, i = 0..n_x,
-        with the endpoints pinned so they are exact regardless of rounding."""
+        """Read-only node coordinates x_i = -1 + 2 i / n_x, i = 0..n_x."""
         nodes = -1.0 + 2.0 * np.arange(self.n_x + 1) / self.n_x
-        nodes[0] = -1.0
-        nodes[-1] = 1.0
         nodes.setflags(write=False)
         return nodes
 

@@ -36,10 +36,10 @@ def test_nodes_are_read_only():
 @pytest.mark.parametrize("n_x", [2, 3, 20, 800])
 def test_nodes_are_derived_from_the_cell_count(n_x):
     # the grid stores n_x only; its nodes are computed once, read-only,
-    # bit for bit the formula with the endpoints pinned
+    # bit for bit the formula, which gives the endpoints exactly
     g = fh.Grid(n_x)
     expected = -1.0 + 2.0 * np.arange(n_x + 1) / n_x
-    expected[0], expected[-1] = -1.0, 1.0
+    assert expected[0] == -1.0 and expected[-1] == 1.0
     assert g.nodes is g.nodes and not g.nodes.flags.writeable
     assert g.nodes.tobytes() == expected.tobytes()
     assert g.h == 2.0 / n_x

@@ -58,7 +58,8 @@ def test_fixed_run_summary_content(fixed_run):
     assert s["iterations"] >= 1
     assert s["basis"] == "tolerance_met"
     assert len(s["lambda"]) == 8
-    assert s["min_gap"] > 0
+    # the gap is read over every listed pair
+    assert s["min_gap"] == min(np.diff(s["lambda"])) > 0
     assert s["beta_hat"] > 0
     assert "seed" not in s and s["resolved_config"]["seed"] == 42
     assert s["resolved_config"]["n_x"] == 10

@@ -53,13 +53,10 @@ def test_partial_eigensolve_matches_full(op200_unit):
 
 def test_basis_size_is_read_from_its_arrays(op200_unit):
     # a slice of the full basis, as a run's summary takes, has k_max pairs
-    # by construction, so its resolved range cannot disagree with them
+    # by construction
     full = op200_unit.lumped_basis
     part = fh.SpectralBasis(full.eigenvalues[:8], full.eigenvectors[:, :8], full.grid)
     assert part.k_max == 8
-    assert part.resolved_count == 8
-    # the resolved range is the grid's: its first 80 percent of 199 pairs
-    assert full.resolved_count == 159
 
 
 def test_eigensolve_peak_memory(op20_unit, op400_symbol):
@@ -91,7 +88,6 @@ def test_lumped_basis_close_to_consistent(op20_unit, basis20):
 
 
 def test_min_gap_frozen(basis20, op20_unit):
-    assert basis20.resolved_count == 8
     assert fh.min_gap(basis20) == pytest.approx(14.83097944263719, rel=1e-12)
     pair = fh.SpectralBasis(basis20.eigenvalues[:2], basis20.eigenvectors[:, :2], basis20.grid)
     with pytest.raises(ValueError, match="^need k_max >= 3 for gap statistics, got 2"):
@@ -121,10 +117,10 @@ def test_l1_lower_bound_weighs_omega_by_the_lumped_mass(op20_unit, basis20):
     assert fh.l1_lower_bound(basis20, (-0.3, 0.8)) == pytest.approx(by_hand, rel=1e-13)
 
 
-def test_summary_reads_every_resolved_pair(tmp_path):
-    # on 12 cells, 8 of the 11 pairs are resolved, and the 8 pairs the
-    # summary lists set both statistics: the smallest gap is lambda_8 -
-    # lambda_7 and the smallest L1 norm over omega is phi_8's
+def test_summary_reads_every_listed_pair(tmp_path):
+    # on 12 cells the summary lists 8 of the 11 pairs, and all 8 set both
+    # statistics: the smallest gap is lambda_8 - lambda_7 and the smallest
+    # L1 norm over omega is phi_8's
     cfg = fh.parse_config(json.dumps({
         "n_x": 12, "n_t": 10, "omega": [-0.5, 0.5], "horizon_mode": {"fixed": 0.9},
         "output_dir": str(tmp_path / "out"),
