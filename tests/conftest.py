@@ -36,13 +36,16 @@ FROZEN_LAMBDA_UNIT = [
 ]
 
 
+_spec = importlib.util.spec_from_file_location(
+    "_bench_envinfo", Path(__file__).resolve().parents[1] / "bench" / "envinfo.py"
+)
+envinfo = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(envinfo)
+
+
 def pytest_report_header(config):
-    """The thread variables and the threads each loaded OpenBLAS uses: one
-    test passes at two BLAS threads and fails at one."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "envinfo.py"
-    spec = importlib.util.spec_from_file_location("_bench_envinfo", path)
-    envinfo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(envinfo)
+    """The thread variables and the threads each loaded OpenBLAS uses: the
+    last bits of the eigensolve, and so of every solve, depend on them."""
     env = " ".join(f"{var}={os.environ.get(var)}" for var in envinfo.THREAD_VARS)
     return [f"thread env: {env}", f"blas runtime: {envinfo.blas_runtime()}"]
 

@@ -3,17 +3,18 @@ the projected gradient and the minimal-time search."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.optimize import OptimizeResult, nnls
+from scipy.optimize import OptimizeResult, linprog, nnls
 
 import fracheat as fh
 from fracheat.control import BASES, _ModalStepper
 
-from conftest import m_norm
+from conftest import m_norm, traced
 
 
 @pytest.mark.parametrize("how", ["direct", "replace"])
@@ -216,6 +217,10 @@ def test_lp_matrix_is_the_modal_terminal_map(n_x):
     op, mask, stepper, z0, u = _modal_case(n_x, n_t)
     A = stepper.control_matrix()
     assert A.shape == (op.n_dof, u.size)
+    # written into a caller's view, the same matrix, held there
+    buf = np.empty((op.n_dof, u.size + 1))
+    into = stepper.control_matrix(out=buf[:, :-1].reshape(op.n_dof, *u.shape))
+    assert np.array_equal(into, A) and np.shares_memory(into, buf)
     ref = (stepper.h * stepper.terminal(0.0 * z0, u)) @ stepper.V
     Au = A @ u.ravel()
     assert np.abs(Au - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -246,6 +251,32 @@ def test_unconstrained_dual_steers_and_is_bang_bang(prob_case1, lumped_diag):
     umax = np.abs(control.values).max()
     assert umax == pytest.approx(D, rel=1e-3)
     assert p_cells.shape == (prob_case1.op.n_dof, 100)
+
+
+def test_lp_optimum_is_pinned(prob_case1):
+    # the vertex HiGHS reaches at n_x = 20, where the primal and dual
+    # values agree to 4.6e-8: a change to the LP's matrix, its scaling or
+    # its layout must not move it
+    control, _, D = fh.unconstrained_dual_details(prob_case1, 0.9, 300)
+    umax = np.abs(control.values).max()
+    assert umax == pytest.approx(0.1999876817, abs=1e-9)
+    assert abs(umax - D) / D <= 1e-7
+
+
+def test_lp_holds_one_copy_of_its_matrix_at_the_solve(prob_case1, monkeypatch):
+    # the LP matrix [A | -c] is built, scaled and handed to HiGHS in one
+    # buffer; a separate A beside it would hold twice its bytes
+    seen = {}
+
+    def spy(c, **kwargs):
+        seen["held"] = tracemalloc.get_traced_memory()[0]
+        seen["matrix"] = kwargs["A_eq"].nbytes
+        return linprog(c, **kwargs)
+
+    prob_case1.op.lumped_basis  # the cached basis, built untraced
+    monkeypatch.setattr("scipy.optimize.linprog", spy)
+    traced(lambda: fh.unconstrained_dual_details(prob_case1, 0.9, 300))
+    assert seen["held"] <= 1.5 * seen["matrix"]
 
 
 @pytest.fixture(scope="module")

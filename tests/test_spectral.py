@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracheat as fh
-from conftest import FROZEN_LAMBDA_UNIT, traced
+from conftest import FROZEN_LAMBDA_UNIT, envinfo, traced
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +170,29 @@ def test_asymptotic_law_tracks_discrete_spectrum():
     rel = np.abs(pred - lam) / lam
     assert rel[0] < 0.01
     assert rel[2] < rel[0]
+
+
+def test_slow_eigenvalue_does_not_depend_on_the_thread_count():
+    # eigh alone leaves lambda_1 at n_x = 200 with an error of about
+    # eps lambda_max, which moved by 8.4e-13 relative between one BLAS
+    # thread and two; refined to relative accuracy it is the same at both
+    script = (
+        "import fracheat as fh; "
+        "op = fh.build_operator(fh.build_grid(200), s=0.8, normalization='unit'); "
+        "print(repr(float(fh.eigendecompose(op).eigenvalues[0])))"
+    )
+    src = str(Path(fh.__file__).resolve().parents[1])
+    lam = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.update({var: threads for var in envinfo.THREAD_VARS})
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lam.append(float(proc.stdout))
+    assert lam[0] == pytest.approx(lam[1], rel=1e-13, abs=0.0)
