@@ -10,6 +10,8 @@ spectral-gap statistics of a summable-like order (s = 0.8) with a
 harmonic-like one (s = 0.4).
 """
 
+import numpy as np
+
 import fracheat as fh
 
 # the law targets the true (symbol-normalized) operator on a fine mesh
@@ -32,13 +34,19 @@ pred3 = fh.lambda_asymptotic(3, s)
 print(f"\nk = 3 relative error at n_x = 400: {abs(pred3 - lam3) / lam3:.2e}")
 
 # gap statistics: above s = 1/2 the reciprocal-eigenvalue sums flatten,
-# below they keep growing like a harmonic series
+# below they keep growing like a harmonic series.  The min gap is taken
+# over the leading 40 pairs only: below s = 0.65 the symbol of an interior
+# stiffness row peaks inside (0, pi), so the lumped P1 spectrum folds and
+# a spurious falling branch interleaves the sorted eigenvalues (at s = 0.4
+# from k ~ 0.32 n_x; the gap at k = 65 here is 0.0040, against 0.498 from
+# the closed-form law)
 for order in (0.8, 0.4):
     op_o = fh.build_operator(grid, s=order, normalization="symbol")
     basis = fh.eigendecompose(op_o, k_max=80)
     flat = fh.flattening_ratio(basis)
+    gap = np.diff(basis.eigenvalues[:41]).min()
     verdict = "flattening (summable-like)" if flat <= 0.5 else "harmonic-like"
     print(
-        f"s = {order}: min gap {fh.min_gap(basis):.4f}, "
+        f"s = {order}: min gap over the leading 40 pairs {gap:.4f}, "
         f"late/early partial-sum growth {flat:.4f} -> {verdict}"
     )

@@ -34,7 +34,6 @@ constrained solver needs only the terminal map.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -96,6 +95,10 @@ class ControlProblem:
     (-1, 1) and holds an interior node, z0 and zhat0 are one finite value
     per interior node, zhat0 > 0, uhat is finite and >= 0, and, with
     nonneg_state, z0 >= 0 and the operator is positivity-preserving.
+    Then, if s <= 1/2, where the paper's minimal time and measure-valued
+    control need not exist, it issues one UserWarning that names the line
+    which built the problem (under ``dataclasses.replace``, a line of
+    ``dataclasses.py``).  No solver warns on its own.
 
     Attributes
     ----------
@@ -148,6 +151,13 @@ class ControlProblem:
             raise ValueError(
                 "nonneg_state needs z0 >= 0 and a positivity-preserving operator, "
                 f"got min(z0) = {self.z0.min():.3g} at s = {op.s}"
+            )
+        if op.s <= 0.5:
+            # level 3 is the caller of the generated __init__
+            warnings.warn(
+                f"s = {op.s} <= 1/2: steering to trajectories is not expected to be "
+                "attainable; proceeding anyway",
+                stacklevel=3,
             )
 
     def target_at(self, T: float, n_t: int) -> Trajectory:
@@ -306,8 +316,8 @@ class _ModalStepper:
         """Modal matrix A of the control term of :meth:`terminal`.
 
         A[k, (i, j)] = dt h V[i, k] E[k, j] over support node i and cell
-        j, so A u = V^T M terminal(0, u) and A^T V^T r = gradient(r)
-        with u and the gradient flattened node-major.  With ``out``, an
+        j, so A u = V^T M terminal(0, u) and A^T rho = adjoint(rho)
+        with u and the adjoint flattened node-major.  With ``out``, an
         array or view of shape (modes, support nodes, n_t), A is written
         there, and the returned A is a view of it.
         """
@@ -322,9 +332,14 @@ class _ModalStepper:
 
         r_weighted is d(objective)/d(z_T); returns the exact gradient of
         the objective w.r.t. the support cell controls, shape
-        (support nodes, n_t).
+        (support nodes, n_t): :meth:`adjoint` of r_weighted^T V.
         """
-        rho = r_weighted @ self.V
+        return self.adjoint(r_weighted @ self.V)
+
+    def adjoint(self, rho: np.ndarray) -> np.ndarray:
+        """A^T rho for modal terminal data rho, shaped (support nodes,
+        n_t): dt h times the adjoint p_j = V (d^(n_t - j) o rho) on the
+        support."""
         g = np.empty((self.V_sup.shape[0], self.E.shape[1]))
         for a, b, K in self.blocks:
             np.matmul(
@@ -377,20 +392,6 @@ def _outcome(
     )
 
 
-def _warn_below_half(s: float) -> None:
-    """Warn that s <= 1/2, attributed to the first caller outside this
-    module, so that the warning names the user's line whether it came
-    through :func:`solve_unconstrained_Linf` or not."""
-    level, frame = 2, sys._getframe(1)
-    while frame.f_globals.get("__name__") == __name__:
-        level, frame = level + 1, frame.f_back
-    warnings.warn(
-        f"s = {s} <= 1/2: steering to trajectories is not expected to be "
-        "attainable; proceeding anyway",
-        stacklevel=level,
-    )
-
-
 def unconstrained_dual_details(
     problem: ControlProblem, T: float, n_t: int
 ) -> tuple[ControlField, np.ndarray, float]:
@@ -425,17 +426,18 @@ def unconstrained_dual_details(
     ``linprog`` copies from the buffer and HiGHS's own model come on top.
 
     The LP's equality duals y are modal adjoint terminal data: the
-    adjoint on cell j is p_j = V (d^(n_t - j) o y), and A^T y = dt M p on
-    the support.  LP duality gives ||u||_inf = max_y <y, c> / D(y), where
-    D(y) = dt h sum_j sum_omega |p_j| is the adjoint's space-time L1 norm
-    over omega.  The returned adjoint is the LP's y scaled to minimize
-    the dual functional (1/2) D(p)^2 - <p, c>, and the returned D is its
-    L1 norm <y, c> / D(y): the dual's value, computed from the duals
-    alone, which strong duality makes equal to ||u||_inf.
+    adjoint on cell j is p_j = V (d^(n_t - j) o y), and A^T y = dt h p on
+    omega, which :meth:`_ModalStepper.adjoint` forms.  LP duality gives
+    ||u||_inf = max_y <y, c> / ||A^T y||_1, whose denominator is the
+    adjoint's space-time L1 norm over omega.  The returned D = <y, c> /
+    ||A^T y||_1 is the dual's value, which strong duality makes equal to
+    ||u||_inf, and the returned p is the adjoint on omega scaled by
+    <y, c> / ||A^T y||_1^2, which minimizes (1/2) ||A^T q||_1^2 - <q, c>
+    over q = a y and makes dt h sum |p| = D.
 
-    Returns (control, adjoint cell values p of shape (n, n_t), D).  When
-    the free state hits the target exactly, c = 0, and the zero control,
-    a zero adjoint and D = 0 are returned without solving.
+    Returns (control, p of shape (n_sup, n_t), D).  When the free state
+    hits the target exactly, c = 0, and the zero control, a zero p and
+    D = 0 are returned without solving.
 
     Raises
     ------
@@ -443,17 +445,16 @@ def unconstrained_dual_details(
         If HiGHS does not report an optimum, or the target is
         unreachable (sigma = 0); the message carries HiGHS's.
     """
-    if problem.op.s <= 0.5:
-        _warn_below_half(problem.op.s)
     stepper = _ModalStepper(problem.op, T, n_t, problem.support)
-    dt, h, V, mask = stepper.dt, stepper.h, stepper.V, problem.support
+    h, V = stepper.h, stepper.V
     n, n_sup = problem.op.n_dof, stepper.V_sup.shape[0]
     # the target through the same map as the free state, so that a free
     # state already on target leaves c exactly zero
     zhat_T = stepper.terminal(problem.zhat0, np.full((n_sup, n_t), problem.uhat))
     c = (h * (zhat_T - stepper.terminal(problem.z0, None))) @ V
     if not c.any():
-        return ControlField(np.zeros((n_sup, n_t)), problem.support), np.zeros((n, n_t)), 0.0
+        zero = np.zeros((n_sup, n_t))
+        return ControlField(zero, problem.support), zero, 0.0
 
     # imported here, as it loads all of scipy.optimize, which no other
     # run path needs
@@ -489,9 +490,9 @@ def unconstrained_dual_details(
     y = res.eqlin.marginals / row_scale
     y *= np.sign(y @ c)
     yc = float(y @ c)
-    p_cells = V @ (stepper.E * y[:, None])
-    D_y = dt * float(np.abs(p_cells[mask]).sum(axis=1) @ np.full(n_sup, h))
-    return control, (yc / D_y**2) * p_cells, yc / D_y
+    ATy = stepper.adjoint(y)
+    D_y = float(np.abs(ATy).sum())
+    return control, (yc / (D_y**2 * stepper.dt_h)) * ATy, yc / D_y
 
 
 def solve_unconstrained_Linf(
@@ -501,12 +502,10 @@ def solve_unconstrained_Linf(
 
     Among the cell controls on omega whose lumped implicit Euler state
     hits zhat(T) exactly, finds one of least sup norm, as the exact
-    optimum of the linear program in :func:`unconstrained_dual_details`,
-    which HiGHS's dual simplex solves row- and column-scaled and without
-    presolve, for a vertex nearer the optimum at less memory.  It is
-    bang-bang: all but at most n_dof cells take the values
-    +-||u||_inf, and ||u||_inf equals the space-time L1 norm over omega
-    of the optimal adjoint.
+    optimum of the linear program in :func:`unconstrained_dual_details`
+    (its second paragraph says how HiGHS gets it).  It is bang-bang: all
+    but at most n_dof cells take the values +-||u||_inf, and ||u||_inf
+    equals the space-time L1 norm over omega of the optimal adjoint.
 
     The LP constrains z(T) only, so the verdict simulates the control and
     checks its states when nonneg_state is set.  The control may take

@@ -277,7 +277,7 @@ def test_criterion_10_bang_bang(prob_case1, lumped_diag):
     umax = float(np.abs(control.values).max())
     mask = control.support_mask
     dt = 0.9 / 300
-    p_l1 = dt * float((lumped_diag[mask] @ np.abs(p_cells[mask, :])).sum())
+    p_l1 = dt * float((lumped_diag[mask] @ np.abs(p_cells)).sum())
     dev = abs(umax - p_l1) / umax
     print(
         f"criterion 10: ||u||_inf={umax:.8g}, ||p||_L1(omega x (0,T))={p_l1:.8g}, "

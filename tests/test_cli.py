@@ -104,11 +104,13 @@ def test_run_state_constraint_needs_positivity_preserving_operator(
     assert record["error"] == "ConfigError"
     assert record["message"].startswith("constraints.nonneg_state:")
     assert not (tmp_path / "out" / "summary.json").exists()
-    # without the state constraint the same operator runs
+    # without the state constraint the same operator runs, with a warning
+    # that s <= 1/2
     path = write_config(
         tmp_path, {"s": 0.2, "constraints": {"nonneg_state": False}}
     )
-    assert main(["run", "--config", str(path)]) == 0
+    with pytest.warns(UserWarning, match="1/2"):
+        assert main(["run", "--config", str(path)]) == 0
     assert (tmp_path / "out" / "summary.json").is_file()
 
 
@@ -313,14 +315,20 @@ def _check_spectrum_process(cmd, env, cwd):
     assert lams == pytest.approx(FROZEN_LAMBDA_UNIT[:3], rel=1e-12)
 
 
-def test_console_launcher_subprocess(tmp_path):
-    # The module form runs the same callable as the installed script, so it
-    # tests this checkout's launcher without an install step.
-    assert _declared_script() == "fracheat_cli:main"
+def _checkout_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_console_launcher_subprocess(tmp_path):
+    # The module form runs the same callable as the installed script, so it
+    # tests this checkout's launcher without an install step.
+    assert _declared_script() == "fracheat_cli:main"
+    env = _checkout_env()
     _check_spectrum_process([sys.executable, "-m", "fracheat_cli"], env, tmp_path)
     exe = shutil.which("fracheat")
     if exe is not None:
@@ -334,3 +342,29 @@ def test_launcher_thread_peek():
     assert fracheat_cli._peek_threads(["run", "--threads=2"]) == "2"
     # without the flag the launcher applies the default bound of one
     assert fracheat_cli._peek_threads(["spectrum", "--s", "0.8"]) == "1"
+
+
+def test_run_below_half_warns_before_its_error_record(tmp_path):
+    # at s = 1/2 case 1's bracket fails; the problem's warning, issued where
+    # the run builds it, tells why on stderr ahead of the exit-3 record
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"case_preset": "case1", "s": 0.5, "output_dir": str(tmp_path / "out")})
+    )
+    env = _checkout_env()
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracheat_cli", "run", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 3, proc.stderr
+    err = proc.stderr.strip().splitlines()
+    record = json.loads(err[-1])
+    assert (record["error"], record["exit_code"]) == ("SolverError", 3)
+    warned = [ln for ln in err[:-1] if "UserWarning: s = 0.5 <= 1/2" in ln]
+    assert len(warned) == 1
+    assert f"{os.sep}scenario.py:" in warned[0]

@@ -3,7 +3,9 @@ the projected gradient and the minimal-time search."""
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -57,8 +59,12 @@ def test_control_problem_validation(op20_unit, cos_profile, how):
     for changes, match in refused:
         with pytest.raises(ValueError, match=match):
             build(**changes)
-    for changes in ({"z0": -cos_profile}, {"op": op_low}):
-        assert not build(**changes, nonneg_state=False).nonneg_state
+    assert not build(z0=-cos_profile, nonneg_state=False).nonneg_state
+    # s = 0.2 <= 1/2 warns, naming the line that built the problem
+    with pytest.warns(UserWarning, match="1/2") as record:
+        assert not build(op=op_low, nonneg_state=False).nonneg_state
+    builder = __file__ if how == "direct" else dataclasses.__file__
+    assert [w.filename for w in record] == [builder]
     # the support is resolved from omega, read-only, and never passed in
     with pytest.raises(TypeError if how == "direct" else ValueError, match="support"):
         build(support=valid.support)
@@ -250,7 +256,10 @@ def test_unconstrained_dual_steers_and_is_bang_bang(prob_case1, lumped_diag):
     # L1 norm over omega
     umax = np.abs(control.values).max()
     assert umax == pytest.approx(D, rel=1e-3)
-    assert p_cells.shape == (prob_case1.op.n_dof, 100)
+    # the adjoint is returned on omega only, and D is its L1 norm there
+    assert p_cells.shape == control.values.shape == (12, 100)
+    dt_h = (0.9 / 100) * prob_case1.op.grid.h
+    assert D == pytest.approx(dt_h * np.abs(p_cells).sum(), rel=1e-14, abs=0.0)
 
 
 def test_lp_optimum_is_pinned(prob_case1):
@@ -358,7 +367,7 @@ def test_unconstrained_on_target_returns_zero_without_solving(
     control, p_cells, D = fh.unconstrained_dual_details(prob, 0.5, 40)
     assert control.values.shape == (12, 40)
     assert not control.values.any()
-    assert p_cells.shape == (op20_unit.n_dof, 40)
+    assert p_cells.shape == (12, 40)
     assert not p_cells.any()
     assert D == 0.0
 
@@ -379,22 +388,24 @@ def test_unconstrained_lp_failure_raises(
         fh.solve_unconstrained_Linf(prob_case1, 0.9, 60)
 
 
-def test_solve_unconstrained_warns_below_half(grid20):
-    op = fh.build_operator(grid20, s=0.5, normalization="unit")
+def test_problem_below_half_warns_once_where_it_is_built(grid20):
     x = grid20.interior_nodes
-    prob = fh.ControlProblem(
-        op,
-        np.cos(np.pi * x / 2.0),
-        0.5 * np.cos(np.pi * x / 2.0),
-        0.1,
-        (-0.3, 0.8),
-    )
-    # the warning names the caller's line, also through the solver's call
-    # of the LP
-    for solve in (fh.solve_unconstrained_Linf, fh.unconstrained_dual_details):
-        with pytest.warns(UserWarning, match="1/2") as record:
-            solve(prob, 0.5, 20)
-        assert [w.filename for w in record] == [__file__], solve.__name__
+    data = (np.cos(np.pi * x / 2.0), 0.5 * np.cos(np.pi * x / 2.0), 0.1, (-0.3, 0.8))
+    op = fh.build_operator(grid20, s=0.5, normalization="unit")
+    with pytest.warns(UserWarning, match="1/2") as record:
+        prob = fh.ControlProblem(op, *data)
+    assert [w.filename for w in record] == [__file__]
+    # every solver takes the problem as built, so none warns again
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fh.unconstrained_dual_details(prob, 0.5, 20)
+        fh.solve_unconstrained_Linf(prob, 0.5, 20)
+        fh.solve_constrained_fixed_time(prob, 0.5, 20)
+        fh.minimal_time_search(prob, (0.05, 2.0), 0.5, 20)
+        # above 1/2 nothing warns
+        op = fh.build_operator(grid20, s=0.8, normalization="unit")
+        fh.ControlProblem(op, *data)
+    assert caught == []
 
 
 def test_constrained_solve_case1_feasible(prob_case1, lumped_diag):
@@ -441,9 +452,10 @@ def test_constrained_solve_without_the_bound(op20_unit, cos_profile):
     # the iteration runs without its infeasibility bound and ends on the
     # budget; at T = 0.3 a0 > 0, and the bound proves infeasibility at once
     op = fh.build_operator(op20_unit.grid, s=0.1, normalization="unit")
-    prob = fh.ControlProblem(
-        op, 2.0 * cos_profile, 0.05 * cos_profile, 0.2, (-0.3, 0.8), nonneg_state=False
-    )
+    with pytest.warns(UserWarning, match="1/2"):
+        prob = fh.ControlProblem(
+            op, 2.0 * cos_profile, 0.05 * cos_profile, 0.2, (-0.3, 0.8), nonneg_state=False
+        )
     m1 = np.full(op.n_dof, op.grid.h)
     for T, a0_positive, basis, iterations in (
         (0.9, False, "budget_exhausted", 200),
